@@ -16,7 +16,7 @@ verdict.  The ``fpgroups`` console script exposes the same operations as
 subcommands emitting one JSON run-report per invocation.
 """
 
-from .budget import Budget, BudgetExhausted, DEFAULT_BUDGET
+from .budget import Budget, BudgetExhausted
 from .cancellation import (
     DehnSolver,
     DehnTrace,
@@ -106,7 +106,6 @@ __all__ = [
     "ConstructionError",
     "CosetError",
     "CosetTable",
-    "DEFAULT_BUDGET",
     "DehnSolver",
     "DehnTrace",
     "Exhausted",

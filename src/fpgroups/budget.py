@@ -1,15 +1,17 @@
-"""Resource budgets for the search engines.
+"""The run budget shared by every engine.
 
 Enumeration (Todd-Coxeter, low-index, closure searches) can legitimately fail
-to finish; budgets make that a first-class outcome instead of a hang.  Engines
-either return an explicit exhausted-result value or raise BudgetExhausted,
-depending on their contract.
+to finish, and expansion (the parser, rips) can outgrow memory; the budget
+makes that an outcome instead of a hang.  A Budget is a deadline on
+time.monotonic() plus caps on cosets, permutation-group elements and relator
+letters, started once per run and passed down unchanged, so a time limit
+bounds the whole run.  Every cap that runs out raises BudgetExhausted.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class BudgetExhausted(RuntimeError):
@@ -22,35 +24,16 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    time_limit_s: float = 60.0
+    deadline: float  # on time.monotonic()
     max_cosets: int = 100_000
     max_elements: int = 100_000
+    max_letters: int = 2_000_000
 
-    def with_time(self, seconds: float) -> "Budget":
-        return replace(self, time_limit_s=seconds)
-
-    def start(self) -> "Stopwatch":
-        return Stopwatch(self.time_limit_s)
-
-
-class Stopwatch:
-    """Deadline tracker; check() raises once the time budget is spent."""
-
-    __slots__ = ("t0", "limit")
-
-    def __init__(self, limit_s: float):
-        self.t0 = time.monotonic()
-        self.limit = limit_s
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.t0
-
-    def expired(self) -> bool:
-        return self.elapsed() > self.limit
+    @classmethod
+    def start(cls, time_limit_s: float = 60.0, **caps: int) -> "Budget":
+        """A budget whose clock starts now and runs for time_limit_s."""
+        return cls(time.monotonic() + time_limit_s, **caps)
 
     def check(self, what: str = "time limit") -> None:
-        if self.expired():
+        if time.monotonic() >= self.deadline:
             raise BudgetExhausted(what)
-
-
-DEFAULT_BUDGET = Budget()

@@ -1,12 +1,13 @@
 """Command-line front end: one verb per invocation, one report per run.
 
-Every verb reads presentation files in the shared grammar, runs under the
-global budget flags, and emits a single RunReport.  With --json the report is
-the only thing on standard output (diagnostics go to standard error), and
-reruns with identical inputs and budgets are byte-identical apart from the
-wall_time_s field.  Exit codes: 0 the operation succeeded (and any check it
-performed came back true), 1 a check came back false, 2 a budget ran out
-before an answer, 3 bad input.
+Every verb reads presentation files in the shared grammar (or its JSON form),
+runs under one budget started from the global flags before any input is read,
+and emits a single RunReport.  With --json the report is the only thing on
+standard output (diagnostics go to standard error), and reruns with identical
+inputs and budgets are byte-identical apart from the wall_time_s field.  Exit
+codes: 0 the operation succeeded (and any check it performed came back true),
+1 a check came back false, 2 a budget (time, cosets, elements or letters) ran
+out before an answer, 3 bad input.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .permrep import (
     sl25_to_a5,
     transitive_groups,
 )
-from .presentations import catalog, parse_presentation
+from .presentations import catalog, load_presentation
 from .zlattice import abelianization
 
 EXIT_OK = 0
@@ -62,19 +63,11 @@ def _global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, metavar="N")
 
 
-def _budget(args: argparse.Namespace) -> Budget:
-    return Budget(
-        time_limit_s=args.time_limit,
-        max_cosets=args.max_cosets,
-        max_elements=args.max_elements,
-    )
-
-
 def _load(path: str, inputs: dict) -> "Presentation":
     with open(path, "rb") as fh:
         raw = fh.read()
     inputs[path] = hashlib.sha256(raw).hexdigest()
-    return parse_presentation(raw.decode("utf-8"))
+    return load_presentation(raw.decode("utf-8"))
 
 
 def _write_out(path: str | None, p) -> None:
@@ -84,10 +77,10 @@ def _write_out(path: str | None, p) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: (args, inputs) -> (outcome, payload)
+# verb handlers: (args, inputs, budget) -> (outcome, payload)
 
 
-def _cmd_parse(args, inputs):
+def _cmd_parse(args, inputs, budget):
     p = _load(args.file, inputs)
     return "OK", {
         "generators": list(p.alphabet.names),
@@ -97,18 +90,18 @@ def _cmd_parse(args, inputs):
     }
 
 
-def _cmd_abelianize(args, inputs):
+def _cmd_abelianize(args, inputs, budget):
     inv = abelianization(_load(args.file, inputs))
     return "OK", {"h1": inv.to_json(), "pretty": str(inv)}
 
 
-def _cmd_sc_check(args, inputs):
+def _cmd_sc_check(args, inputs, budget):
     p = _load(args.file, inputs)
     report = check_metric(p, args.m)
     return ("OK" if report.verdict else "NEGATIVE"), report.to_json(p.alphabet)
 
 
-def _cmd_dehn(args, inputs):
+def _cmd_dehn(args, inputs, budget):
     p = _load(args.file, inputs)
     solver = DehnSolver(p)
     w = p.word(args.word)
@@ -122,20 +115,20 @@ def _cmd_dehn(args, inputs):
     return ("OK" if trivial else "NEGATIVE"), payload
 
 
-def _cmd_rips(args, inputs):
+def _cmd_rips(args, inputs, budget):
     q = _load(args.file, inputs)
-    rr = rips(q, args.m, zero_exponent=args.zero_exponent)
+    rr = rips(q, args.m, zero_exponent=args.zero_exponent, budget=budget)
     _write_out(args.out, rr.gamma)
     return "OK", rr.to_json()
 
 
-def _cmd_uce(args, inputs):
+def _cmd_uce(args, inputs, budget):
     u = uce(_load(args.file, inputs))
     _write_out(args.out, u.tilde)
     return "OK", u.to_json()
 
 
-def _cmd_fibre(args, inputs):
+def _cmd_fibre(args, inputs, budget):
     g = _load(args.file, inputs)
     pairs = fibre_generators(g, [g.word(k) for k in args.kernel or []])
     return "OK", {
@@ -144,25 +137,25 @@ def _cmd_fibre(args, inputs):
     }
 
 
-def _cmd_pipeline(args, inputs):
+def _cmd_pipeline(args, inputs, budget):
     q = _load(args.file, inputs)
-    pl = pipeline(q, args.m, budget=_budget(args))
+    pl = pipeline(q, args.m, budget=budget)
     _write_out(args.out, pl.extension)
     return "OK", pl.to_json()
 
 
-def _cmd_evidence(args, inputs):
-    ev = grothendieck_evidence(_load(args.file, inputs), args.index_bound, _budget(args))
+def _cmd_evidence(args, inputs, budget):
+    ev = grothendieck_evidence(_load(args.file, inputs), args.index_bound, budget)
     outcome = "OK" if ev.verdict.startswith("criterion satisfied") else "NEGATIVE"
+    if ev.verdict.startswith("inconclusive"):
+        outcome = "EXHAUSTED"
     return outcome, ev.to_json()
 
 
-def _cmd_tc(args, inputs):
+def _cmd_tc(args, inputs, budget):
     p = _load(args.file, inputs)
     sub = tuple(p.word(w) for w in args.subgroup or [])
-    table = todd_coxeter(
-        p, subgroup=sub, max_cosets=args.max_cosets, time_limit_s=args.time_limit
-    )
+    table = todd_coxeter(p, sub, budget)
     if not table:
         return "EXHAUSTED", {
             "reason": table.reason,
@@ -172,15 +165,12 @@ def _cmd_tc(args, inputs):
     return "OK", {"index": table.n}
 
 
-def _cmd_rs(args, inputs):
+def _cmd_rs(args, inputs, budget):
     p = _load(args.file, inputs)
     sub = tuple(p.word(w) for w in args.subgroup or [])
-    table = todd_coxeter(
-        p, subgroup=sub, max_cosets=args.max_cosets, time_limit_s=args.time_limit
-    )
+    table = todd_coxeter(p, sub, budget)
     if not table:
         return "EXHAUSTED", {"reason": table.reason, "cosets_used": table.cosets_used}
-    table.standardize()
     s = reidemeister_schreier(p, table)
     _write_out(args.out, s)
     return "OK", {
@@ -191,25 +181,24 @@ def _cmd_rs(args, inputs):
     }
 
 
-def _cmd_low_index(args, inputs):
-    fp = low_index(_load(args.file, inputs), args.bound, _budget(args))
+def _cmd_low_index(args, inputs, budget):
+    fp = low_index(_load(args.file, inputs), args.bound, budget)
     return ("OK" if fp.complete else "EXHAUSTED"), fp.to_json()
 
 
-def _cmd_fingerprint(args, inputs):
+def _cmd_fingerprint(args, inputs, budget):
     p = _load(args.file, inputs)
     if args.file2 is None:
-        fp = low_index(p, args.bound, _budget(args))
+        fp = low_index(p, args.bound, budget)
         return ("OK" if fp.complete else "EXHAUSTED"), fp.to_json()
     q = _load(args.file2, inputs)
-    cmp = fingerprint_compare(p, q, args.bound, _budget(args))
+    cmp = fingerprint_compare(p, q, args.bound, budget)
     outcome = {True: "OK", False: "NEGATIVE", None: "EXHAUSTED"}[cmp.equal]
     return outcome, cmp.to_json()
 
 
-def _cmd_hom_search(args, inputs):
+def _cmd_hom_search(args, inputs, budget):
     p = _load(args.file, inputs)
-    budget = _budget(args)
     targets = []
     for d in range(2, args.transitive_degree + 1):
         targets.extend(transitive_groups(d))
@@ -240,8 +229,7 @@ def _cmd_hom_search(args, inputs):
 _FIBRE_INSTANCES = ("z6-z3", "sl25-a5")
 
 
-def _cmd_fibre_check(args, inputs):
-    cap = args.max_elements
+def _cmd_fibre_check(args, inputs, budget):
     if args.instance == "z6-z3":
         src = catalog("cyclic", (6,)).presentation
         ambient = cyclic_group(6)
@@ -256,8 +244,8 @@ def _cmd_fibre_check(args, inputs):
             f"unknown instance {args.instance!r}; choose from {', '.join(_FIBRE_INSTANCES)}"
         )
     pairs = list(fibre_generators(src, kernel_words))
-    ffp = fibre_product_finite(eta, ambient, cap=cap)
-    generated = check_generation(ffp, pairs, cap=cap)
+    ffp = fibre_product_finite(eta, ambient, budget)
+    generated = check_generation(ffp, pairs, budget)
     payload = {
         "instance": args.instance,
         "order": len(ffp.elements),
@@ -269,16 +257,16 @@ def _cmd_fibre_check(args, inputs):
     return ("OK" if generated else "NEGATIVE"), payload
 
 
-def _cmd_schur(args, inputs):
-    rep = schur_multiplier(_load(args.file, inputs), _budget(args))
+def _cmd_schur(args, inputs, budget):
+    rep = schur_multiplier(_load(args.file, inputs), budget)
     return "OK", rep.to_json()
 
 
-def _cmd_l0_check(args, inputs):
+def _cmd_l0_check(args, inputs, budget):
     ambient = _load(args.ambient, inputs)
     quotient = _load(args.quotient, inputs)
     normal = tuple(ambient.word(w) for w in args.normal or [])
-    rep = lemma_l0_check(L0Instance(ambient, normal, quotient), _budget(args))
+    rep = lemma_l0_check(L0Instance(ambient, normal, quotient), budget)
     if rep.hypotheses_met and rep.equal:
         outcome = "OK"
     elif rep.equal is None and rep.hypotheses_met:
@@ -288,17 +276,17 @@ def _cmd_l0_check(args, inputs):
     return outcome, rep.to_json()
 
 
-def _cmd_h2_rank(args, inputs):
+def _cmd_h2_rank(args, inputs, budget):
     rank = aspherical_h2_rank(_load(args.file, inputs), args.aspherical)
     return "OK", {"rank": rank}
 
 
-def _cmd_baumslag_iso(args, inputs):
+def _cmd_baumslag_iso(args, inputs, budget):
     rep = baumslag_iso_test(args.modulus, args.unit, args.k)
     return ("OK" if rep.isomorphic else "NEGATIVE"), rep.to_json()
 
 
-def _cmd_catalog(args, inputs):
+def _cmd_catalog(args, inputs, budget):
     entry = catalog(args.name, tuple(args.params))
     _write_out(args.out, entry.presentation)
     return "OK", {
@@ -510,12 +498,16 @@ def dispatch(argv) -> int:
 
     inputs: dict[str, str] = {}
     started = time.perf_counter()
+    budget = Budget.start(
+        args.time_limit, max_cosets=args.max_cosets, max_elements=args.max_elements
+    )
     try:
-        outcome, payload = handler(args, inputs)
+        outcome, payload = handler(args, inputs, budget)
     except BudgetExhausted as e:
         outcome, payload = "EXHAUSTED", {"error": str(e)}
-    except (ValueError, OSError) as e:
-        outcome, payload = "ERROR", {"error": str(e)}
+    # input-driven blow-ups (deep nesting, huge numbers) are bad input, not NEGATIVE
+    except (ValueError, OSError, RecursionError, MemoryError, OverflowError) as e:
+        outcome, payload = "ERROR", {"error": str(e) or type(e).__name__}
     wall = time.perf_counter() - started
 
     report = {

@@ -37,12 +37,13 @@ together with a finite-quotient evidence report for Q.
 from __future__ import annotations
 
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .budget import Budget, BudgetExhausted, DEFAULT_BUDGET
+from .budget import Budget, BudgetExhausted
 from .cancellation import PieceReport, check_metric
 from .cosets import Fingerprint, low_index
 from .homology import schur_multiplier
@@ -134,7 +135,7 @@ def rips(
     m: int,
     *,
     zero_exponent: bool = False,
-    max_letters: int = 2_000_000,
+    budget: Budget | None = None,
 ) -> RipsResult:
     """Embed q in a C'(1/m) group with a two-generator normal subgroup.
 
@@ -147,6 +148,7 @@ def rips(
         raise RipsError(f"cancellation parameter must be at least 6, got {m}")
     if len(q.alphabet) < 1:
         raise RipsError("input presentation needs at least one generator")
+    max_letters = (budget or Budget.start()).max_letters
 
     nx = len(q.alphabet)
     base = "a"
@@ -476,6 +478,7 @@ def fibre_generators(
 
 _VERDICT_OK = "criterion satisfied at tested scale"
 _VERDICT_FAIL = "criterion fails"
+_VERDICT_OPEN = "inconclusive: time limit reached"
 _H2_UNKNOWN = "not computed (group not certified finite within budget)"
 
 
@@ -501,11 +504,13 @@ class GrothendieckEvidence:
 
 
 def grothendieck_evidence(
-    q: Presentation, index_bound: int, budget: Budget = DEFAULT_BUDGET
+    q: Presentation, index_bound: int, budget: Budget | None = None
 ) -> GrothendieckEvidence:
     """Test the profinite-triviality criteria at a bounded scale: trivial H_1,
     no proper subgroups of index <= index_bound, trivial H_2 where computable.
-    Exhaustion of any single item is recorded, never fatal."""
+    Exhaustion of any single item is recorded, never fatal; but when the
+    deadline cut an item short and nothing seen fails, it is no pass."""
+    budget = budget or Budget.start()
     h1 = abelianization(q)
     fp = low_index(q, index_bound, budget)
     try:
@@ -514,14 +519,16 @@ def grothendieck_evidence(
     except BudgetExhausted:
         h2 = None
         h2_status = _H2_UNKNOWN
+    timed_out = not fp.complete or (h2 is None and time.monotonic() >= budget.deadline)
     proper = any(fp.totals.get(k, 0) for k in range(2, index_bound + 1))
-    ok = h1.is_trivial and not proper and (h2 is None or h2.is_trivial)
+    fails = not h1.is_trivial or proper or (h2 is not None and not h2.is_trivial)
+    verdict = _VERDICT_FAIL if fails else _VERDICT_OPEN if timed_out else _VERDICT_OK
     return GrothendieckEvidence(
         h1=h1,
         subgroups=fp,
         h2=h2,
         h2_status=h2_status,
-        verdict=_VERDICT_OK if ok else _VERDICT_FAIL,
+        verdict=verdict,
     )
 
 
@@ -569,8 +576,7 @@ def pipeline(
     q: Presentation,
     m: int,
     *,
-    budget: Budget = DEFAULT_BUDGET,
-    max_letters: int = 2_000_000,
+    budget: Budget | None = None,
     evidence_index: int = 3,
 ) -> PipelineResult:
     """rips (zero-exponent) -> uce -> direct square, with the fibre-product
@@ -583,7 +589,8 @@ def pipeline(
         raise ConstructionError(
             f"pipeline input must be perfect; abelianization is {abelianization(q)}"
         )
-    rr = rips(q, m, zero_exponent=True, max_letters=max_letters)
+    budget = budget or Budget.start()
+    rr = rips(q, m, zero_exponent=True, budget=budget)
     ur = uce(rr.gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PresentationWarning)
@@ -603,12 +610,11 @@ def pipeline(
         "p_generators": len(p_gens),
     }
 
-    sub_budget = Budget(
-        time_limit_s=min(budget.time_limit_s, 10.0),
-        max_cosets=min(budget.max_cosets, 20_000),
-        max_elements=budget.max_elements,
-    )
+    # the evidence is a side report: narrow it to at most 10 s and 20k cosets
+    deadline = min(budget.deadline, time.monotonic() + 10.0)
+    sub_budget = replace(budget, deadline=deadline, max_cosets=min(budget.max_cosets, 20_000))
     evidence = grothendieck_evidence(q, evidence_index, sub_budget)
+    budget.check()  # rips and uce never read the clock; an overrun run is exhausted
 
     return PipelineResult(
         quotient=q,

@@ -1,11 +1,12 @@
 """Coset enumeration and everything built on it.
 
-todd_coxeter is HLT-style (scan-and-fill with a coset cap), with coincidence
-handling through a union-find and symmetric tables; completed tables are
-compressed and standardized (breadth-first renumbering), so the output is
-independent of enumeration order.  Exhaustion is a first-class result, never
-an exception: the word problem behind this is undecidable in general, so a
-cap is part of the contract.
+todd_coxeter is HLT-style (scan-and-fill under the run budget's coset cap and
+deadline), with coincidence handling through a union-find and symmetric
+tables; completed tables are compressed and standardized (breadth-first
+renumbering), so the output is independent of enumeration order.  Exhaustion
+is a first-class result, never an exception (the word problem behind this is
+undecidable in general): todd_coxeter returns a caught BudgetExhausted as an
+Exhausted value, low_index as a Fingerprint's first unfinished index.
 
 reidemeister_schreier rewrites relator conjugates on Schreier generators of
 a complete table.  low_index enumerates standardized coset tables directly
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import DEFAULT_BUDGET, Budget, BudgetExhausted, Stopwatch
+from .budget import Budget, BudgetExhausted
 from .presentations import Presentation
 from .words import Alphabet, Word, WordError
 
@@ -177,7 +178,7 @@ class _Enumerator:
 
     def new_coset(self) -> int:
         if len(self.tab) >= self.max_cosets:
-            raise _Cap()
+            raise BudgetExhausted("coset cap")
         self.tab.append([None] * self.ncols)
         self.parent.append(len(self.tab) - 1)
         self.alive += 1
@@ -270,29 +271,24 @@ class _Enumerator:
             i += 1
 
 
-class _Cap(Exception):
-    pass
-
-
 def todd_coxeter(
     p: Presentation,
     subgroup: tuple[Word, ...] | list[Word] = (),
-    max_cosets: int = DEFAULT_BUDGET.max_cosets,
-    time_limit_s: float | None = None,
+    budget: Budget | None = None,
 ) -> CosetTable | Exhausted:
     """Enumerate cosets of ⟨subgroup⟩ ≤ the presented group.
 
     Returns a complete, verified, standardized CosetTable whose size is the
-    exact index, or Exhausted when the coset cap (or time limit) is hit.
+    exact index, or Exhausted when the budget's coset cap or deadline is hit.
     """
-    if max_cosets < 1:
+    budget = budget or Budget.start()
+    if budget.max_cosets < 1:
         raise CosetError("max_cosets must be at least 1")
     for w in subgroup:
         if w.alphabet != p.alphabet:
             raise WordError("subgroup generator over a different alphabet")
     ncols = 2 * len(p.alphabet)
-    e = _Enumerator(ncols, max_cosets)
-    clock = Stopwatch(time_limit_s) if time_limit_s is not None else None
+    e = _Enumerator(ncols, budget.max_cosets)
     rel_letters = [r.letters for r in p.relators]
     sub_letters = [w.reduce().letters for w in subgroup]
     try:
@@ -305,8 +301,8 @@ def todd_coxeter(
                 e.scan_and_fill(e.find(0), ls)
             c = 0
             while c < len(e.tab):
-                if clock is not None and c % 64 == 0 and clock.expired():
-                    return Exhausted("time limit", e.alive, max_cosets)
+                if c % 64 == 0:
+                    budget.check()
                 if e.find(c) == c:
                     for ls in rel_letters:
                         e.scan_and_fill(c, ls)
@@ -319,8 +315,8 @@ def todd_coxeter(
                 c += 1
             if (len(e.tab), e.alive) == snapshot:
                 break
-    except _Cap:
-        return Exhausted("coset cap", e.alive, max_cosets)
+    except BudgetExhausted as ex:
+        return Exhausted(ex.what, e.alive, budget.max_cosets)
 
     # compress to live cosets
     live = [c for c in range(len(e.tab)) if e.find(c) == c]
@@ -529,9 +525,7 @@ def _class_key(action: list[list[int]]) -> tuple:
     return best  # type: ignore[return-value]
 
 
-def _count_index(
-    p: Presentation, k: int, clock: Stopwatch | None
-) -> tuple[int, int]:
+def _count_index(p: Presentation, k: int, budget: Budget) -> tuple[int, int]:
     """(total subgroups, conjugacy classes) of index exactly k."""
     ncols = 2 * len(p.alphabet)
     rel_letters = [r.letters for r in p.relators]
@@ -548,8 +542,7 @@ def _count_index(
 
     def rec(tab: list[list[int | None]]):
         nonlocal total
-        if clock is not None:
-            clock.check(f"low-index search at index {k}")
+        budget.check()
         slot = undef_slot(tab)
         if slot is None:
             if len(tab) == k:
@@ -574,19 +567,19 @@ def _count_index(
     return total, len(class_keys)
 
 
-def low_index(p: Presentation, bound: int, budget: Budget = DEFAULT_BUDGET) -> Fingerprint:
+def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fingerprint:
     """Count all subgroups of index ≤ bound, exactly, by enumerating
     standardized coset tables.  Budget exhaustion flags the first index left
     unfinished; earlier indices stay exact."""
     if bound < 1:
         raise CosetError("bound must be at least 1")
-    clock = budget.start()
+    budget = budget or Budget.start()
     totals: dict[int, int] = {}
     classes: dict[int, int] = {}
     exhausted_at = None
     for k in range(1, bound + 1):
         try:
-            t, c = _count_index(p, k, clock)
+            t, c = _count_index(p, k, budget)
         except BudgetExhausted:
             exhausted_at = k
             break
@@ -623,10 +616,11 @@ class FingerprintComparison:
 
 
 def fingerprint_compare(
-    p1: Presentation, p2: Presentation, bound: int, budget: Budget = DEFAULT_BUDGET
+    p1: Presentation, p2: Presentation, bound: int, budget: Budget | None = None
 ) -> FingerprintComparison:
     """Compare subgroup-count fingerprints of two presentations up to the
     bound.  Groups with isomorphic profinite completions must agree."""
+    budget = budget or Budget.start()
     f1 = low_index(p1, bound, budget)
     f2 = low_index(p2, bound, budget)
     rows = []

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .budget import DEFAULT_BUDGET, Budget, BudgetExhausted
-from .cosets import Exhausted, SchreierRewriter, todd_coxeter
+from .budget import Budget, BudgetExhausted
+from .cosets import CosetTable, Exhausted, SchreierRewriter, todd_coxeter
 from .permrep import (
     PermGroup,
     close_under_products,
@@ -60,15 +60,23 @@ class SchurReport:
         }
 
 
-def schur_multiplier(p: Presentation, budget: Budget = DEFAULT_BUDGET) -> SchurReport:
-    """H2 of the presented group, which must be certified finite by a
-    completed coset enumeration within the budget."""
-    t = todd_coxeter(p, (), budget.max_cosets, time_limit_s=budget.time_limit_s)
+def _certified_table(p: Presentation, budget: Budget | None) -> CosetTable:
+    """The regular coset table, which certifies the group finite, or raise."""
+    t = todd_coxeter(p, (), budget)
     if isinstance(t, Exhausted):
         raise BudgetExhausted(
             f"group not certified finite within budget ({t.reason}, "
             f"{t.cosets_used} cosets)"
         )
+    return t
+
+
+def schur_multiplier(p: Presentation, budget: Budget | None = None) -> SchurReport:
+    """H2 of the presented group, once a coset enumeration certifies it finite."""
+    return _schur_from_table(p, _certified_table(p, budget))
+
+
+def _schur_from_table(p: Presentation, t: CosetTable) -> SchurReport:
     rw = SchreierRewriter(p, t)
     rank = rw.rank
     ngens = len(p.alphabet)
@@ -152,11 +160,9 @@ def _abelian_invariants_from_orders(orders: list[int]) -> AbelianInvariants:
     return AbelianInvariants(0, tuple(d for d in invariants if d > 1))
 
 
-def _normal_closure(seed: list, gen_perms: list, cap: int) -> frozenset:
+def _normal_closure(seed: list, gen_perms: list, budget: Budget) -> frozenset:
     degree = len(gen_perms[0]) if gen_perms else 0
-    current = close_under_products(
-        [identity_perm(degree)] + seed, compose, invert, cap
-    )
+    current = close_under_products([identity_perm(degree)] + seed, compose, invert, budget)
     while True:
         extra = []
         for g in gen_perms:
@@ -167,30 +173,27 @@ def _normal_closure(seed: list, gen_perms: list, cap: int) -> frozenset:
                     extra.append(c)
         if not extra:
             return current
-        current = close_under_products(list(current) + extra, compose, invert, cap)
+        current = close_under_products(list(current) + extra, compose, invert, budget)
 
 
-def lemma_l0_check(inst: L0Instance, budget: Budget = DEFAULT_BUDGET) -> L0Report:
+def lemma_l0_check(inst: L0Instance, budget: Budget | None = None) -> L0Report:
     """For 1 -> N -> G -> Q -> 1 with G finite and H1(G) = H2(G) = 0, the
     coinvariants H0(Q, H1 N) must equal H2(Q).  Both sides are computed by
     independent routes: the left brute-force in the regular permutation
     image of G, the right by the Hopf formula on the quotient presentation.
     Hypothesis failures are reported, not raised."""
+    budget = budget or Budget.start()
     g = inst.ambient
     if not abelianization(g).is_trivial:
         return L0Report(False, "ambient group has nontrivial H1", None, None, None, None)
-    ambient_h2 = schur_multiplier(g, budget)
-    if not ambient_h2.h2.is_trivial:
+    t = _certified_table(g, budget)
+    if not _schur_from_table(g, t).h2.is_trivial:
         return L0Report(False, "ambient group has nontrivial H2", None, None, None, None)
 
-    t = todd_coxeter(g, (), budget.max_cosets, time_limit_s=budget.time_limit_s)
-    if isinstance(t, Exhausted):
-        return L0Report(False, "ambient group not certified finite", None, None, None, None)
     gen_perms = [t.permutation(name) for name in g.alphabet.names]
     degree = t.n
-    cap = budget.max_elements
     seed = [evaluate_word(w, gen_perms, degree) for w in inst.normal_gens]
-    N = _normal_closure(seed, gen_perms, cap)
+    N = _normal_closure(seed, gen_perms, budget)
 
     # [G, N]: normal closure of the generator-element commutators
     comms = []
@@ -201,7 +204,7 @@ def lemma_l0_check(inst: L0Instance, budget: Budget = DEFAULT_BUDGET) -> L0Repor
             if c != identity_perm(degree):
                 comms.append(c)
     K = (
-        _normal_closure(comms, gen_perms, cap)
+        _normal_closure(comms, gen_perms, budget)
         if comms
         else frozenset([identity_perm(degree)])
     )
@@ -280,8 +283,6 @@ def baumslag_iso_test(modulus: int, unit: int, k: int) -> BaumslagIsoReport:
     Z/n x|_{u^k} Z: conjugation can only invert the cyclic factor's
     automorphism, so the groups are isomorphic iff u^k = u^{+-1} (mod n).
     Deliberately scoped to this family; not a general isomorphism test."""
-    from math import gcd
-
     if modulus < 2:
         raise HomologyError("modulus must be at least 2")
     if gcd(unit, modulus) != 1:

@@ -5,7 +5,8 @@ Permutations are tuples of 0-based images and compose LEFT TO RIGHT:
 a group on its cosets, so coset tables hand their generator permutations to
 this module unchanged.  The convention is locked by a regression test.
 
-Element enumeration is naive closure with a cap; every target this library
+Element enumeration is naive closure under the run budget's element cap,
+raising BudgetExhausted when it runs out; every target this library
 cares about is at most SL(2,5) x SL(2,5) sized, so there is no Schreier-Sims
 machinery here on purpose.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import DEFAULT_BUDGET, Budget, BudgetExhausted
+from .budget import Budget, BudgetExhausted
 from .presentations import Presentation, direct_product
 from .words import Word, WordError
 
@@ -101,15 +102,15 @@ class PermGroup:
         self.name = name
         self._elements: frozenset[Perm] | None = None
 
-    def elements(self, cap: int = DEFAULT_BUDGET.max_elements) -> frozenset[Perm]:
+    def elements(self, budget: Budget | None = None) -> frozenset[Perm]:
         if self._elements is None:
             self._elements = close_under_products(
-                [identity_perm(self.degree)] + self.generators, compose, invert, cap
+                [identity_perm(self.degree)] + self.generators, compose, invert, budget
             )
         return self._elements
 
-    def order(self, cap: int = DEFAULT_BUDGET.max_elements) -> int:
-        return len(self.elements(cap))
+    def order(self, budget: Budget | None = None) -> int:
+        return len(self.elements(budget))
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elements()
@@ -119,8 +120,9 @@ class PermGroup:
         return f"<{label} with {len(self.generators)} generators>"
 
 
-def close_under_products(seed, mul, inv, cap: int):
+def close_under_products(seed, mul, inv, budget: Budget | None = None):
     """Closure of the seed under the binary operation and inverses."""
+    cap = (budget or Budget.start()).max_elements
     elems = set(seed)
     for x in list(elems):
         elems.add(inv(x))
@@ -134,7 +136,7 @@ def close_under_products(seed, mul, inv, cap: int):
                         elems.add(y)
                         nxt.append(y)
                         if len(elems) > cap:
-                            raise PermError(f"element cap {cap} exceeded")
+                            raise BudgetExhausted(f"element cap {cap} exceeded")
         frontier = nxt
     return frozenset(elems)
 
@@ -163,9 +165,6 @@ class GroupHom:
         if w.alphabet != self.source.alphabet:
             raise WordError("word over a different alphabet")
         return evaluate_word(w, self.images, self.degree)
-
-    def image_group(self) -> PermGroup:
-        return PermGroup(self.degree, self.images)
 
     def to_json(self) -> dict:
         return {
@@ -229,7 +228,7 @@ def _single_occurrence(letters: tuple[int, ...], gen: int):
 
 
 def hom_search(
-    p: Presentation, target: PermGroup, budget: Budget = DEFAULT_BUDGET
+    p: Presentation, target: PermGroup, budget: Budget | None = None
 ) -> HomSearchResult:
     """All homomorphisms from the presented group to the target, in
     deterministic (lexicographic image tuple) order, each flagged as an
@@ -239,9 +238,9 @@ def hom_search(
     that becomes fully evaluable, and deducing images outright from relators
     in which the next generator occurs exactly once.
     """
-    clock = budget.start()
+    budget = budget or Budget.start()
     degree = target.degree
-    elems = sorted(target.elements(budget.max_elements))
+    elems = sorted(target.elements(budget))
     elem_set = frozenset(elems)
     target_order = len(elems)
     idp = identity_perm(degree)
@@ -254,14 +253,12 @@ def hom_search(
 
     def finish(images: list[Perm]):
         h = GroupHom(p, images, degree)
-        gen_set = close_under_products(
-            [idp] + list(images), compose, invert, budget.max_elements
-        )
+        gen_set = close_under_products([idp] + list(images), compose, invert, budget)
         found.append(h)
         flags.append(len(gen_set) == target_order)
 
     def assign(images: dict[int, Perm], level: int):
-        clock.check("homomorphism search")
+        budget.check("homomorphism search")
         if level > ngens:
             finish([images[i] for i in range(1, ngens + 1)])
             return
@@ -335,13 +332,14 @@ class EpiProductReport:
 
 
 def epi_count_product_check(
-    p: Presentation, target: PermGroup, budget: Budget = DEFAULT_BUDGET
+    p: Presentation, target: PermGroup, budget: Budget | None = None
 ) -> EpiProductReport:
+    budget = budget or Budget.start()
     r1 = hom_search(p, target, budget)
     r2 = hom_search(direct_product(p, p), target, budget)
     e1, e2 = r1.epi_count, r2.epi_count
     complete = r1.complete and r2.complete
-    if e1 == 0 or target.order() == 1 or not complete:
+    if e1 == 0 or target.order(budget) == 1 or not complete:
         holds = None
     else:
         holds = e2 >= 2 * e1
@@ -387,8 +385,16 @@ class FiniteFibreProduct:
         return f"<fibre product of order {self.order} over |G| = {self.factor.order()}>"
 
 
+def _pair_mul(a, b):
+    return (compose(a[0], b[0]), compose(a[1], b[1]))
+
+
+def _pair_inv(a):
+    return (invert(a[0]), invert(a[1]))
+
+
 def fibre_product_finite(
-    h: GroupHom, ambient: PermGroup, cap: int = DEFAULT_BUDGET.max_elements
+    h: GroupHom, ambient: PermGroup, budget: Budget | None = None
 ) -> FiniteFibreProduct:
     """Brute-force fibre product of two copies of G over Q.
 
@@ -399,21 +405,17 @@ def fibre_product_finite(
     """
     if len(ambient.generators) != len(h.source.generators):
         raise PermError("ambient generators must match the source generators")
+    budget = budget or Budget.start()
     dG, dQ = ambient.degree, h.degree
-
-    def pmul(a, b):
-        return (compose(a[0], b[0]), compose(a[1], b[1]))
-
-    def pinv(a):
-        return (invert(a[0]), invert(a[1]))
-
     seed = [(identity_perm(dG), identity_perm(dQ))] + [
         (g, q) for g, q in zip(ambient.generators, h.images)
     ]
-    graph_pairs = close_under_products(seed, pmul, pinv, cap)
-    order_G = ambient.order(cap)
-    if order_G * order_G > cap:
-        raise PermError(f"|G|^2 = {order_G ** 2} exceeds the cap {cap}")
+    graph_pairs = close_under_products(seed, _pair_mul, _pair_inv, budget)
+    order_G = ambient.order(budget)
+    if order_G * order_G > budget.max_elements:
+        raise BudgetExhausted(
+            f"|G|^2 = {order_G ** 2} exceeds the element cap {budget.max_elements}"
+        )
     if len(graph_pairs) != order_G:
         raise PermError(
             "generator images do not induce a map on the ambient group "
@@ -434,7 +436,7 @@ def fibre_product_finite(
 def check_generation(
     ffp: FiniteFibreProduct,
     pair_words: list[tuple[Word, Word]],
-    cap: int = DEFAULT_BUDGET.max_elements,
+    budget: Budget | None = None,
 ) -> bool:
     """Do the given pairs of words generate the whole fibre product?
 
@@ -449,19 +451,13 @@ def check_generation(
             raise WordError("pair word over a foreign alphabet")
         return evaluate_word(w, imgs, d)
 
-    def pmul(a, b):
-        return (compose(a[0], b[0]), compose(a[1], b[1]))
-
-    def pinv(a):
-        return (invert(a[0]), invert(a[1]))
-
     seed = [(identity_perm(d), identity_perm(d))]
     for u, v in pair_words:
         pair = (ev(u), ev(v))
         if pair not in ffp.elements:
             raise PermError("a proposed generator lies outside the fibre product")
         seed.append(pair)
-    gen = close_under_products(seed, pmul, pinv, cap)
+    gen = close_under_products(seed, _pair_mul, _pair_inv, budget)
     return gen == ffp.elements
 
 

@@ -10,7 +10,9 @@ Text grammar (UTF-8, `#` starts a line comment):
     term         := atom ("^" INT)?
     atom         := NAME | "(" word ")" | "[" word "," word "]"
 
-`[u,v]` abbreviates u v u^-1 v^-1; INT may be negative (`t^-1`).
+`[u,v]` abbreviates u v u^-1 v^-1; INT may be negative (`t^-1`).  All words
+of one parse together expand to at most Budget.max_letters letters; a power,
+commutator or product past that cap raises BudgetExhausted before allocation.
 JSON alternative: {"generators": ["a", ...], "relators": ["a^2", ...]}.
 """
 
@@ -21,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .budget import Budget, BudgetExhausted
 from .words import Alphabet, Substitution, Word, WordError, commutator
 
 
@@ -100,6 +103,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
+        self.spent = 0  # letters of the words finished so far
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -122,6 +126,14 @@ class _Parser:
 
     # -- words ------------------------------------------------------------
 
+    def _room(self, letters: int, t: _Tok) -> None:
+        """Refuse a word past the default letter cap (no caller sets another)."""
+        if self.spent + letters > Budget.max_letters:
+            raise BudgetExhausted(
+                f"line {t.line}, col {t.col}: expansion to {self.spent + letters} "
+                f"letters exceeds the {Budget.max_letters}-letter cap"
+            )
+
     def _letters_of_atom(self) -> list[int]:
         t = self.peek()
         if t.kind == "name":
@@ -141,6 +153,7 @@ class _Parser:
             self.expect(",")
             v = self._letters_of_word()
             self.expect("]")
+            self._room(2 * (len(u) + len(v)), t)
             return u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
         self.fail(f"expected a generator, '(' or '[', got {t.value or 'end of input'!r}")
         raise AssertionError  # unreachable
@@ -151,6 +164,7 @@ class _Parser:
             self.next()
             t = self.expect("int")
             e = int(t.value)
+            self._room(len(base) * abs(e), t)
             if e >= 0:
                 return base * e
             return [-x for x in reversed(base)] * (-e)
@@ -170,11 +184,16 @@ class _Parser:
                     self.fail("expected a term after '*'")
             if not self._starts_atom():
                 return letters
-            letters += self._letters_of_term()
+            t = self.peek()
+            term = self._letters_of_term()
+            self._room(len(letters) + len(term), t)
+            letters += term
 
     def word(self) -> Word:
         assert self.alphabet is not None
-        return Word(self.alphabet, self._letters_of_word())
+        letters = self._letters_of_word()
+        self.spent += len(letters)
+        return Word(self.alphabet, letters)
 
     # -- presentations -----------------------------------------------------
 
@@ -292,7 +311,13 @@ class Presentation:
     @classmethod
     def from_json(cls, d: dict) -> "Presentation":
         alphabet = Alphabet(d["generators"])
-        return cls(alphabet, [parse_word(t, alphabet) for t in d["relators"]])
+        p = _Parser("", alphabet)  # one letter cap for all the relators
+        relators = []
+        for text in d["relators"]:
+            p.toks, p.pos = _tokenize(text), 0
+            relators.append(p.word())
+            p.expect("eof")
+        return cls(alphabet, relators)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -311,7 +336,10 @@ class Presentation:
 def load_presentation(text: str) -> Presentation:
     """Accept either grammar text or the JSON form (sniffed on first '{')."""
     if text.lstrip().startswith("{"):
-        return Presentation.from_json(json.loads(text))
+        try:
+            return Presentation.from_json(json.loads(text))
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"malformed JSON presentation: {e!r}") from None
     return parse_presentation(text)
 
 

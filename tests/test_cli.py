@@ -2,10 +2,15 @@
 
 import io
 import json
+import re
+import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from fpgroups.cli import dispatch
 
@@ -243,3 +248,96 @@ def test_pipeline_verb(tmp_path):
     assert counts["extension_relators"] == 45
     assert run("parse", str(out))[0] == 0
     assert run("pipeline", "--m", "6", fx("z5"))[0] == 3
+
+
+# -- budgets and bad input ------------------------------------------------------
+
+
+def test_element_cap_exits_exhausted():
+    code, rep = run("fibre-check", "sl25-a5", "--max-elements", "100")
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    assert "element cap" in rep["payload"]["error"]
+    code, rep = run("hom-search", "--transitive-degree", "5", "--max-elements", "10", fx("a5"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+
+
+def test_time_limit_bounds_the_whole_run():
+    # each low-index call used to start its own clock: this ran for 4.4 s
+    started = time.perf_counter()
+    code, rep = run(
+        "fingerprint", "--bound", "10", "--time-limit", "2",
+        fx("baumslag25_1"), fx("baumslag25_2"),
+    )
+    assert time.perf_counter() - started < 3.0
+    assert code == 2 and rep["payload"]["equal"] is None
+
+
+def test_letter_cap_exits_exhausted(tmp_path):
+    f = tmp_path / "huge.pres"
+    f.write_text("< a | a^99999999999 >")
+    code, rep = run("parse", str(f))
+    assert code == 2 and "letter cap" in rep["payload"]["error"]
+
+
+def test_letter_cap_covers_the_whole_file(tmp_path):
+    # each term is under the cap; a thousand of them are about 1e9 letters
+    f = tmp_path / "long.pres"
+    f.write_text("< a | " + " ".join(["(a^999)^999"] * 1000) + " >")
+    code, rep = run("parse", str(f))
+    assert code == 2 and "letter cap" in rep["payload"]["error"]
+
+
+def test_time_limit_never_turns_into_a_pass():
+    # A5 fails the criteria (index-5 subgroups, H2 = Z/2); out of time it must
+    # not read as satisfied
+    code, rep = run("evidence", "--index-bound", "5", "--time-limit", "0", fx("a5"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    assert rep["payload"]["verdict"].startswith("inconclusive")
+    code, rep = run("pipeline", "--m", "6", "--time-limit", "0", fx("a5"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+
+
+def test_deep_nesting_is_an_input_error(tmp_path):
+    f = tmp_path / "deep.pres"
+    f.write_text("< a | " + "(" * 5000 + "a" + ")" * 5000 + " >")
+    code, rep = run("parse", str(f))  # run() asserts exactly one report line
+    assert code == 3 and rep["outcome"] == "ERROR"
+
+
+def test_json_presentation_accepted(tmp_path):
+    f = tmp_path / "a5.json"
+    f.write_text(json.dumps({"generators": ["a", "b"], "relators": ["a^2", "b^3", "(a b)^5"]}))
+    code, rep = run("parse", str(f))
+    assert code == 0
+    assert rep["payload"]["generators"] == ["a", "b"] and rep["payload"]["total_letters"] == 15
+    f.write_text('{"generators": ["a"]}')
+    assert run("parse", str(f))[0] == 3
+
+
+_GRAMMAR = "<>|,^()[]=*-# \nab0123456789"
+
+
+# Grammar text and JSON-form input.  Every exponent has at most three digits,
+# every relator body at most 12 characters and there are at most two JSON
+# relators, which keeps the expansion under the 2M-letter cap ((a a^999)^999,
+# 999,000 letters, is the most one body holds): every outcome is then OK or an
+# input error, never EXHAUSTED or a traceback.
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.one_of(
+        st.text(_GRAMMAR, max_size=16),
+        st.text(_GRAMMAR, max_size=12).map(lambda body: f"<a,b|{body}>"),
+        st.builds(
+            lambda gens, rels: json.dumps({"generators": gens, "relators": rels}),
+            st.lists(st.sampled_from(["a", "b", "1", ""]), max_size=3),
+            st.lists(st.one_of(st.text(_GRAMMAR, max_size=12), st.integers(-999, 999)), max_size=2),
+        ),
+    )
+)
+def test_parse_fuzz_exits_ok_or_error(text):
+    assume(not re.search(r"[0-9]{4}", text))
+    with tempfile.TemporaryDirectory() as d:
+        f = Path(d) / "fuzz.pres"
+        f.write_text(text)
+        code, rep = run("parse", str(f))  # run() asserts exactly one report line
+    assert code in (0, 3), rep

@@ -139,7 +139,7 @@ def test_rips_rejects_small_m():
 
 def test_rips_letter_cap():
     with pytest.raises(BudgetExhausted, match="letter"):
-        rips(A5, 12, zero_exponent=True, max_letters=10_000)
+        rips(A5, 12, zero_exponent=True, budget=Budget.start(max_letters=10_000))
 
 
 def test_rips_deterministic():
@@ -317,7 +317,7 @@ def test_pipeline_carries_evidence():
 
 
 def test_evidence_bp2_satisfied_at_scale():
-    ev = grothendieck_evidence(BP2, 5, Budget(time_limit_s=30.0, max_cosets=20_000))
+    ev = grothendieck_evidence(BP2, 5, Budget.start(time_limit_s=30.0, max_cosets=20_000))
     assert ev.verdict == "criterion satisfied at tested scale"
     assert ev.h1.is_trivial
     assert ev.h2 is None and "not certified finite" in ev.h2_status
@@ -328,6 +328,16 @@ def test_evidence_fails_on_homology():
     ev = grothendieck_evidence(quiet("< a | a^5 >"), 3)
     assert ev.verdict == "criterion fails"
     assert str(ev.h1) == "Z/5"
+
+
+def test_evidence_cut_short_by_the_deadline_is_inconclusive():
+    # A5 fails at index 5 and on H2 = Z/2; with no time to look it must not pass
+    ev = grothendieck_evidence(A5, 5, Budget.start(time_limit_s=0.0))
+    assert ev.verdict == "inconclusive: time limit reached"
+    assert not ev.subgroups.complete and ev.h2 is None
+    # what is already seen to fail still fails
+    ev = grothendieck_evidence(quiet("< a | a^5 >"), 3, Budget.start(time_limit_s=0.0))
+    assert ev.verdict == "criterion fails"
 
 
 def test_evidence_fails_on_subgroups():

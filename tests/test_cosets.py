@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from fpgroups.budget import Budget, DEFAULT_BUDGET
+from fpgroups.budget import Budget
 from fpgroups.cosets import (
     CosetError,
     CosetTable,
@@ -81,7 +81,7 @@ def test_tc_deterministic():
 
 def test_tc_exhaustion_is_a_value():
     # F2 is infinite: the cap must be reported, not raised
-    r = todd_coxeter(F2, max_cosets=200)
+    r = todd_coxeter(F2, budget=Budget.start(max_cosets=200))
     assert isinstance(r, Exhausted)
     assert not r
     assert r.max_cosets == 200
@@ -90,7 +90,7 @@ def test_tc_exhaustion_is_a_value():
 
 
 def test_tc_time_limit():
-    r = todd_coxeter(F2, max_cosets=10**9, time_limit_s=0.0)
+    r = todd_coxeter(F2, budget=Budget.start(time_limit_s=0.0, max_cosets=10**9))
     assert isinstance(r, Exhausted)
     assert r.reason == "time limit"
 
@@ -149,7 +149,7 @@ def test_standardize_idempotent():
 def test_rs_integers_squared():
     # Z, subgroup <a^2>: index 2, rank 2*1 - 2 + 1 = 1, no relators
     z = parse_presentation("< a | >")
-    t = todd_coxeter(z, (z.word("a^2"),), max_cosets=100)
+    t = todd_coxeter(z, (z.word("a^2"),), Budget.start(max_cosets=100))
     assert isinstance(t, Exhausted) is False
     assert t.n == 2
     sub = reidemeister_schreier(z, t)
@@ -159,7 +159,9 @@ def test_rs_integers_squared():
 
 def test_rs_free_group_index_two():
     # index-2 subgroups of F2 are free of rank 3
-    t = todd_coxeter(F2, (F2.word("a"), F2.word("b^2"), F2.word("b a b^-1")), max_cosets=100)
+    t = todd_coxeter(
+        F2, (F2.word("a"), F2.word("b^2"), F2.word("b a b^-1")), Budget.start(max_cosets=100)
+    )
     assert t.n == 2
     sub = reidemeister_schreier(F2, t)
     assert len(sub.generators) == 2 * 2 - 2 + 1 == 3
@@ -292,7 +294,7 @@ def test_low_index_symmetric_three():
 
 
 def test_low_index_budget_flags_partial():
-    f = low_index(F2, 6, Budget(time_limit_s=0.0))
+    f = low_index(F2, 6, Budget.start(time_limit_s=0.0))
     assert not f.complete
     assert f.exhausted_at == 1
     assert f.totals == {}
@@ -303,7 +305,7 @@ def test_low_index_partial_keeps_early_indices():
     fast = low_index(F2, 3)
     assert fast.complete  # sanity: the full search is quick
 
-    f = low_index(F2, 6, Budget(time_limit_s=0.15))
+    f = low_index(F2, 6, Budget.start(time_limit_s=0.15))
     if not f.complete:
         assert f.exhausted_at is not None
         for k in f.totals:
@@ -332,7 +334,7 @@ def test_fingerprint_compare_differs():
 
 
 def test_fingerprint_compare_exhaustion_leaves_open():
-    r = fingerprint_compare(F2, F2, 6, Budget(time_limit_s=0.0))
+    r = fingerprint_compare(F2, F2, 6, Budget.start(time_limit_s=0.0))
     assert r.equal is None
     assert not r.complete
 

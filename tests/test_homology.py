@@ -92,7 +92,7 @@ def test_schur_invariance_under_relator_presentation():
 
 def test_schur_refuses_infinite_groups():
     with pytest.raises(BudgetExhausted, match="not certified finite"):
-        schur_multiplier(parse_presentation("< a, b | >"), Budget(max_cosets=300))
+        schur_multiplier(parse_presentation("< a, b | >"), Budget.start(max_cosets=300))
 
 
 def test_uce_order_crosscheck_binary_icosahedral():

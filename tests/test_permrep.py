@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from fpgroups.budget import Budget
+from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.permrep import (
     FiniteFibreProduct,
     GroupHom,
@@ -90,8 +90,8 @@ def test_atlas_orders():
 
 
 def test_element_cap():
-    with pytest.raises(PermError, match="cap"):
-        symmetric_group(5).elements(cap=50)
+    with pytest.raises(BudgetExhausted, match="cap"):
+        symmetric_group(5).elements(Budget.start(max_elements=50))
 
 
 # -- hom verification --------------------------------------------------------
@@ -171,7 +171,7 @@ def test_hom_search_budget_partial():
     res = hom_search(
         parse_presentation("< a, b | >"),
         symmetric_group(4),
-        Budget(time_limit_s=0.0),
+        Budget.start(time_limit_s=0.0),
     )
     assert not res.complete
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fpgroups.budget import BudgetExhausted
 from fpgroups.presentations import (
     CatalogError,
     ParseError,
@@ -70,6 +71,27 @@ def test_parse_errors_carry_position():
         parse_presentation("< a | a > junk")
     with pytest.raises(ParseError):
         parse_presentation("< a | a $ >")
+
+
+def test_power_expansion_capped_by_letter_budget():
+    # refused before the expansion is allocated, at the default 2M-letter cap
+    with pytest.raises(BudgetExhausted, match="letter cap"):
+        parse_presentation("< a | a^99999999999 >")
+    with pytest.raises(BudgetExhausted, match="letter cap"):
+        load_presentation("< a, b | ([a, b]^999)^-999 >")
+    with pytest.raises(BudgetExhausted, match="letter cap"):
+        parse_presentation("< a, b | [a^999999, b^999999] >")
+    # the cap covers concatenation, `u = v` and all relators together
+    p = parse_presentation("< a | (a^999)^999 (a^999)^-999 a >")
+    assert len(p.relators[0]) == 1
+    for text in (
+        "< a | " + " ".join(["(a^999)^999"] * 3) + " >",
+        "< a | (a^999)^999 (a^999)^999 = (a^999)^-999 >",
+        "< a | " + ", ".join(["(a^999)^999"] * 3) + " >",
+        json.dumps({"generators": ["a"], "relators": ["(a^999)^999"] * 3}),
+    ):
+        with pytest.raises(BudgetExhausted, match="letter cap"):
+            load_presentation(text)
 
 
 def test_parse_word_standalone():

@@ -13,156 +13,25 @@ targets, and Hopf-formula second homology.
 
 Everything is exact integer arithmetic; no floating point enters any
 verdict.  The ``fpgroups`` console script exposes the same operations as
-subcommands emitting one JSON run-report per invocation.
+subcommands emitting one JSON run-report per invocation.  The package root
+exports the names of the README's library example; everything else is
+imported from its module (``fpgroups.cosets``, ``fpgroups.permrep``, ...).
 """
 
-from .budget import Budget, BudgetExhausted
-from .cancellation import (
-    DehnSolver,
-    DehnTrace,
-    PieceReport,
-    SmallCancellationError,
-    check_metric,
-)
-from .construct import (
-    ConstructionError,
-    GrothendieckEvidence,
-    PipelineResult,
-    RipsError,
-    RipsResult,
-    UceResult,
-    de_bruijn_bits,
-    fibre_generators,
-    grothendieck_evidence,
-    pipeline,
-    rips,
-    uce,
-)
-from .cosets import (
-    CosetError,
-    CosetTable,
-    Exhausted,
-    Fingerprint,
-    FingerprintComparison,
-    fingerprint_compare,
-    low_index,
-    reidemeister_schreier,
-    todd_coxeter,
-)
-from .homology import (
-    HomologyError,
-    L0Instance,
-    L0Report,
-    SchurReport,
-    aspherical_h2_rank,
-    baumslag_iso_test,
-    lemma_l0_check,
-    schur_multiplier,
-)
-from .permrep import (
-    GroupHom,
-    PermError,
-    PermGroup,
-    alternating_group,
-    check_generation,
-    cyclic_group,
-    epi_count_product_check,
-    fibre_product_finite,
-    hom_search,
-    symmetric_group,
-    transitive_groups,
-)
-from .presentations import (
-    CatalogEntry,
-    CatalogError,
-    ParseError,
-    Presentation,
-    catalog,
-    direct_product,
-    parse_presentation,
-)
-from .words import Alphabet, Word, WordError, commutator
-from .zlattice import (
-    AbelianInvariants,
-    IntMatrix,
-    LatticeError,
-    SnfResult,
-    abelianization,
-    exponent_matrix,
-    is_perfect,
-    lattice_solve,
-    smith_normal_form,
-)
+from .budget import Budget
+from .cancellation import check_metric
+from .construct import rips, uce
+from .cosets import todd_coxeter
+from .presentations import parse_presentation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianInvariants",
-    "Alphabet",
     "Budget",
-    "BudgetExhausted",
-    "CatalogEntry",
-    "CatalogError",
-    "ConstructionError",
-    "CosetError",
-    "CosetTable",
-    "DehnSolver",
-    "DehnTrace",
-    "Exhausted",
-    "Fingerprint",
-    "FingerprintComparison",
-    "GroupHom",
-    "GrothendieckEvidence",
-    "HomologyError",
-    "IntMatrix",
-    "L0Instance",
-    "L0Report",
-    "LatticeError",
-    "ParseError",
-    "PermError",
-    "PermGroup",
-    "PieceReport",
-    "PipelineResult",
-    "Presentation",
-    "RipsError",
-    "RipsResult",
-    "SchurReport",
-    "SmallCancellationError",
-    "SnfResult",
-    "UceResult",
-    "Word",
-    "WordError",
-    "abelianization",
-    "alternating_group",
-    "aspherical_h2_rank",
-    "baumslag_iso_test",
-    "catalog",
-    "check_generation",
     "check_metric",
-    "commutator",
-    "cyclic_group",
-    "de_bruijn_bits",
-    "direct_product",
-    "epi_count_product_check",
-    "exponent_matrix",
-    "fibre_generators",
-    "fibre_product_finite",
-    "fingerprint_compare",
-    "grothendieck_evidence",
-    "hom_search",
-    "is_perfect",
-    "lattice_solve",
-    "lemma_l0_check",
-    "low_index",
     "parse_presentation",
-    "pipeline",
-    "reidemeister_schreier",
     "rips",
-    "schur_multiplier",
-    "smith_normal_form",
-    "symmetric_group",
     "todd_coxeter",
-    "transitive_groups",
     "uce",
     "__version__",
 ]

@@ -6,9 +6,11 @@ cyclic words, or the same cyclic word at two different offsets.  The metric
 condition C'(1/m) demands |piece| < |r|/m strictly for every piece inside
 every symmetrized relator r.
 
-Piece search runs on a generalized suffix array over the doubled cyclic
-words (so every rotation's subwords are visible) with per-word unique
-separators.  A match between two positions is capped at the length of the
+Each relator core and its inverse is canonicalised once (Booth's least
+rotation) into deduplicated rotation classes; the checker and the Dehn
+solver share that one pass.  Piece search runs on a generalized suffix array
+over the doubled cyclic words (so every rotation's subwords are visible) with
+per-word unique separators.  A match between two positions is capped at the length of the
 shorter participating cyclic word: a longer overlap wraps around that word
 and is not a subword of any single rotation of it.
 
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .budget import Budget
 from .presentations import Presentation, proper_power_root
 from .words import Word
 
@@ -75,18 +78,22 @@ class _CyclicWord:
     inverse: bool  # representative is the inverse of that relator's core
 
 
-def _cyclic_words(p: Presentation) -> list[_CyclicWord]:
-    """Deduplicated rotation classes of relator cores and their inverses."""
+def _cyclic_words(p: Presentation) -> tuple[list[_CyclicWord], list[tuple[int, int]]]:
+    """Deduplicated rotation classes of relator cores and their inverses, and
+    per relator the class indices of its core and of its core's inverse."""
     out: list[_CyclicWord] = []
-    seen: set[tuple[int, ...]] = set()
+    index: dict[tuple[int, ...], int] = {}
+    classes: list[tuple[int, int]] = []
     for idx, r in enumerate(p.relators):
         core, _ = r.cyclic_reduce()
+        pair = []
         for inv, ls in ((False, core.letters), (True, tuple(-x for x in reversed(core.letters)))):
-            canon = _canon(ls)
-            if canon not in seen:
-                seen.add(canon)
+            wi = index.setdefault(_canon(ls), len(out))
+            if wi == len(out):
                 out.append(_CyclicWord(ls, idx, inv))
-    return out
+            pair.append(wi)
+        classes.append(tuple(pair))
+    return out, classes
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +168,9 @@ class PieceReport:
 # suffix-array machinery
 
 
-def _suffix_array(a: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling over integer content."""
+def _suffix_array(a: np.ndarray, budget: Budget) -> np.ndarray:
+    """Suffix array by prefix doubling over integer content; the deadline is
+    checked after every doubling round."""
     n = a.size
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -179,6 +187,7 @@ def _suffix_array(a: np.ndarray) -> np.ndarray:
         new = np.empty(n, dtype=np.int64)
         new[0] = 0
         np.cumsum((c1[1:] != c1[:-1]) | (c2[1:] != c2[:-1]), out=new[1:])
+        budget.check()
         if new[-1] == n - 1:
             return order
         rank2 = np.empty(n, dtype=np.int64)
@@ -212,7 +221,7 @@ def _lcp_kasai(s: list[int], sa: list[int]) -> list[int]:
     return lcp
 
 
-def _max_matches(words: list[_CyclicWord]):
+def _max_matches(words: list[_CyclicWord], budget: Budget):
     """For every position (cyclic word w, offset t < |w|) find the longest
     subword starting there that also occurs at some other position, each
     match capped at the shorter participating word's length.
@@ -235,8 +244,9 @@ def _max_matches(words: list[_CyclicWord]):
         meta.append(None)
     if not seq:
         return {}, {}
-    sa = _suffix_array(np.asarray(seq, dtype=np.int64)).tolist()
+    sa = _suffix_array(np.asarray(seq, dtype=np.int64), budget).tolist()
     lcp = _lcp_kasai(seq, sa)
+    budget.check()
     lcp.append(0)  # sentinel so lcp[i] is defined for the last SA slot
 
     # walk the SA keeping first-copy positions; neighbor lcps by running min
@@ -285,27 +295,38 @@ def _max_matches(words: list[_CyclicWord]):
         if b > 0:
             best[kept_pos[i]] = b
             partner[kept_pos[i]] = arg
+    budget.check()
     return best, partner
 
 
-def check_metric(p: Presentation, m: int) -> PieceReport:
+def check_metric(p: Presentation, m: int, budget: Budget | None = None) -> PieceReport:
     """Does every piece satisfy |piece| < |r|/m (strict) in every relator?
 
     Proper-power relators are flagged with a warning: under the positional
     piece convention the whole relator is a piece of itself, so they fail at
-    every m.
+    every m.  The budget's deadline is checked between the stages.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    words = _cyclic_words(p)
-    best, partner = _max_matches(words)
+    return _piece_report(p, m, *_cyclic_words(p), budget or Budget.start())
+
+
+def _piece_report(
+    p: Presentation,
+    m: int,
+    words: list[_CyclicWord],
+    classes: list[tuple[int, int]],
+    budget: Budget,
+) -> PieceReport:
+    budget.check()
+    best, partner = _max_matches(words, budget)
 
     proper = tuple(i for i, r in enumerate(p.relators) if proper_power_root(r)[1] > 1)
     if proper:
         warnings.warn(
             f"relators {list(proper)} are proper powers; each is a piece of "
             f"itself under the positional convention and fails C'(1/m)",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     # aggregate per rotation class, then map back to relators
@@ -315,18 +336,15 @@ def check_metric(p: Presentation, m: int) -> PieceReport:
         if b > word_max[wi]:
             word_max[wi] = b
             word_arg[wi] = (wi, t)
-    canon_to_windex = {_canon(w.letters): i for i, w in enumerate(words)}
 
     rows: list[RelatorPieces] = []
     failing: list[int] = []
     verdict = True
-    for idx, r in enumerate(p.relators):
-        core, _ = r.cyclic_reduce()
-        n = len(core)
+    for idx, pair in enumerate(classes):
+        n = len(words[pair[0]].letters)
         mx = 0
         wit = None
-        for ls in (core.letters, tuple(-x for x in reversed(core.letters))):
-            wi = canon_to_windex[_canon(ls)]
+        for wi in pair:
             if word_max[wi] > mx:
                 mx = word_max[wi]
                 src = word_arg[wi]
@@ -402,19 +420,20 @@ class DehnSolver:
     rotation class to their positions; a lookup hit is extended greedily and
     accepted when it exceeds half the relator.  Deterministic choice:
     leftmost match position, then longest match, then lowest rotation-class
-    index, then lowest offset.
+    index, then lowest offset.  The C'(1/6) certificate shares check_metric's
+    rotation classes and reads the budget's deadline; the word search does not.
     """
 
-    def __init__(self, p: Presentation):
+    def __init__(self, p: Presentation, budget: Budget | None = None):
         self.presentation = p
-        report = check_metric(p, 6)
+        self.words, classes = _cyclic_words(p)
+        report = _piece_report(p, 6, self.words, classes, budget or Budget.start())
         if not report.verdict:
             raise SmallCancellationError(
                 f"presentation is not C'(1/6): relators {list(report.failing)} "
                 f"carry pieces of at least 1/6 of their length"
             )
         self.report = report
-        self.words = _cyclic_words(p)
         self.doubled: list[str] = []
         self.doubled_letters: list[tuple[int, ...]] = []
         # gram length -> gram -> [(word_idx, offset)]
@@ -492,8 +511,3 @@ class DehnSolver:
         trace.final = ls
         return (not ls), trace
 
-
-def dehn_is_trivial(w: Word, p: Presentation) -> tuple[bool, DehnTrace]:
-    """One-shot form of DehnSolver(p).is_trivial(w); builds the index and the
-    C'(1/6) certificate each call, so reuse the solver for batches."""
-    return DehnSolver(p).is_trivial(w)

@@ -97,13 +97,13 @@ def _cmd_abelianize(args, inputs, budget):
 
 def _cmd_sc_check(args, inputs, budget):
     p = _load(args.file, inputs)
-    report = check_metric(p, args.m)
+    report = check_metric(p, args.m, budget)
     return ("OK" if report.verdict else "NEGATIVE"), report.to_json(p.alphabet)
 
 
 def _cmd_dehn(args, inputs, budget):
     p = _load(args.file, inputs)
-    solver = DehnSolver(p)
+    solver = DehnSolver(p, budget)
     w = p.word(args.word)
     trivial, trace = solver.is_trivial(w)
     payload = {

@@ -18,9 +18,9 @@ With zero_exponent set, fillers are passed through the substitution
 whose images have exponent sum zero in both letters.  The filler part of
 every relator then vanishes under abelianization, so the conjugation relators
 x^e a_i x^-e v kill the a-columns outright and H_1(Gamma) = H_1(Q); in
-particular Gamma is perfect whenever Q is.  The positive scheme underneath is
-built at parameter 5m (sigma_0 stretches letters sixfold) and the final
-presentation is still certified at m.
+particular Gamma is perfect whenever Q is.  The segment lengths are designed
+for the positive scheme underneath at parameter 5m (sigma_0 stretches letters
+sixfold), but only the final presentation is certified, at m.
 
 uce(G) presents the universal central extension of a perfect group on the
 same generators: the commutator family [a, r] makes every old relator
@@ -140,15 +140,16 @@ def rips(
     """Embed q in a C'(1/m) group with a two-generator normal subgroup.
 
     The de Bruijn order d starts at the smallest value whose sequence holds
-    all W = |R| + 4|X| segments and is raised until both metric certificates
-    pass (the positive scheme at 5m when zero_exponent is set, the output at
-    m always); in practice the first d succeeds.
+    all W = |R| + 4|X| segments and is raised until the output's C'(1/m)
+    certificate passes; in practice the first d succeeds.  With zero_exponent
+    the segments are designed for the positive scheme at 5m, which is not
+    itself certified.  The budget's deadline is checked before each attempt.
     """
     if m < 6:
         raise RipsError(f"cancellation parameter must be at least 6, got {m}")
     if len(q.alphabet) < 1:
         raise RipsError("input presentation needs at least one generator")
-    max_letters = (budget or Budget.start()).max_letters
+    budget = budget or Budget.start()
 
     nx = len(q.alphabet)
     base = "a"
@@ -156,8 +157,18 @@ def rips(
         base += "a"
     ab = Alphabet(q.alphabet.names + (f"{base}1", f"{base}2"))
 
-    n_segments = len(q.relators) + 4 * nx
-    prefix_max = max(q.max_relator_length(), 3)
+    # heads are untouched by sigma_0: the x-letters of an input relator, or
+    # x^eps a_i x^-eps -- the lone a_i keeps its unit abelianization row,
+    # which is what deletes the a-columns
+    heads = [r.letters for r in q.relators]
+    heads += [
+        (eps * xi, nx + i, -eps * xi)
+        for xi in range(1, nx + 1)
+        for i in (1, 2)
+        for eps in (1, -1)
+    ]
+    n_segments = len(heads)
+    prefix_max = max(map(len, heads))
     design_m = 5 * m if zero_exponent else m
     stretch = 6 if zero_exponent else 1
 
@@ -169,25 +180,21 @@ def rips(
     while n_segments * segment_length(d) > (1 << d):
         d += 1
 
-    report: PieceReport | None = None
     for _attempt in range(7):
+        budget.check()
         seg = segment_length(d)
-        total = (
-            q.total_relator_length()
-            + len(q.relators) * stretch * seg
-            + 4 * nx * (3 + stretch * seg)
-        )
-        if total > max_letters:
+        total = sum(map(len, heads)) + n_segments * stretch * seg
+        if total > budget.max_letters:
             raise BudgetExhausted(
                 f"rips output needs {total} letters at de Bruijn order {d}, "
-                f"over the {max_letters}-letter cap"
+                f"over the {budget.max_letters}-letter cap"
             )
 
         bits = de_bruijn_bits(d)
 
-        def filler(k: int, *, substituted: bool) -> tuple[int, ...]:
+        def filler(k: int) -> tuple[int, ...]:
             block = bits[k * seg : (k + 1) * seg]
-            if substituted:
+            if zero_exponent:
                 out: list[int] = []
                 for b in block:
                     out.extend(_SIGMA0[b + 1])
@@ -196,40 +203,18 @@ def rips(
             # shift the virtual {1,2} letters past the X block of the alphabet
             return tuple(l + nx if l > 0 else l - nx for l in out)
 
-        def assemble(*, substituted: bool) -> list[Word]:
-            # heads are untouched by sigma_0: the x-letters of an input
-            # relator, or x^eps a_i x^-eps -- the lone a_i keeps its unit
-            # abelianization row, which is what deletes the a-columns
-            out: list[Word] = []
-            k = 0
-            for r in q.relators:
-                out.append(Word(ab, r.letters + filler(k, substituted=substituted), _reduced=True))
-                k += 1
-            for xi in range(1, nx + 1):
-                for i in (1, 2):
-                    for eps in (1, -1):
-                        head = (eps * xi, nx + i, -eps * xi)
-                        out.append(Word(ab, head + filler(k, substituted=substituted), _reduced=True))
-                        k += 1
-            return out
-
-        if zero_exponent:
-            base_scheme = Presentation(ab, assemble(substituted=False))
-            if not check_metric(base_scheme, design_m).verdict:
-                d += 1
-                continue
-        gamma = Presentation(ab, assemble(substituted=zero_exponent))
-        report = check_metric(gamma, m)
+        gamma = Presentation(
+            ab, [Word(ab, h + filler(k), _reduced=True) for k, h in enumerate(heads)]
+        )
+        report = check_metric(gamma, m, budget)
         if report.verdict:
             break
         d += 1
     else:
-        detail = (
-            f"worst piece fraction {report.max_piece()} in relators {list(report.failing)}"
-            if report is not None
-            else "the positive base scheme never certified"
+        raise RipsError(
+            f"no C'(1/{m}) certificate up to de Bruijn order {d - 1}; worst piece "
+            f"fraction {report.max_piece()} in relators {list(report.failing)}"
         )
-        raise RipsError(f"no C'(1/{m}) certificate up to de Bruijn order {d - 1}; {detail}")
 
     images = {name: q.gen(name) for name in q.alphabet.names}
     images[f"{base}1"] = Word.identity(q.alphabet)
@@ -546,16 +531,6 @@ class PipelineResult:
     counts: dict
     evidence: GrothendieckEvidence
 
-    def p_generator_words(self) -> tuple[Word, ...]:
-        """The generating pairs as single words over the extension's alphabet
-        (left component in the first factor block, right in the second)."""
-        n = len(self.uce_stage.tilde.alphabet)
-        out = []
-        for u, v in self.p_generators:
-            ls = tuple(l + n if l > 0 else l - n for l in v.letters)
-            out.append(Word(self.extension.alphabet, u.letters + ls))
-        return tuple(out)
-
     def to_json(self) -> dict:
         return {
             "counts": dict(self.counts),
@@ -614,7 +589,7 @@ def pipeline(
     deadline = min(budget.deadline, time.monotonic() + 10.0)
     sub_budget = replace(budget, deadline=deadline, max_cosets=min(budget.max_cosets, 20_000))
     evidence = grothendieck_evidence(q, evidence_index, sub_budget)
-    budget.check()  # rips and uce never read the clock; an overrun run is exhausted
+    budget.check()  # uce and direct_product never read the clock; an overrun run is exhausted
 
     return PipelineResult(
         quotient=q,

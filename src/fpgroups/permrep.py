@@ -176,29 +176,6 @@ class GroupHom:
         }
 
 
-@dataclass(frozen=True)
-class HomReject:
-    """Evidence that proposed images are not a homomorphism."""
-
-    relator: Word
-    image: Perm
-
-    def __bool__(self) -> bool:
-        return False
-
-
-def verify_hom(p: Presentation, images: list[Perm], degree: int) -> GroupHom | HomReject:
-    """Check proposed generator images; the reject value carries the first
-    relator that fails together with its (non-identity) image."""
-    if len(images) != len(p.generators):
-        raise PermError("one image per generator, please")
-    for r in p.relators:
-        img = evaluate_word(r, images, degree)
-        if img != identity_perm(degree):
-            return HomReject(r, img)
-    return GroupHom(p, images, degree)
-
-
 # ---------------------------------------------------------------------------
 # homomorphism search
 
@@ -208,9 +185,6 @@ class HomSearchResult:
     homs: tuple[GroupHom, ...]
     epi_flags: tuple[bool, ...]
     complete: bool
-
-    def epimorphisms(self) -> list[GroupHom]:
-        return [h for h, e in zip(self.homs, self.epi_flags) if e]
 
     @property
     def epi_count(self) -> int:

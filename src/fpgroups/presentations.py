@@ -1,4 +1,4 @@
-"""Finite presentations: grammar, combinators, and a catalog of test groups.
+"""Finite presentations: grammar, direct products, and a catalog of test groups.
 
 Text grammar (UTF-8, `#` starts a line comment):
 
@@ -10,9 +10,10 @@ Text grammar (UTF-8, `#` starts a line comment):
     term         := atom ("^" INT)?
     atom         := NAME | "(" word ")" | "[" word "," word "]"
 
-`[u,v]` abbreviates u v u^-1 v^-1; INT may be negative (`t^-1`).  All words
-of one parse together expand to at most Budget.max_letters letters; a power,
-commutator or product past that cap raises BudgetExhausted before allocation.
+`[u,v]` abbreviates u v u^-1 v^-1; INT may be negative (`t^-1`).  Brackets
+nest at most 100 deep; deeper input is a ParseError.  All words of one parse
+together expand to at most Budget.max_letters letters; a power, commutator or
+product past that cap raises BudgetExhausted before allocation.
 JSON alternative: {"generators": ["a", ...], "relators": ["a^2", ...]}.
 """
 
@@ -21,10 +22,10 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .budget import Budget, BudgetExhausted
-from .words import Alphabet, Substitution, Word, WordError, commutator
+from .words import Alphabet, Word, WordError, commutator
 
 
 class PresentationWarning(UserWarning):
@@ -42,6 +43,7 @@ class ParseError(ValueError):
 # tokenizer / parser
 
 _SYMBOLS = set("<>|,^()[]=*")
+_MAX_NESTING = 100  # '(' and '[' levels; the parser recurses once per level
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,7 @@ class _Parser:
         self.pos = 0
         self.alphabet = alphabet
         self.spent = 0  # letters of the words finished so far
+        self.depth = 0  # open '(' and '[' around the current token
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -142,21 +145,23 @@ class _Parser:
             if t.value not in self.alphabet:
                 raise ParseError(f"unknown generator {t.value!r}", t.line, t.col)
             return [self.alphabet.index(t.value) + 1]
+        if t.kind not in ("(", "["):
+            self.fail(f"expected a generator, '(' or '[', got {t.value or 'end of input'!r}")
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"brackets nested deeper than {_MAX_NESTING} levels", t.line, t.col)
+        self.next()
+        self.depth += 1
+        u = self._letters_of_word()
         if t.kind == "(":
-            self.next()
-            inner = self._letters_of_word()
             self.expect(")")
-            return inner
-        if t.kind == "[":
-            self.next()
-            u = self._letters_of_word()
-            self.expect(",")
-            v = self._letters_of_word()
-            self.expect("]")
-            self._room(2 * (len(u) + len(v)), t)
-            return u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
-        self.fail(f"expected a generator, '(' or '[', got {t.value or 'end of input'!r}")
-        raise AssertionError  # unreachable
+            self.depth -= 1
+            return u
+        self.expect(",")
+        v = self._letters_of_word()
+        self.expect("]")
+        self.depth -= 1
+        self._room(2 * (len(u) + len(v)), t)
+        return u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
 
     def _letters_of_term(self) -> list[int]:
         base = self._letters_of_atom()
@@ -343,47 +348,6 @@ def load_presentation(text: str) -> Presentation:
     return parse_presentation(text)
 
 
-# ---------------------------------------------------------------------------
-# symmetrized closure
-
-
-class SymmetrizedSet:
-    """All cyclic permutations of all cyclic reductions of relators and their
-    inverses, deduplicated.  `origin[w]` is the index of a source relator."""
-
-    __slots__ = ("alphabet", "elements", "origin")
-
-    def __init__(self, alphabet: Alphabet, elements: Sequence[Word], origin: dict[Word, int]):
-        self.alphabet = alphabet
-        self.elements = tuple(elements)
-        self.origin = origin
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.elements)
-
-    def __contains__(self, w: object) -> bool:
-        return w in self.origin
-
-
-def symmetrize(p: Presentation) -> SymmetrizedSet:
-    elements: list[Word] = []
-    origin: dict[Word, int] = {}
-    for idx, r in enumerate(p.relators):
-        core, _ = r.cyclic_reduce()
-        ls = core.letters
-        n = len(ls)
-        for base in (ls, tuple(-x for x in reversed(ls))):
-            for k in range(n):
-                rot = Word(p.alphabet, base[k:] + base[:k], _reduced=True)
-                if rot not in origin:
-                    origin[rot] = idx
-                    elements.append(rot)
-    return SymmetrizedSet(p.alphabet, elements, origin)
-
-
 def proper_power_root(w: Word) -> tuple[Word, int]:
     """(root, k) with the cyclic core of w equal to root^k, k maximal."""
     core, _ = w.cyclic_reduce()
@@ -396,7 +360,7 @@ def proper_power_root(w: Word) -> tuple[Word, int]:
 
 
 # ---------------------------------------------------------------------------
-# combinators
+# direct products
 
 
 def _reletter(w: Word, target: Alphabet, index_map: Sequence[int]) -> Word:
@@ -425,47 +389,6 @@ def direct_product(p: Presentation, q: Presentation) -> Presentation:
         for j in range(len(q.alphabet)):
             y = Word(ab, (np_ + j + 1,), _reduced=True)
             relators.append(commutator(x, y))
-    return Presentation(ab, relators)
-
-
-def hnn_ascending(p: Presentation, phi: Substitution, t: str = "t") -> Presentation:
-    """Ascending HNN extension: add a stable letter with t^-1 a t = phi(a),
-    stored as the relators t^-1 a t phi(a)^-1, one per generator."""
-    if phi.source != p.alphabet or phi.target != p.alphabet:
-        raise WordError("endomorphism must map the presentation's alphabet to itself")
-    if t in p.alphabet:
-        raise WordError(f"stable letter {t!r} clashes with an existing generator")
-    ab = Alphabet(p.alphabet.names + (t,))
-    emb = list(range(len(p.alphabet)))
-    tw = ab.gen(t)
-    relators = [_reletter(r, ab, emb) for r in p.relators]
-    for name in p.alphabet.names:
-        a = ab.gen(name)
-        img = _reletter(phi(p.gen(name)), ab, emb)
-        relators.append(tw.inverse() * a * tw * img.inverse())
-    return Presentation(ab, relators)
-
-
-def amalgam(
-    p: Presentation,
-    q: Presentation,
-    identifications: Sequence[tuple[Word, Word]] = (),
-) -> Presentation:
-    """Free product of p and q modulo u_i = v_i (u_i over p, v_i over q).
-    Generator names must already be disjoint."""
-    clash = set(p.alphabet.names) & set(q.alphabet.names)
-    if clash:
-        raise WordError(f"generator names shared between factors: {sorted(clash)}")
-    ab = Alphabet(p.alphabet.names + q.alphabet.names)
-    np_ = len(p.alphabet)
-    pmap = list(range(np_))
-    qmap = [np_ + i for i in range(len(q.alphabet))]
-    relators = [_reletter(r, ab, pmap) for r in p.relators]
-    relators += [_reletter(r, ab, qmap) for r in q.relators]
-    for u, v in identifications:
-        if u.alphabet != p.alphabet or v.alphabet != q.alphabet:
-            raise WordError("identification words must lie over the respective factors")
-        relators.append(_reletter(u, ab, pmap) * _reletter(v, ab, qmap).inverse())
     return Presentation(ab, relators)
 
 

@@ -75,7 +75,7 @@ def _check_same(a: Alphabet, b: Alphabet) -> None:
 class Word:
     """An immutable word; equality is letter-for-letter (not group equality).
 
-    Use free_reduce / cyclic_reduce for normal forms.
+    Use reduce / cyclic_reduce for normal forms.
     """
 
     __slots__ = ("alphabet", "letters", "_reduced")
@@ -208,18 +208,6 @@ class Word:
         return f"<word {self.text() or '1'}>"
 
 
-def free_reduce(w: Word) -> Word:
-    return w.reduce()
-
-
-def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    return w.cyclic_reduce()
-
-
-def exponent_sum(w: Word, name: str) -> int:
-    return w.exponent_sum(name)
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1, not reduced."""
     _check_same(u.alphabet, v.alphabet)
@@ -263,7 +251,3 @@ class Substitution:
     def __repr__(self) -> str:
         ims = ", ".join(f"{n} -> {w.text() or '1'}" for n, w in self.images.items())
         return f"<substitution {ims}>"
-
-
-def substitute(w: Word, sub: Substitution) -> Word:
-    return sub.apply(w)

@@ -2,8 +2,8 @@
 
 Everything here runs on arbitrary-precision Python ints; no floating point.
 The workhorse is Smith normal form with recorded unimodular transforms
-U * A * V = S, from which abelianizations, solvability certificates,
-coinvariants and kernels of induced maps on cokernels all follow.
+U * A * V = S, from which abelianizations, solvability certificates and
+kernels of induced maps on cokernels follow.
 
 Convention: group presentations contribute a relation matrix with one row per
 relation and one column per generator; the group presented is the cokernel
@@ -68,9 +68,6 @@ class IntMatrix:
             "cols": self.cols,
             "entries": [x for row in self.data for x in row],
         }
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, [list(c) for c in zip(*self.data)]) if self.rows else IntMatrix(self.cols, 0)
@@ -207,11 +204,14 @@ class AbelianInvariants:
 
 @dataclass
 class SnfResult:
-    """U * A * V = S with U, V unimodular and S in Smith normal form."""
+    """U * A * V = S with U, V unimodular and S in Smith normal form; U_inv
+    and V_inv are the inverse transforms."""
 
     S: IntMatrix
     U: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix
+    V_inv: IntMatrix
 
     def diagonal(self) -> list[int]:
         k = min(self.S.rows, self.S.cols)
@@ -352,26 +352,16 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
 
 
 def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Smith normal form with unimodular certificates: U*A*V = S."""
+    """Smith normal form with unimodular certificates and their inverses."""
     a = [list(r) for r in A.data]
-    U, _, V, _ = _snf_core(a, A.rows, A.cols, track=True)
+    m, n = A.rows, A.cols
+    U, Ui, V, Vi = _snf_core(a, m, n, track=True)
     return SnfResult(
-        S=IntMatrix(A.rows, A.cols, a),
-        U=IntMatrix(A.rows, A.rows, U),
-        V=IntMatrix(A.cols, A.cols, V),
-    )
-
-
-def _snf_full(A: IntMatrix):
-    """SNF plus the inverse transforms (internal)."""
-    a = [list(r) for r in A.data]
-    U, Ui, V, Vi = _snf_core(a, A.rows, A.cols, track=True)
-    return (
-        IntMatrix(A.rows, A.cols, a),
-        IntMatrix(A.rows, A.rows, U),
-        IntMatrix(A.rows, A.rows, Ui),
-        IntMatrix(A.cols, A.cols, V),
-        IntMatrix(A.cols, A.cols, Vi),
+        S=IntMatrix(m, n, a),
+        U=IntMatrix(m, m, U),
+        V=IntMatrix(n, n, V),
+        U_inv=IntMatrix(m, m, Ui),
+        V_inv=IntMatrix(n, n, Vi),
     )
 
 
@@ -403,9 +393,6 @@ class FpAbelianGroup:
         if self.relations.rows and self.relations.cols != self.n:
             raise LatticeError("relation matrix has wrong number of columns")
 
-    def invariants(self) -> AbelianInvariants:
-        return cokernel_invariants(IntMatrix(self.relations.rows, self.n, self.relations.data))
-
 
 def exponent_matrix(p: "Presentation") -> IntMatrix:
     """Relator exponent-sum matrix: one row per relator, one column per generator."""
@@ -427,7 +414,8 @@ def lattice_solve(target: Sequence[int], basis: IntMatrix) -> list[int] | None:
     the row lattice.  The certificate re-multiplies exactly before returning."""
     if len(target) != basis.cols:
         raise LatticeError("target length does not match basis columns")
-    S, U, _, V, _ = _snf_full(basis)
+    res = smith_normal_form(basis)
+    S, U, V = res.S, res.U, res.V
     # target * V expressed in the transformed coordinates
     y = [sum(target[i] * V.data[i][j] for i in range(basis.cols)) for j in range(basis.cols)]
     k = min(basis.rows, basis.cols)
@@ -447,20 +435,6 @@ def lattice_solve(target: Sequence[int], basis: IntMatrix) -> list[int] | None:
     return c
 
 
-def coinvariants(g: FpAbelianGroup, actions: Sequence[IntMatrix]) -> AbelianInvariants:
-    """Largest quotient of g on which every action is trivial: append rows of
-    (A - I) for each action matrix A and take the cokernel."""
-    rows = [list(r) for r in g.relations.data]
-    for A in actions:
-        if A.rows != g.n or A.cols != g.n:
-            raise LatticeError(f"action matrix must be {g.n}x{g.n}")
-        for i in range(g.n):
-            row = list(A.data[i])
-            row[i] -= 1
-            rows.append(row)
-    return cokernel_invariants(IntMatrix(len(rows), g.n, rows))
-
-
 def kernel_invariants(domain: FpAbelianGroup, m: IntMatrix) -> AbelianInvariants:
     """Invariants of ker(domain -> Z^k) for the map sending generator i to
     row i of m.  Requires the map to kill the relation lattice."""
@@ -469,7 +443,8 @@ def kernel_invariants(domain: FpAbelianGroup, m: IntMatrix) -> AbelianInvariants
     R = domain.relations
     if not (R * m).is_zero():
         raise LatticeError("map does not kill the relation lattice")
-    S, U, Ui, _, _ = _snf_full(m)
+    res = smith_normal_form(m)
+    S, Ui = res.S, res.U_inv
     k = min(m.rows, m.cols)
     # rows of U indexed by zero diagonal entries form a basis of the left kernel
     basis_idx = [i for i in range(domain.n) if i >= k or S.data[i][i] == 0]

@@ -1,0 +1,68 @@
+"""The public surface of fpgroups: what it exports and what it keeps.
+
+Every module-level function and class must have a caller in src/.  A name
+counts as used when some src/ module, outside the name's own definition,
+reads it by a bare name or imports it with `from ... import`; attribute
+access does not count, so the method Word.cyclic_reduce does not keep a free
+function cyclic_reduce alive.  Exempt are the names fpgroups exports, the
+CLI's decorated verb registrars and two test oracles kept on purpose.
+"""
+
+import ast
+from pathlib import Path
+
+import fpgroups
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fpgroups"
+
+# determinant certifies SNF unimodularity in the tests; epi_count_product_check
+# is the route of acceptance criterion 10
+ALLOWED = {"determinant", "epi_count_product_check"}
+
+
+def _uses(node: ast.AST, skip: str | None) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id != skip:
+            names.add(sub.id)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_definition_has_a_caller_in_src():
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = node.name
+                if not (own.startswith("_p_") and node.decorator_list):
+                    defined[own] = path.name
+            used |= _uses(node, own)
+    unused = sorted(
+        f"{module}:{name}"
+        for name, module in defined.items()
+        if name not in used | set(fpgroups.__all__) | ALLOWED
+    )
+    assert not unused, f"defined in src/ but never used there: {unused}"
+
+
+def _readme_library_block() -> str:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_exports_are_the_readme_imports():
+    imported = set()
+    for node in ast.walk(ast.parse(_readme_library_block())):
+        if isinstance(node, ast.ImportFrom) and node.module == "fpgroups":
+            imported.update(alias.name for alias in node.names)
+    assert set(fpgroups.__all__) == imported | {"__version__"}
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_library_block(), "README.md", "exec"), {})

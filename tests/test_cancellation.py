@@ -8,7 +8,6 @@ from fpgroups.cancellation import (
     DehnSolver,
     SmallCancellationError,
     check_metric,
-    dehn_is_trivial,
 )
 from fpgroups.presentations import Presentation, parse_presentation
 from fpgroups.words import Alphabet, Word
@@ -165,6 +164,22 @@ def test_brute_cross_check_random():
                     continue
                 ls.append(l)
             rels.append(tuple(ls))
+        # relators sharing a rotation class: a rotation, the inverse or a
+        # conjugate g r g^-1 (not cyclically reduced) of a drawn relator, and
+        # [a, b] next to its inverse [b, a]
+        r = rng.choice(rels)
+        kind = trial % 4
+        if kind == 0:
+            k = rng.randrange(len(r))
+            rels.append(r[k:] + r[:k])
+        elif kind == 1:
+            rels.append(tuple(-x for x in reversed(r)))
+        elif kind == 2:
+            g = rng.choice([1, -1]) * rng.randrange(1, n_gen + 1)
+            rels.append((g,) + r + (-g,))
+        else:
+            rels += [(1, 2, -1, -2), (2, 1, -2, -1)]
+        rng.shuffle(rels)
         p = quiet_presentation(names, rels)
         if not p.relators:
             continue
@@ -172,8 +187,9 @@ def test_brute_cross_check_random():
             warnings.simplefilter("ignore")
             rep = check_metric(p, 6)
         brute = brute_max_pieces(p)
-        for row in rep.rows:
+        for row, rel in zip(rep.rows, p.relators):
             assert row.max_piece == brute[row.relator], (trial, p.to_text())
+            assert row.length == len(rel.cyclic_reduce()[0]), (trial, p.to_text())
 
 
 # --- Dehn's algorithm -------------------------------------------------------
@@ -276,11 +292,6 @@ def test_dehn_nontrivial_words():
         assert not ok
         verify_trace(SURFACE, w, trace, ok)
         assert trace.final  # a nonempty irreducible residue
-
-
-def test_dehn_one_shot_wrapper():
-    ok, _ = dehn_is_trivial(SURFACE.relators[0], SURFACE)
-    assert ok
 
 
 def test_dehn_wrapped_match_found():

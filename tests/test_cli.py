@@ -272,6 +272,19 @@ def test_time_limit_bounds_the_whole_run():
     assert code == 2 and rep["payload"]["equal"] is None
 
 
+def test_time_limit_bounds_the_piece_check(tmp_path):
+    # rips and its piece check used to ignore the clock: this ran 7.5 s, exit 0
+    started = time.perf_counter()
+    code, rep = run("rips", "--m", "7", "--zero-exponent", "--time-limit", "0.5", fx("bp2"))
+    assert time.perf_counter() - started < 3.0
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    f = tmp_path / "surface.pres"
+    f.write_text("< a, b, c, d | [a, b] [c, d] >")
+    for argv in (("sc-check", "--m", "6"), ("dehn", "--word", "a")):
+        code, rep = run(*argv, "--time-limit", "0", str(f))
+        assert code == 2 and rep["outcome"] == "EXHAUSTED"
+
+
 def test_letter_cap_exits_exhausted(tmp_path):
     f = tmp_path / "huge.pres"
     f.write_text("< a | a^99999999999 >")
@@ -298,10 +311,16 @@ def test_time_limit_never_turns_into_a_pass():
 
 
 def test_deep_nesting_is_an_input_error(tmp_path):
+    # the 101st bracket (column 7 + 100) is refused with its position, before
+    # the recursive parser can run out of stack (about 400 levels)
     f = tmp_path / "deep.pres"
-    f.write_text("< a | " + "(" * 5000 + "a" + ")" * 5000 + " >")
-    code, rep = run("parse", str(f))  # run() asserts exactly one report line
-    assert code == 3 and rep["outcome"] == "ERROR"
+    for depth in (5000, 400):
+        f.write_text("< a | " + "(" * depth + "a" + ")" * depth + " >")
+        code, rep = run("parse", str(f))  # run() asserts exactly one report line
+        assert code == 3 and rep["outcome"] == "ERROR"
+        assert rep["payload"]["error"].startswith("line 1, col 107: ")
+    f.write_text("< a | " + "(" * 100 + "a" + ")" * 100 + " >")
+    assert run("parse", str(f))[0] == 0
 
 
 def test_json_presentation_accepted(tmp_path):

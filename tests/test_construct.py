@@ -281,18 +281,6 @@ def test_pipeline_a5_counts():
     assert len(pl.extension.relators) == pl.counts["extension_relators"]
 
 
-def test_pipeline_p_generator_words_embed():
-    pl = pipeline(quiet("< x | x >"), 6)
-    words = pl.p_generator_words()
-    assert len(words) == 4
-    n = len(pl.uce_stage.tilde.alphabet)
-    # diagonal pair (x, x) -> x * shifted x
-    assert words[0].letters == (1, 1 + n)
-    # kernel pairs live in the left factor
-    assert words[1].letters == (n - 2 + 1,)  # a1
-    assert all(l <= n for l in words[1].letters)
-
-
 def test_pipeline_counts_depend_only_on_sizes():
     t5 = quiet("< a, b | a^2, b^3, (a b)^5 >")
     t7 = quiet("< a, b | a^2, b^3, (a b)^7 >")

@@ -8,8 +8,6 @@ from fpgroups.words import (
     Word,
     WordError,
     commutator,
-    cyclic_reduce,
-    free_reduce,
 )
 
 AB = Alphabet(["a", "b"])
@@ -60,7 +58,7 @@ def test_cyclic_reduce_example():
     core, conj = w.cyclic_reduce()
     assert core == Word(AB, [2, 2])
     assert conj == a
-    assert free_reduce(conj * core * ~conj) == w.reduce()
+    assert (conj * core * ~conj).reduce() == w.reduce()
 
 
 def test_cyclic_reduce_leaves_single_letter():
@@ -160,9 +158,9 @@ def test_cyclic_reduce_properties_random():
     rng = random.Random(13)
     for _ in range(500):
         w = rand_word(rng, AB)
-        core, conj = cyclic_reduce(w)
+        core, conj = w.cyclic_reduce()
         assert core.is_reduced
         ls = core.letters
         if ls:
             assert ls[0] != -ls[-1] or len(ls) == 1
-        assert free_reduce(conj * core * ~conj) == w.reduce()
+        assert (conj * core * ~conj).reduce() == w.reduce()

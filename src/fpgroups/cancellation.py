@@ -386,24 +386,6 @@ class DehnTrace:
     steps: list[DehnStep] = field(default_factory=list)
     final: tuple[int, ...] = ()
 
-    def to_json(self, alphabet) -> dict:
-        def txt(ls):
-            return Word(alphabet, ls).text()
-
-        return {
-            "steps": [
-                {
-                    "before": txt(s.before),
-                    "rotation": s.rotation,
-                    "relator": txt(s.relator),
-                    "matched": s.matched,
-                    "after": txt(s.after),
-                }
-                for s in self.steps
-            ],
-            "final": txt(self.final),
-        }
-
 
 def _to_chars(ls) -> str:
     # letters land in the Unicode private use area: C-speed hashing/slicing
@@ -421,7 +403,7 @@ class DehnSolver:
     accepted when it exceeds half the relator.  Deterministic choice:
     leftmost match position, then longest match, then lowest rotation-class
     index, then lowest offset.  The C'(1/6) certificate shares check_metric's
-    rotation classes and reads the budget's deadline; the word search does not.
+    rotation classes; it and the word search both read the budget's deadline.
     """
 
     def __init__(self, p: Presentation, budget: Budget | None = None):
@@ -433,7 +415,6 @@ class DehnSolver:
                 f"presentation is not C'(1/6): relators {list(report.failing)} "
                 f"carry pieces of at least 1/6 of their length"
             )
-        self.report = report
         self.doubled: list[str] = []
         self.doubled_letters: list[tuple[int, ...]] = []
         # gram length -> gram -> [(word_idx, offset)]
@@ -475,16 +456,19 @@ class DehnSolver:
                     best = (l, wi, t)
         return best
 
-    def is_trivial(self, w: Word) -> tuple[bool, DehnTrace]:
+    def is_trivial(self, w: Word, budget: Budget | None = None) -> tuple[bool, DehnTrace]:
         """True iff w = 1 in the presented group.  The trace replays to a
         verified derivation; completeness on C'(1/6) input is Greendlinger's
-        lemma (the cyclic word is searched, so wrapped overlaps count)."""
+        lemma (the cyclic word is searched, so wrapped overlaps count).  The
+        budget's deadline is checked before each replacement step."""
         if w.alphabet != self.presentation.alphabet:
             raise SmallCancellationError("word is over a different alphabet")
+        budget = budget or Budget.start()
         trace = DehnTrace()
         cur, _ = w.cyclic_reduce()
         ls = cur.letters
         while ls:
+            budget.check()
             n = len(ls)
             s = _to_chars(ls + ls)
             found = None

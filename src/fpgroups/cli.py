@@ -105,7 +105,7 @@ def _cmd_dehn(args, inputs, budget):
     p = _load(args.file, inputs)
     solver = DehnSolver(p, budget)
     w = p.word(args.word)
-    trivial, trace = solver.is_trivial(w)
+    trivial, trace = solver.is_trivial(w, budget)
     payload = {
         "word_length": len(w),
         "trivial": trivial,
@@ -123,7 +123,7 @@ def _cmd_rips(args, inputs, budget):
 
 
 def _cmd_uce(args, inputs, budget):
-    u = uce(_load(args.file, inputs))
+    u = uce(_load(args.file, inputs), budget)
     _write_out(args.out, u.tilde)
     return "OK", u.to_json()
 
@@ -171,7 +171,7 @@ def _cmd_rs(args, inputs, budget):
     table = todd_coxeter(p, sub, budget)
     if not table:
         return "EXHAUSTED", {"reason": table.reason, "cosets_used": table.cosets_used}
-    s = reidemeister_schreier(p, table)
+    s = reidemeister_schreier(p, table, budget)
     _write_out(args.out, s)
     return "OK", {
         "index": table.n,

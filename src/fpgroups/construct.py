@@ -26,12 +26,15 @@ uce(G) presents the universal central extension of a perfect group on the
 same generators: the commutator family [a, r] makes every old relator
 central, and the expression family w_a = prod_r r^{c_{a,r}} -- with exponents
 solved in the relation lattice so that ab(w_a) = ab(a) -- forces perfection.
-Since each w_a is a product of relators it dies in G, so the identity on
-generators induces the covering map onto G.
+The presentation lists the commutators first, then the w_a.  Since each w_a
+is a product of relators it dies in G, so the identity on generators induces
+the covering map onto G.
 
 pipeline(Q, m) composes the two, doubles the result into E = Gtilde x Gtilde,
 and writes down the finite generating set of the fibre product over Q,
-together with a finite-quotient evidence report for Q.
+together with a finite-quotient evidence report for Q.  All three take the
+run budget and check its deadline between their stages, so one time limit
+bounds the whole chain.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .presentations import (
     PresentationWarning,
     direct_product,
 )
-from .words import Alphabet, Substitution, Word, commutator
+from .words import Alphabet, Word, commutator
 from .zlattice import (
     AbelianInvariants,
     IntMatrix,
@@ -110,7 +113,6 @@ _SIGMA0 = {1: (1, 2, -1, -1, -2, 1), 2: (2, 1, -2, -2, -1, 2)}
 class RipsResult:
     gamma: Presentation
     normal_gens: tuple[Word, Word]
-    quotient_map: Substitution  # kills a_1, a_2; identity on X
     m: int
     zero_exponent: bool
     de_bruijn_order: int
@@ -216,13 +218,9 @@ def rips(
             f"fraction {report.max_piece()} in relators {list(report.failing)}"
         )
 
-    images = {name: q.gen(name) for name in q.alphabet.names}
-    images[f"{base}1"] = Word.identity(q.alphabet)
-    images[f"{base}2"] = Word.identity(q.alphabet)
     return RipsResult(
         gamma=gamma,
         normal_gens=(ab.gen(f"{base}1"), ab.gen(f"{base}2")),
-        quotient_map=Substitution(ab, q.alphabet, images),
         m=m,
         zero_exponent=zero_exponent,
         de_bruijn_order=d,
@@ -237,9 +235,7 @@ def rips(
 @dataclass(frozen=True)
 class UceResult:
     source: Presentation
-    tilde: Presentation
-    commutators: tuple[Word, ...]  # [a, r], conjugate fallback on degeneracy
-    expressions: tuple[Word, ...]  # w_a with ab(w_a) = ab(a)
+    tilde: Presentation  # the commutators [a, r] first, then the w_a
     witnesses: tuple[tuple[int, ...], ...]  # c_a per generator, relator order
 
     def to_json(self) -> dict:
@@ -389,23 +385,28 @@ def _shrink_certificate(
     return cur
 
 
-def uce(g: Presentation) -> UceResult:
+def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
     """Present the universal central extension of a perfect group on the same
-    generators: relators {[a, r]} make R central, {w_a} force perfection."""
+    generators: relators {[a, r]} make R central, {w_a} force perfection.
+    The budget's deadline is checked after the commutators, after the
+    relation kernel and after each generator's certificate."""
     h1 = abelianization(g)
     if not h1.is_trivial:
         raise ConstructionError(
             f"universal central extension needs a perfect group; abelianization is {h1}"
         )
+    budget = budget or Budget.start()
 
     gens = [g.alphabet.gen(name) for name in g.alphabet.names]
     commutators: list[Word] = []
     for ai in range(len(gens)):
         for r in g.relators:
             commutators.append(_commutator_relator(gens, ai, r))
+    budget.check()
 
     expo = exponent_matrix(g)
     kernel = _row_kernel(expo)
+    budget.check()
     weights = [len(r) for r in g.relators]
     expressions: list[Word] = []
     witnesses: list[tuple[int, ...]] = []
@@ -422,6 +423,7 @@ def uce(g: Presentation) -> UceResult:
         # ab(w) = ab(a) != 0, so w cannot freely reduce away
         expressions.append(w.reduce())
         witnesses.append(tuple(c))
+        budget.check()
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PresentationWarning)
@@ -430,8 +432,6 @@ def uce(g: Presentation) -> UceResult:
     return UceResult(
         source=g,
         tilde=tilde,
-        commutators=tuple(commutators),
-        expressions=tuple(expressions),
         witnesses=tuple(witnesses),
     )
 
@@ -523,9 +523,7 @@ def grothendieck_evidence(
 
 @dataclass(frozen=True)
 class PipelineResult:
-    quotient: Presentation
     rips_stage: RipsResult
-    uce_stage: UceResult
     extension: Presentation  # Gtilde x Gtilde
     p_generators: tuple[tuple[Word, Word], ...]  # over Gtilde's alphabet
     counts: dict
@@ -566,7 +564,7 @@ def pipeline(
         )
     budget = budget or Budget.start()
     rr = rips(q, m, zero_exponent=True, budget=budget)
-    ur = uce(rr.gamma)
+    ur = uce(rr.gamma, budget)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PresentationWarning)
         extension = direct_product(ur.tilde, ur.tilde)
@@ -589,12 +587,10 @@ def pipeline(
     deadline = min(budget.deadline, time.monotonic() + 10.0)
     sub_budget = replace(budget, deadline=deadline, max_cosets=min(budget.max_cosets, 20_000))
     evidence = grothendieck_evidence(q, evidence_index, sub_budget)
-    budget.check()  # uce and direct_product never read the clock; an overrun run is exhausted
+    budget.check()  # direct_product never reads the clock; an overrun run is exhausted
 
     return PipelineResult(
-        quotient=q,
         rips_stage=rr,
-        uce_stage=ur,
         extension=extension,
         p_generators=tuple(p_gens),
         counts=counts,

@@ -14,8 +14,7 @@ a complete table.  low_index enumerates standardized coset tables directly
 subgroup of each index exactly once; conjugacy classes are counted by
 rebasing each table at every coset and keeping the least serialization.
 
-Cosets are numbered 1..n externally (JSON, repr); internal arrays are
-0-based.
+Cosets are numbered 1..n in messages; internal arrays are 0-based.
 """
 
 from __future__ import annotations
@@ -122,17 +121,6 @@ class CosetTable:
             [newidx[colarr[old]] for old in order] for colarr in self.action
         ]
         return CosetTable(self.alphabet, action, self.subgroup_gens, standardized=True)
-
-    def to_json(self) -> dict:
-        return {
-            "cosets": self.n,
-            "standardized": self.standardized,
-            "subgroup": [w.text() for w in self.subgroup_gens],
-            "action": {
-                name: [x + 1 for x in self.action[2 * i]]
-                for i, name in enumerate(self.alphabet.names)
-            },
-        }
 
     def __repr__(self) -> str:
         return f"<coset table on {self.n} cosets over {self.alphabet!r}>"
@@ -426,15 +414,20 @@ class SchreierRewriter:
         return Word(self.sub_alphabet, out).reduce()
 
 
-def reidemeister_schreier(p: Presentation, t: CosetTable) -> Presentation:
+def reidemeister_schreier(
+    p: Presentation, t: CosetTable, budget: Budget | None = None
+) -> Presentation:
     """Presentation of the subgroup behind a complete standardized table, on
     its Schreier generators.  Relators are the rewrites of every relator
-    conjugate (one per coset); empty and repeated rewrites are dropped."""
+    conjugate (one per coset); empty and repeated rewrites are dropped.  The
+    budget's deadline is checked before each rewrite."""
+    budget = budget or Budget.start()
     rw = SchreierRewriter(p, t)
     relators: list[Word] = []
     seen: set[tuple[int, ...]] = set()
     for r in p.relators:
         for c in range(t.n):
+            budget.check()
             s = rw.rewrite(r, c)
             if s.letters and s.letters not in seen:
                 seen.add(s.letters)

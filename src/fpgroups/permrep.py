@@ -112,9 +112,6 @@ class PermGroup:
     def order(self, budget: Budget | None = None) -> int:
         return len(self.elements(budget))
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.elements()
-
     def __repr__(self) -> str:
         label = self.name or f"degree-{self.degree} group"
         return f"<{label} with {len(self.generators)} generators>"
@@ -160,20 +157,6 @@ class GroupHom:
             img = evaluate_word(r, self.images, degree)
             if img != identity_perm(degree):
                 raise PermError(f"relator {r.text()!r} does not die: {cycle_notation(img)}")
-
-    def __call__(self, w: Word) -> Perm:
-        if w.alphabet != self.source.alphabet:
-            raise WordError("word over a different alphabet")
-        return evaluate_word(w, self.images, self.degree)
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "images": {
-                name: [x + 1 for x in img]
-                for name, img in zip(self.source.alphabet.names, self.images)
-            },
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +284,6 @@ class EpiProductReport:
     holds: bool | None  # None when vacuous (e1 = 0 or trivial target)
     complete: bool
 
-    def to_json(self) -> dict:
-        return {"e1": self.e1, "e2": self.e2, "holds": self.holds, "complete": self.complete}
-
 
 def epi_count_product_check(
     p: Presentation, target: PermGroup, budget: Budget | None = None
@@ -324,39 +304,16 @@ def epi_count_product_check(
 # finite fibre products
 
 
+@dataclass(frozen=True)
 class FiniteFibreProduct:
     """P = {(g, h) in G x G : eta(g) = eta(h)} for a finite permutation group
-    G and a quotient map eta given on generators.
+    G (the factor, realizing the source generators) and a quotient map eta
+    given on generators.  Elements are stored as pairs of G-permutations."""
 
-    Elements are stored as pairs of G-permutations.  The ambient product
-    G x G acts on 2·degree points (two disjoint blocks)."""
-
-    __slots__ = ("source", "factor", "eta", "graph", "elements", "kernel_size")
-
-    def __init__(self, source: Presentation, factor: PermGroup, eta: GroupHom,
-                 elements: frozenset[tuple[Perm, Perm]], graph: dict[Perm, Perm],
-                 kernel_size: int):
-        self.source = source
-        self.factor = factor
-        self.eta = eta
-        self.graph = graph
-        self.elements = elements
-        self.kernel_size = kernel_size
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def ambient(self) -> PermGroup:
-        d = self.factor.degree
-        gens = []
-        for g in self.factor.generators:
-            gens.append(tuple(g) + tuple(d + i for i in range(d)))
-            gens.append(tuple(range(d)) + tuple(d + x for x in g))
-        return PermGroup(2 * d, gens, name="G x G")
-
-    def __repr__(self) -> str:
-        return f"<fibre product of order {self.order} over |G| = {self.factor.order()}>"
+    source: Presentation
+    factor: PermGroup
+    elements: frozenset[tuple[Perm, Perm]]
+    kernel_size: int
 
 
 def _pair_mul(a, b):
@@ -404,7 +361,7 @@ def fibre_product_finite(
     )
     kernel_size = len(fibres[identity_perm(dQ)])
     assert len(elements) == kernel_size * order_G  # |P| = |ker|·|G|
-    return FiniteFibreProduct(h.source, ambient, h, elements, graph, kernel_size)
+    return FiniteFibreProduct(h.source, ambient, elements, kernel_size)
 
 
 def check_generation(

@@ -315,6 +315,8 @@ class Presentation:
 
     @classmethod
     def from_json(cls, d: dict) -> "Presentation":
+        if not d["generators"]:
+            raise ValueError("a presentation needs at least one generator")
         alphabet = Alphabet(d["generators"])
         p = _Parser("", alphabet)  # one letter cap for all the relators
         relators = []

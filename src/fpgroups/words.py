@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from operator import index as _as_int
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -174,10 +174,6 @@ class Word:
         conj = Word(self.alphabet, ls[:i], _reduced=True)
         return core, conj
 
-    def exponent_sum(self, name: str) -> int:
-        i = self.alphabet.index(name) + 1
-        return self.letters.count(i) - self.letters.count(-i)
-
     def exponent_vector(self) -> list[int]:
         """Exponent sums for every generator, in alphabet order."""
         v = [0] * len(self.alphabet)
@@ -213,41 +209,3 @@ def commutator(u: Word, v: Word) -> Word:
     _check_same(u.alphabet, v.alphabet)
     return u * v * u.inverse() * v.inverse()
 
-
-class Substitution:
-    """A map generator -> word over a target alphabet, applied letterwise.
-
-    Extends to a homomorphism of free groups; apply() returns the freely
-    reduced image.
-    """
-
-    def __init__(self, source: Alphabet, target: Alphabet, images: Mapping[str, Word]):
-        self.source = source
-        self.target = target
-        self.images: dict[str, Word] = {}
-        for name, w in images.items():
-            if name not in source:
-                raise WordError(f"image given for {name!r}, not a source generator")
-            _check_same(w.alphabet, target)
-            self.images[name] = w
-
-    def apply(self, w: Word) -> Word:
-        _check_same(w.alphabet, self.source)
-        out: list[int] = []
-        for l in w.letters:
-            name = self.source.names[abs(l) - 1]
-            img = self.images.get(name)
-            if img is None:
-                raise WordError(f"generator {name!r} has no image under this substitution")
-            if l > 0:
-                out.extend(img.letters)
-            else:
-                out.extend(-x for x in reversed(img.letters))
-        return Word(self.target, out).reduce()
-
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
-
-    def __repr__(self) -> str:
-        ims = ", ".join(f"{n} -> {w.text() or '1'}" for n, w in self.images.items())
-        return f"<substitution {ims}>"

@@ -2,8 +2,8 @@
 
 Everything here runs on arbitrary-precision Python ints; no floating point.
 The workhorse is Smith normal form with recorded unimodular transforms
-U * A * V = S, from which abelianizations, solvability certificates and
-kernels of induced maps on cokernels follow.
+U * A * V = S and the inverse of U, from which abelianizations, solvability
+certificates and kernels of induced maps on cokernels follow.
 
 Convention: group presentations contribute a relation matrix with one row per
 relation and one column per generator; the group presented is the cokernel
@@ -25,7 +25,7 @@ class LatticeError(ValueError):
 
 
 class IntMatrix:
-    """A dense integer matrix. JSON form: {rows, cols, entries} row-major."""
+    """A dense integer matrix, stored as a list of rows."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -47,30 +47,6 @@ class IntMatrix:
                 raise LatticeError("cannot infer column count of an empty matrix")
             cols = len(rows[0])
         return cls(len(rows), cols, rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @classmethod
-    def from_json(cls, d: dict) -> "IntMatrix":
-        r, c, entries = int(d["rows"]), int(d["cols"]), list(d["entries"])
-        if len(entries) != r * c:
-            raise LatticeError("entries length does not match rows*cols")
-        return cls(r, c, [entries[i * c : (i + 1) * c] for i in range(r)])
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [x for row in self.data for x in row],
-        }
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, [list(c) for c in zip(*self.data)]) if self.rows else IntMatrix(self.cols, 0)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -100,11 +76,6 @@ class IntMatrix:
                     if b:
                         out[j] += a * b
         return out
-
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        if other.rows and self.cols != other.cols:
-            raise LatticeError("column mismatch in stack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -170,30 +141,6 @@ class AbelianInvariants:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def torsion_order(self) -> int:
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
-    def primary_decomposition(self) -> list[tuple[int, int]]:
-        """Display view: list of (p, e) prime-power cyclic factors, sorted."""
-        out = []
-        for d in self.torsion:
-            m = d
-            p = 2
-            while p * p <= m:
-                if m % p == 0:
-                    e = 0
-                    while m % p == 0:
-                        m //= p
-                        e += 1
-                    out.append((p, e))
-                p += 1
-            if m > 1:
-                out.append((m, 1))
-        return sorted(out)
-
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
@@ -205,13 +152,12 @@ class AbelianInvariants:
 @dataclass
 class SnfResult:
     """U * A * V = S with U, V unimodular and S in Smith normal form; U_inv
-    and V_inv are the inverse transforms."""
+    is the inverse of U."""
 
     S: IntMatrix
     U: IntMatrix
     V: IntMatrix
     U_inv: IntMatrix
-    V_inv: IntMatrix
 
     def diagonal(self) -> list[int]:
         k = min(self.S.rows, self.S.cols)
@@ -219,15 +165,14 @@ class SnfResult:
 
 
 def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
-    """In-place SNF; returns (U, Uinv, V, Vinv) as row lists or Nones.
+    """In-place SNF; returns (U, Uinv, V) as row lists or Nones.
 
     Row ops on A are mirrored on U (and inversely on Uinv columns, kept as
-    rows of the inverse); likewise column ops on V.
+    rows of the inverse); column ops on V.
     """
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
     Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
-    Vi = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -242,7 +187,6 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
         if track:
             for r in V:
                 r[i], r[j] = r[j], r[i]
-            Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
@@ -266,10 +210,6 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
             for r in V:
                 if r[src]:
                     r[dst] += q * r[src]
-            vs, vd = Vi[src], Vi[dst]
-            for k in range(n):
-                if vd[k]:
-                    vs[k] -= q * vd[k]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -348,20 +288,19 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
             negate_row(t)
         t += 1
 
-    return U, Ui, V, Vi
+    return U, Ui, V
 
 
 def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Smith normal form with unimodular certificates and their inverses."""
+    """Smith normal form with unimodular certificates and the inverse of U."""
     a = [list(r) for r in A.data]
     m, n = A.rows, A.cols
-    U, Ui, V, Vi = _snf_core(a, m, n, track=True)
+    U, Ui, V = _snf_core(a, m, n, track=True)
     return SnfResult(
         S=IntMatrix(m, n, a),
         U=IntMatrix(m, m, U),
         V=IntMatrix(n, n, V),
         U_inv=IntMatrix(m, m, Ui),
-        V_inv=IntMatrix(n, n, Vi),
     )
 
 

@@ -6,6 +6,14 @@ reads it by a bare name or imports it with `from ... import`; attribute
 access does not count, so the method Word.cyclic_reduce does not keep a free
 function cyclic_reduce alive.  Exempt are the names fpgroups exports, the
 CLI's decorated verb registrars and two test oracles kept on purpose.
+
+Every class member -- method, property, dataclass field, or `self.X` set in
+__init__ -- must likewise be read in src/ as an attribute, outside its own
+definition.  Dunders are exempt, and so are a few members the tests use as
+oracles or certificates.  The check goes by name, not by type: members
+that share a name with a member of another class (to_json, order, ambient,
+identity, from_json, quotient) hide one another, so a dead one among them
+passes as long as some other class's member of that name is read.
 """
 
 import ast
@@ -66,3 +74,59 @@ def test_exports_are_the_readme_imports():
 
 def test_readme_library_example_runs():
     exec(compile(_readme_library_block(), "README.md", "exec"), {})
+
+
+MEMBERS_ALLOWED = {
+    # re-multiplies Smith certificates in acceptance criterion 11
+    "IntMatrix.row_mul",
+    # the Dehn certificate that the tests replay step by step
+    "DehnStep.before",
+    "DehnStep.rotation",
+    "DehnStep.matched",
+    "DehnStep.after",
+    # the result of epi_count_product_check, the route of criterion 10
+    "EpiProductReport.e1",
+    "EpiProductReport.e2",
+    "EpiProductReport.holds",
+}
+
+
+def _members(cls: ast.ClassDef):
+    """(name, defining node) for the methods, properties, dataclass fields
+    and `self.X` attributes set in __init__ of one class."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+            if node.name == "__init__":
+                for sub in ast.walk(node):
+                    targets = (
+                        sub.targets if isinstance(sub, ast.Assign)
+                        else [sub.target] if isinstance(sub, ast.AnnAssign) else []
+                    )
+                    for t in targets:
+                        if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                                and t.value.id == "self"):
+                            yield t.attr, sub
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def test_every_class_member_is_read_in_src():
+    reads: dict[str, list[ast.Attribute]] = {}
+    members = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                members += [(node.name, name, d) for name, d in _members(node)]
+    unread = set()
+    for cls, name, definition in members:
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        inside = {id(n) for n in ast.walk(definition)}
+        if not any(id(n) not in inside for n in reads.get(name, ())):
+            unread.add(f"{cls}.{name}")
+    unread -= MEMBERS_ALLOWED
+    assert not unread, f"class members never read in src/: {sorted(unread)}"

@@ -4,6 +4,7 @@ from collections import defaultdict
 
 import pytest
 
+from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.cancellation import (
     DehnSolver,
     SmallCancellationError,
@@ -303,6 +304,12 @@ def test_dehn_wrapped_match_found():
     w = Word(SURFACE.alphabet, ls[5:] + ls[:5])
     ok, _ = solver.is_trivial(w)
     assert ok
+
+
+def test_dehn_word_search_reads_the_deadline():
+    solver = DehnSolver(SURFACE)
+    with pytest.raises(BudgetExhausted):
+        solver.is_trivial(SURFACE.relators[0], Budget.start(time_limit_s=0.0))
 
 
 def test_dehn_alphabet_guard():

@@ -285,6 +285,12 @@ def test_time_limit_bounds_the_piece_check(tmp_path):
         assert code == 2 and rep["outcome"] == "EXHAUSTED"
 
 
+def test_time_limit_bounds_uce():
+    # uce used to ignore the clock: this finished OK with exit 0
+    code, rep = run("uce", "--time-limit", "0", fx("a5"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+
+
 def test_letter_cap_exits_exhausted(tmp_path):
     f = tmp_path / "huge.pres"
     f.write_text("< a | a^99999999999 >")
@@ -333,6 +339,25 @@ def test_json_presentation_accepted(tmp_path):
     assert run("parse", str(f))[0] == 3
 
 
+_ONE_FILE_VERBS = [
+    ("parse",), ("abelianize",), ("sc-check", "--m", "6"), ("dehn", "--word", "a"),
+    ("rips", "--m", "6"), ("uce",), ("fibre",), ("pipeline", "--m", "6"),
+    ("evidence", "--index-bound", "2"), ("tc",), ("rs",), ("low-index", "--bound", "2"),
+    ("fingerprint", "--bound", "2"), ("hom-search", "--transitive-degree", "2"),
+    ("schur",), ("h2-rank",),
+]
+
+
+def test_no_generators_is_an_input_error(tmp_path):
+    # tc, rs, low-index, fingerprint, schur and evidence used to raise an
+    # uncaught IndexError on this input, which exits 1 and reads as NEGATIVE
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"generators": [], "relators": []}))
+    for argv in _ONE_FILE_VERBS:
+        code, rep = run(*argv, str(f))  # run() asserts exactly one report line
+        assert code == 3 and rep["outcome"] == "ERROR", argv
+
+
 _GRAMMAR = "<>|,^()[]=*-# \nab0123456789"
 
 
@@ -360,3 +385,5 @@ def test_parse_fuzz_exits_ok_or_error(text):
         f.write_text(text)
         code, rep = run("parse", str(f))  # run() asserts exactly one report line
     assert code in (0, 3), rep
+    if text.startswith('{"generators": []'):
+        assert code == 3, rep

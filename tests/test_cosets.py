@@ -1,10 +1,13 @@
 """Coset enumeration, Reidemeister-Schreier, and low-index search."""
 
 import warnings
+from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
-from fpgroups.budget import Budget
+from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.cosets import (
     CosetError,
     CosetTable,
@@ -15,7 +18,8 @@ from fpgroups.cosets import (
     reidemeister_schreier,
     todd_coxeter,
 )
-from fpgroups.presentations import catalog, parse_presentation, parse_word
+from fpgroups.permrep import hom_search, symmetric_group
+from fpgroups.presentations import catalog, load_presentation, parse_presentation, parse_word
 from fpgroups.zlattice import abelianization, exponent_matrix, smith_diagonal
 from fpgroups.words import Word
 
@@ -107,13 +111,12 @@ def test_tc_klein_bottle_quotient():
     assert todd_coxeter(p).n == 4
 
 
-def test_table_json_and_permutations():
+def test_table_permutations():
     t = todd_coxeter(Z5)
-    j = t.to_json()
-    assert j["cosets"] == 5
-    assert j["action"]["a"] == [x + 1 for x in t.permutation("a")]  # 1-based
-    assert sorted(j["action"]["a"]) == [1, 2, 3, 4, 5]
-    assert j["standardized"] is True
+    assert t.n == 5
+    assert t.permutation("a") == tuple(t.action[0])  # 0-based images
+    assert sorted(t.permutation("a")) == [0, 1, 2, 3, 4]
+    assert t.standardized is True
 
 
 def test_verify_catches_broken_table():
@@ -222,6 +225,12 @@ def test_rs_subgroup_order_agrees():
     assert tt.n == 5
 
 
+def test_rs_reads_the_deadline():
+    t = todd_coxeter(Z5)
+    with pytest.raises(BudgetExhausted):
+        reidemeister_schreier(Z5, t, Budget.start(time_limit_s=0.0))
+
+
 def test_rs_requires_standardized():
     t = todd_coxeter(Z5)
     raw = CosetTable(t.alphabet, t.action, t.subgroup_gens, standardized=False)
@@ -291,6 +300,35 @@ def test_low_index_symmetric_three():
     # S3: subgroups 1, <(12)>x3, <(123)>, S3 -> indices 6,3,2,1
     assert f.totals == {1: 1, 2: 1, 3: 3, 4: 0, 5: 0, 6: 1}
     assert f.classes == {1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 1}
+
+
+def _hall_totals(h: dict[int, int], bound: int) -> dict[int, int]:
+    """Subgroup counts a_n from h_n = |Hom(G, S_n)| by M. Hall's 1949 formula
+    a_n = h_n/(n-1)! - sum_{k<n} h_{n-k} a_k/(n-k)!."""
+    a: dict[int, int] = {}
+    for n in range(1, bound + 1):
+        x = Fraction(h[n], factorial(n - 1)) - sum(
+            Fraction(h[n - k] * a[k], factorial(n - k)) for k in range(1, n)
+        )
+        assert x.denominator == 1
+        a[n] = int(x)
+    return a
+
+
+@pytest.mark.parametrize(
+    "name", ["a5", "q8", "klein", "z5", "baumslag25_1", "baumslag25_2", "trivial", "free2"]
+)
+def test_low_index_totals_match_hall_formula(name):
+    p = load_presentation((Path(__file__).parent / "fixtures" / f"{name}.pres").read_text())
+    if name == "free2":  # a hom from F_2 is any pair of images
+        h = {n: factorial(n) ** 2 for n in range(1, 6)}
+    else:
+        h = {1: 1}
+        for n in range(2, 6):
+            res = hom_search(p, symmetric_group(n))
+            assert res.complete
+            h[n] = len(res.homs)
+    assert low_index(p, 5).totals == _hall_totals(h, 5)
 
 
 def test_low_index_budget_flags_partial():

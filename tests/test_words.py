@@ -4,7 +4,6 @@ import pytest
 
 from fpgroups.words import (
     Alphabet,
-    Substitution,
     Word,
     WordError,
     commutator,
@@ -81,8 +80,6 @@ def test_pow_and_inverse():
 def test_exponent_vector_and_sum():
     w = a * b * ~a * b * b
     assert w.exponent_vector() == [0, 3]
-    assert w.exponent_sum("b") == 3
-    assert w.exponent_sum("a") == 0
 
 
 def test_syllables_and_text():
@@ -96,45 +93,6 @@ def test_commutator():
     c = commutator(a, b)
     assert c.letters == (1, 2, -1, -2)
     assert c.exponent_vector() == [0, 0]
-
-
-def test_substitution_zero_exponent_images():
-    # the exponent-killing endomorphism of F(a1, a2)
-    A2 = Alphabet(["a1", "a2"])
-    x, y = A2.gen("a1"), A2.gen("a2")
-    sigma = Substitution(
-        A2,
-        A2,
-        {
-            "a1": x * y * x**-2 * y**-1 * x,
-            "a2": y * x * y**-2 * x**-1 * y,
-        },
-    )
-    for name in ("a1", "a2"):
-        img = sigma.images[name]
-        assert len(img) == 6
-        assert img.exponent_vector() == [0, 0]
-    w = sigma(x * y)
-    assert w.exponent_vector() == [0, 0]
-    assert w.is_reduced
-
-
-def test_substitution_missing_image():
-    sub = Substitution(AB, AB, {"a": a})
-    assert sub(a * ~a * a) == a
-    with pytest.raises(WordError):
-        sub(b)
-
-
-def test_substitution_is_homomorphism_random():
-    rng = random.Random(7)
-    A3 = Alphabet(["x", "y", "z"])
-    images = {n: rand_word(rng, AB, 6) for n in A3.names}
-    sub = Substitution(A3, AB, images)
-    for _ in range(200):
-        u, v = rand_word(rng, A3), rand_word(rng, A3)
-        assert sub(u * v) == (sub(u) * sub(v)).reduce()
-        assert sub(~u) == (~sub(u)).reduce()
 
 
 def test_reduction_properties_random():

@@ -199,6 +199,8 @@ def _cmd_fingerprint(args, inputs, budget):
 
 def _cmd_hom_search(args, inputs, budget):
     p = _load(args.file, inputs)
+    if args.transitive_degree < 1:
+        raise ValueError("transitive degree must be at least 1")
     targets = []
     for d in range(2, args.transitive_degree + 1):
         targets.extend(transitive_groups(d))

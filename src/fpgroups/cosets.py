@@ -9,8 +9,10 @@ undecidable in general): todd_coxeter returns a caught BudgetExhausted as an
 Exhausted value, low_index as a Fingerprint's first unfinished index.
 
 reidemeister_schreier rewrites relator conjugates on Schreier generators of
-a complete table.  low_index enumerates standardized coset tables directly
-(first-undefined-slot branching with deduction closure), which visits every
+a complete table.  low_index enumerates standardized coset tables directly by
+Sims' search: first-undefined-slot branching on one flat table with an undo
+log, closed after each branch by deductions through the edges just defined,
+against relator rotations compiled once per presentation.  It visits every
 subgroup of each index exactly once; conjugacy classes are counted by
 rebasing each table at every coset and keeping the least serialization.
 
@@ -461,46 +463,6 @@ class Fingerprint:
         }
 
 
-def _deduce(tab: list[list[int | None]], rel_letters, ncols: int) -> bool:
-    """Close the partial table under relator-trace deductions.  Returns False
-    on contradiction.  Only fills single gaps; never creates cosets."""
-    changed = True
-    while changed:
-        changed = False
-        for ls in rel_letters:
-            L = len(ls)
-            for c in range(len(tab)):
-                f = c
-                i = 0
-                while i < L:
-                    d = tab[f][_col(ls[i])]
-                    if d is None:
-                        break
-                    f = d
-                    i += 1
-                if i == L:
-                    if f != c:
-                        return False
-                    continue
-                b = c
-                j = L - 1
-                while j > i:
-                    d = tab[b][_col(-ls[j])]
-                    if d is None:
-                        break
-                    b = d
-                    j -= 1
-                if j == i:  # single gap: forced edge
-                    col = _col(ls[i])
-                    if tab[f][col] is None and tab[b][_inv_col(col)] is None:
-                        tab[f][col] = b
-                        tab[b][_inv_col(col)] = f
-                        changed = True
-                    elif tab[f][col] != b:
-                        return False
-    return True
-
-
 def _class_key(action: list[list[int]]) -> tuple:
     """Least serialization over all basepoints of the standardized table."""
     best = None
@@ -518,61 +480,137 @@ def _class_key(action: list[list[int]]) -> tuple:
     return best  # type: ignore[return-value]
 
 
-def _count_index(p: Presentation, k: int, budget: Budget) -> tuple[int, int]:
-    """(total subgroups, conjugacy classes) of index exactly k."""
-    ncols = 2 * len(p.alphabet)
-    rel_letters = [r.letters for r in p.relators]
+def _rotations(p: Presentation) -> list[tuple]:
+    """Per column, every distinct rotation of every relator and of its
+    inverse that starts with that column, as a pair: its columns and their
+    inverse columns."""
+    by_col: list[dict[tuple[int, ...], None]] = [{} for _ in range(2 * len(p.alphabet))]
+    for r in p.relators:
+        for ls in (r.letters, tuple(-l for l in reversed(r.letters))):
+            cols = tuple(_col(l) for l in ls)
+            for i in range(len(cols)):
+                w = cols[i:] + cols[:i]
+                by_col[w[0]][w] = None
+    return [tuple((w, tuple(x ^ 1 for x in w)) for w in d) for d in by_col]
+
+
+def _count_index(rots: list[tuple], k: int, budget: Budget) -> tuple[int, int]:
+    """(total subgroups, conjugacy classes) of index exactly k, for the
+    relator rotations `_rotations` compiled.
+
+    Sims' search: branch on the first undefined slot in row-major order,
+    trying each coset whose inverse slot is free in increasing order and then
+    a new coset, so each standardized table appears once.  The table is one
+    flat list of k rows with an undo log; after each branch, a deduction queue
+    scans only the relator rotations through each newly defined edge, fills
+    single gaps and prunes on a trace that closes off its start or a clash.
+    The last edge defined on any trace triggers its scan, so a complete table
+    has every relator closing at every coset.
+    """
+    ncols = len(rots)
+    # A coset is held as its row offset c·ncols, so a trace step is one
+    # index: tab[c·ncols + col] is the offset of c's image under col, or -1
+    # while undefined.
+    tab = [-1] * (k * ncols)
+    log: list[int] = []  # slots defined along the current branch, in order
     total = 0
     class_keys: set[tuple] = set()
 
-    def undef_slot(tab):
-        for c in range(len(tab)):
-            row = tab[c]
-            for col in range(ncols):
-                if row[col] is None:
-                    return c, col
-        return None
+    def deduce(c: int, col: int) -> bool:
+        """Close the table under deductions through the defined edge
+        c --col-->.  Returns False on a dead end; defined slots are logged."""
+        queue = [(c, col)]
+        while queue:
+            c, col = queue.pop()
+            first = tab[c + col]
+            for w, winv in rots[col]:
+                L = len(w)
+                f = first
+                i = 1
+                while i < L:
+                    d = tab[f + w[i]]
+                    if d < 0:
+                        break
+                    f = d
+                    i += 1
+                else:
+                    if f != c:
+                        return False
+                    continue
+                b = c
+                j = L - 1
+                while j > i:
+                    d = tab[b + winv[j]]
+                    if d < 0:
+                        break
+                    b = d
+                    j -= 1
+                if j == i:  # single gap: forced edge f --w[i]--> b
+                    back = b + winv[i]
+                    if tab[back] >= 0:
+                        return False
+                    fwd = f + w[i]
+                    tab[fwd] = b
+                    tab[back] = f
+                    log.append(fwd)
+                    log.append(back)
+                    queue.append((f, w[i]))
+        return True
 
-    def rec(tab: list[list[int | None]]):
+    def rec(n: int, slot: int) -> None:
         nonlocal total
         budget.check()
-        slot = undef_slot(tab)
-        if slot is None:
-            if len(tab) == k:
+        end = n * ncols
+        try:
+            slot = tab.index(-1, slot, end)
+        except ValueError:  # no undefined slot: a complete table on n cosets
+            if n == k:
                 total += 1
-                action = [[row[col] for row in tab] for col in range(ncols)]
-                class_keys.add(_class_key(action))  # type: ignore[arg-type]
+                action = [[d // ncols for d in tab[col::ncols]] for col in range(ncols)]
+                class_keys.add(_class_key(action))
             return
-        c, col = slot
-        targets = [d for d in range(len(tab)) if tab[d][_inv_col(col)] is None]
-        if len(tab) < k:
-            targets.append(len(tab))
+        col = slot % ncols
+        c = slot - col
+        inv = col ^ 1
+        targets = [d for d in range(0, end, ncols) if tab[d + inv] < 0]
+        if n < k:
+            targets.append(end)
         for d in targets:
-            t2 = [row[:] for row in tab]
-            if d == len(tab):
-                t2.append([None] * ncols)
-            t2[c][col] = d
-            t2[d][_inv_col(col)] = c
-            if _deduce(t2, rel_letters, ncols):
-                rec(t2)
+            mark = len(log)
+            tab[slot] = d
+            tab[d + inv] = c
+            log.append(slot)
+            log.append(d + inv)
+            if deduce(c, col):
+                rec(n + (d == end), slot + 1)
+            for s in log[mark:]:
+                tab[s] = -1
+            del log[mark:]
 
-    rec([[None] * ncols])
+    try:
+        rec(1, 0)
+    finally:
+        # rec holds itself through its closure cell; emptying the cell frees
+        # the search state now, not at the next cyclic collection
+        del rec
     return total, len(class_keys)
 
 
 def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fingerprint:
     """Count all subgroups of index ≤ bound, exactly, by enumerating
-    standardized coset tables.  Budget exhaustion flags the first index left
-    unfinished; earlier indices stay exact."""
+    standardized coset tables: one search per index, smallest first (see
+    _count_index).  Budget exhaustion flags the first index left unfinished;
+    earlier indices stay exact."""
     if bound < 1:
         raise CosetError("bound must be at least 1")
     budget = budget or Budget.start()
+    rots = _rotations(p)
     totals: dict[int, int] = {}
     classes: dict[int, int] = {}
     exhausted_at = None
     for k in range(1, bound + 1):
         try:
-            t, c = _count_index(p, k, budget)
+            t, c = _count_index(rots, k, budget)
         except BudgetExhausted:
             exhausted_at = k
             break

@@ -401,6 +401,8 @@ def cyclic_group(n: int) -> PermGroup:
 
 
 def symmetric_group(n: int) -> PermGroup:
+    if n < 2:
+        return PermGroup(n, [], name=f"S{n}")
     gens = [perm_from_cycles(n, [(1, 2)])]
     if n > 2:
         gens.append(perm_from_cycles(n, [tuple(range(1, n + 1))]))

@@ -129,6 +129,14 @@ def test_fingerprint_single_and_compare():
     assert len(rep["inputs"]) == 2
 
 
+def test_hom_search_degree_below_one_is_bad_input():
+    code, rep = run("hom-search", "--transitive-degree", "-4", fx("a5"))
+    assert code == 3 and rep["outcome"] == "ERROR"
+    assert "transitive degree" in rep["payload"]["error"]
+    code, rep = run("hom-search", "--transitive-degree", "1", fx("a5"))
+    assert code == 0 and rep["payload"]["targets"] == {}
+
+
 def test_hom_search_bp2_only_trivial():
     code, rep = run("hom-search", "--transitive-degree", "4", fx("bp2"))
     assert code == 0

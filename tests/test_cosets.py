@@ -6,9 +6,12 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.cosets import (
+    _class_key,
     CosetError,
     CosetTable,
     Exhausted,
@@ -19,9 +22,17 @@ from fpgroups.cosets import (
     todd_coxeter,
 )
 from fpgroups.permrep import hom_search, symmetric_group
-from fpgroups.presentations import catalog, load_presentation, parse_presentation, parse_word
+from fpgroups.presentations import (
+    Presentation,
+    catalog,
+    load_presentation,
+    parse_presentation,
+    parse_word,
+)
 from fpgroups.zlattice import abelianization, exponent_matrix, smith_diagonal
-from fpgroups.words import Word
+from fpgroups.words import Alphabet, Word
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def quiet(text):
@@ -302,6 +313,90 @@ def test_low_index_symmetric_three():
     assert f.classes == {1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 1}
 
 
+def _reference_count(p, k: int) -> tuple[int, int]:
+    """(total, classes) at index exactly k by a plain reference search: the
+    same branching as low_index, but the table is copied on every branch and
+    closed by rescanning every relator at every coset until nothing
+    changes."""
+    ncols = 2 * len(p.alphabet)
+    rels = [[2 * (abs(l) - 1) + (l < 0) for l in r.letters] for r in p.relators]
+    keys = set()
+    total = 0
+
+    def closed(tab) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for w in rels:
+                for c in range(len(tab)):
+                    f, i = c, 0
+                    while i < len(w) and tab[f][w[i]] is not None:
+                        f, i = tab[f][w[i]], i + 1
+                    if i == len(w):
+                        if f != c:
+                            return False
+                        continue
+                    b, j = c, len(w) - 1
+                    while j > i and tab[b][w[j] ^ 1] is not None:
+                        b, j = tab[b][w[j] ^ 1], j - 1
+                    if j == i:
+                        if tab[b][w[i] ^ 1] is not None:
+                            return False
+                        tab[f][w[i]], tab[b][w[i] ^ 1] = b, f
+                        changed = True
+        return True
+
+    def rec(tab):
+        nonlocal total
+        slot = next(((c, col) for c, row in enumerate(tab) for col in range(ncols)
+                     if row[col] is None), None)
+        if slot is None:
+            if len(tab) == k:
+                total += 1
+                keys.add(_class_key([[row[col] for row in tab] for col in range(ncols)]))
+            return
+        c, col = slot
+        for d in [d for d in range(len(tab)) if tab[d][col ^ 1] is None] + (
+            [len(tab)] if len(tab) < k else []
+        ):
+            t2 = [row[:] for row in tab] + ([[None] * ncols] if d == len(tab) else [])
+            t2[c][col], t2[d][col ^ 1] = d, c
+            if closed(t2):
+                rec(t2)
+
+    rec([[None] * ncols])
+    return total, len(keys)
+
+
+def _assert_matches_reference(p, bound: int) -> None:
+    f = low_index(p, bound)
+    assert f.complete
+    for k in range(1, bound + 1):
+        assert (f.totals[k], f.classes[k]) == _reference_count(p, k), k
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("a5", 5), ("q8", 5), ("klein", 5), ("z5", 5), ("baumslag25_1", 5),
+     ("baumslag25_2", 5), ("trivial", 5), ("free2", 5), ("bp2", 5)],
+)
+def test_low_index_matches_reference_search(name, bound):
+    _assert_matches_reference(load_presentation((FIXTURES / f"{name}.pres").read_text()), bound)
+
+
+_AB = Alphabet(["a", "b"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
+                min_size=1, max_size=3))
+def test_low_index_matches_reference_search_random(relators):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # relators that reduce away, duplicates
+        p = Presentation(_AB, [Word(_AB, r) for r in relators])
+    _assert_matches_reference(p, 4)
+
+
 def _hall_totals(h: dict[int, int], bound: int) -> dict[int, int]:
     """Subgroup counts a_n from h_n = |Hom(G, S_n)| by M. Hall's 1949 formula
     a_n = h_n/(n-1)! - sum_{k<n} h_{n-k} a_k/(n-k)!."""
@@ -319,12 +414,12 @@ def _hall_totals(h: dict[int, int], bound: int) -> dict[int, int]:
     "name", ["a5", "q8", "klein", "z5", "baumslag25_1", "baumslag25_2", "trivial", "free2"]
 )
 def test_low_index_totals_match_hall_formula(name):
-    p = load_presentation((Path(__file__).parent / "fixtures" / f"{name}.pres").read_text())
+    p = load_presentation((FIXTURES / f"{name}.pres").read_text())
     if name == "free2":  # a hom from F_2 is any pair of images
         h = {n: factorial(n) ** 2 for n in range(1, 6)}
     else:
-        h = {1: 1}
-        for n in range(2, 6):
+        h = {}
+        for n in range(1, 6):
             res = hom_search(p, symmetric_group(n))
             assert res.complete
             h[n] = len(res.homs)
@@ -339,16 +434,16 @@ def test_low_index_budget_flags_partial():
 
 
 def test_low_index_partial_keeps_early_indices():
-    # generous enough for index 1 but certain to die by 6
+    # indices 1-4 of F2 take milliseconds; index 7 alone has 29,093 subgroups
     fast = low_index(F2, 3)
     assert fast.complete  # sanity: the full search is quick
 
-    f = low_index(F2, 6, Budget.start(time_limit_s=0.15))
-    if not f.complete:
-        assert f.exhausted_at is not None
-        for k in f.totals:
-            assert k < f.exhausted_at
-            assert f.totals[k] == low_index(F2, k).totals[k]
+    f = low_index(F2, 8, Budget.start(time_limit_s=0.15))
+    assert not f.complete
+    assert f.exhausted_at >= 2
+    for k in f.totals:
+        assert k < f.exhausted_at
+        assert f.totals[k] == low_index(F2, k).totals[k]
 
 
 # -- fingerprints -----------------------------------------------------------

@@ -63,6 +63,7 @@ def test_perm_basics():
 def test_atlas_orders():
     assert cyclic_group(6).order() == 6
     assert symmetric_group(4).order() == 24
+    assert symmetric_group(1).order() == 1
     assert alternating_group(5).order() == 60
     expected = {
         2: [2],

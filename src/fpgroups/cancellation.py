@@ -10,9 +10,16 @@ Each relator core and its inverse is canonicalised once (Booth's least
 rotation) into deduplicated rotation classes; the checker and the Dehn
 solver share that one pass.  Piece search runs on a generalized suffix array
 over the doubled cyclic words (so every rotation's subwords are visible) with
-per-word unique separators.  A match between two positions is capped at the length of the
-shorter participating cyclic word: a longer overlap wraps around that word
-and is not a subword of any single rotation of it.
+per-word unique separators.  A match between two positions is capped at the
+length of the shorter participating cyclic word: a longer overlap wraps
+around that word and is not a subword of any single rotation of it.
+
+The sort, the LCP and the match scan run in numpy.  Prefix doubling sorts
+the first-copy suffixes and keeps the rank array of each round; the LCP of
+neighbouring first-copy suffixes comes from binary lifting over those
+ranks, exactly.  Where neither neighbour's LCP exceeds its cap, the longer
+of the two is the position's best match; the few positions where a cap
+binds walk outward through the suffix order in Python.
 
 Words of the presented group can be tested for triviality by Dehn's
 algorithm once the presentation is verified C'(1/6): Greendlinger's lemma
@@ -168,134 +175,143 @@ class PieceReport:
 # suffix-array machinery
 
 
-def _suffix_array(a: np.ndarray, budget: Budget) -> np.ndarray:
-    """Suffix array by prefix doubling over integer content; the deadline is
-    checked after every doubling round."""
+def _suffix_array(
+    a: np.ndarray, keep: np.ndarray, budget: Budget
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The positions where keep is set, in the order of their suffixes, by
+    prefix doubling (Manber & Myers) over integer content, and the int32 rank
+    array of every round before the last: levels[j][p] ranks the 2^j-letter
+    prefix of suffix p.  The content must end in a letter that occurs nowhere
+    else, so equal ranks at two positions mean 2^j equal letters.  Rounds
+    stop once the kept suffixes have distinct ranks, so no two kept suffixes
+    share 2^len(levels) letters; the deadline is checked after every round."""
     n = a.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     _, rank = np.unique(a, return_inverse=True)
-    rank = rank.astype(np.int64)
+    rank = rank.astype(np.int32)
+    levels = []
     k = 1
     while True:
-        second = np.full(n, -1, dtype=np.int64)
-        if k < n:
-            second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        c1 = rank[order]
-        c2 = second[order]
-        new = np.empty(n, dtype=np.int64)
+        levels.append(rank)
+        # sort on (rank of the first half, 1 + rank of the second half or 0
+        # past the end) as one int64 key; rank < n, so the key cannot overflow
+        key = rank.astype(np.int64) * (n + 1)
+        key[: n - k] += rank[k:] + 1
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(n, dtype=np.int32)
         new[0] = 0
-        np.cumsum((c1[1:] != c1[:-1]) | (c2[1:] != c2[:-1]), out=new[1:])
+        np.cumsum(key[1:] != key[:-1], out=new[1:])
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = new
         budget.check()
-        if new[-1] == n - 1:
-            return order
-        rank2 = np.empty(n, dtype=np.int64)
-        rank2[order] = new
-        rank = rank2
+        kept = order[keep[order]]
+        r = rank[kept]
+        if (r[1:] != r[:-1]).all():
+            return kept, levels
         k *= 2
 
 
-def _lcp_kasai(s: list[int], sa: list[int]) -> list[int]:
-    """lcp[i] = longest common prefix of suffixes sa[i] and sa[i+1]."""
-    n = len(s)
-    if n < 2:
-        return []
-    rank = [0] * n
-    for i, p in enumerate(sa):
-        rank[p] = i
-    lcp = [0] * (n - 1)
-    h = 0
-    for p in range(n):
-        r = rank[p]
-        if r == n - 1:
-            h = 0
-            continue
-        q = sa[r + 1]
-        limit = n - max(p, q)
-        while h < limit and s[p + h] == s[q + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
+def _lcp(levels: list[np.ndarray], p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Longest common prefix of the suffixes at p and at q, pairwise, by
+    binary lifting over the doubling ranks; each pair must share fewer than
+    2^len(levels) letters, as two kept suffixes do, so its lcp is a sum of
+    distinct powers of two below that."""
+    h = np.zeros(p.size, dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        lv = levels[j]
+        h[lv[p + h] == lv[q + h]] += 1 << j
+    return h
 
 
-def _max_matches(words: list[_CyclicWord], budget: Budget):
-    """For every position (cyclic word w, offset t < |w|) find the longest
-    subword starting there that also occurs at some other position, each
-    match capped at the shorter participating word's length.
+def _max_matches(words: list[_CyclicWord], budget: Budget) -> list[tuple[int, int, int, int]]:
+    """For every rotation class w, the longest subword starting at a position
+    (w, t), t < |w|, that also occurs at some other position, each match
+    capped at the shorter participating word's length.
 
-    Returns (best, partner): position -> match length (only positions with a
-    match), and position -> a partner position attaining it.  Positions are
-    (word_index, offset) pairs.
+    Returns per class (length, t, partner class, partner offset), length 0
+    when w has no piece.  Among the positions of w attaining the length, t
+    comes first in suffix order; its partner is the first position attaining
+    it on a walk outward from t through the suffix order, left side first.
     """
-    seq: list[int] = []
-    meta: list[tuple[int, int] | None] = []  # (word_idx, offset) for first-copy cells
-    sep = 10**9
+    if not words:
+        return []
+    lengths = np.array([len(w.letters) for w in words], dtype=np.int64)
+    parts = []
     for wi, w in enumerate(words):
-        n = len(w.letters)
-        for copy in range(2):
-            for t, l in enumerate(w.letters):
-                seq.append(l)
-                meta.append((wi, t) if copy == 0 else None)
-        sep += 1
-        seq.append(sep)  # unique separator outside the letter range
-        meta.append(None)
-    if not seq:
-        return {}, {}
-    sa = _suffix_array(np.asarray(seq, dtype=np.int64), budget).tolist()
-    lcp = _lcp_kasai(seq, sa)
+        ls = np.asarray(w.letters, dtype=np.int64)
+        parts += [ls, ls, [10**9 + 1 + wi]]  # a unique separator past the letters
+    seq = np.concatenate(parts)
+    block = 2 * lengths + 1
+    word_of = np.repeat(np.arange(len(words)), block)
+    offset = np.arange(seq.size) - np.repeat(np.cumsum(block) - block, block)
+    # first-copy positions in suffix order and the lcp of each adjacent pair
+    kept, levels = _suffix_array(seq, offset < lengths[word_of], budget)
+    lcp = _lcp(levels, kept[:-1], kept[1:])
+    del levels
     budget.check()
-    lcp.append(0)  # sentinel so lcp[i] is defined for the last SA slot
 
-    # walk the SA keeping first-copy positions; neighbor lcps by running min
-    kept_pos: list[tuple[int, int]] = []
-    kept_lcp: list[int] = []  # between consecutive kept entries
-    run = None
-    for i, p in enumerate(sa):
-        mp = meta[p]
-        if mp is not None:
-            kept_pos.append(mp)
-            if run is not None:
-                kept_lcp.append(run)
-            run = lcp[i]
-        elif run is not None:
-            if lcp[i] < run:
-                run = lcp[i]
+    # where no cap binds, matches only shrink away from a position, so the
+    # nearer neighbour on each side attains its best match
+    cap = lengths[word_of[kept]]
+    left = np.concatenate(([0], lcp))
+    right = np.concatenate((lcp, [0]))
+    cap_l = np.concatenate(([0], cap[:-1]))
+    cap_r = np.concatenate((cap[1:], [0]))
+    best = np.maximum(left, right)
+    idx = np.arange(kept.size)
+    partner = np.where(left >= right, idx - 1, idx + 1)
+    walk = np.flatnonzero(
+        (left > np.minimum(cap, cap_l)) | (right > np.minimum(cap, cap_r))
+    )
+    if walk.size:
+        best[walk], partner[walk] = _walk(walk.tolist(), lcp.tolist(), cap.tolist())
+    budget.check()
 
-    lengths = [len(w.letters) for w in words]
-    k = len(kept_pos)
-    best: dict[tuple[int, int], int] = {}
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(k):
-        cap_i = lengths[kept_pos[i][0]]
+    # group by class (stable, so suffix order holds within a class); the
+    # first maximum of each group is the class's representative
+    by_word = np.argsort(word_of[kept], kind="stable")
+    out = []
+    for group in np.split(by_word, np.cumsum(lengths)[:-1]):
+        i = group[np.argmax(best[group])]
+        if not best[i]:
+            out.append((0, 0, 0, 0))
+            continue
+        j = kept[partner[i]]
+        out.append((int(best[i]), int(offset[kept[i]]), int(word_of[j]), int(offset[j])))
+    return out
+
+
+def _walk(positions: list[int], lcp: list[int], cap: list[int]) -> tuple[list[int], list[int]]:
+    """The best capped match and its partner at each given position of the
+    kept suffix order, by walking outward: left first, then right, each side
+    stopping once the running lcp cannot beat the best so far."""
+    k = len(cap)
+    best, partner = [], []
+    for i in positions:
         b = 0
-        arg = None
-        run_l = None
+        arg = i
+        run = None
         j = i - 1
-        while j >= 0:  # leftward: lcp(p_i, p_j) = min kept_lcp over (j, i]
-            run_l = kept_lcp[j] if run_l is None else min(run_l, kept_lcp[j])
-            if run_l <= b:
+        while j >= 0:  # lcp of kept j and kept i is min(lcp[j:i])
+            run = lcp[j] if run is None else min(run, lcp[j])
+            if run <= b:
                 break
-            cand = min(run_l, cap_i, lengths[kept_pos[j][0]])
+            cand = min(run, cap[i], cap[j])
             if cand > b:
-                b, arg = cand, kept_pos[j]
+                b, arg = cand, j
             j -= 1
-        run_r = None
+        run = None
         j = i
         while j < k - 1:
-            run_r = kept_lcp[j] if run_r is None else min(run_r, kept_lcp[j])
-            if run_r <= b:
+            run = lcp[j] if run is None else min(run, lcp[j])
+            if run <= b:
                 break
-            cand = min(run_r, cap_i, lengths[kept_pos[j + 1][0]])
+            cand = min(run, cap[i], cap[j + 1])
             if cand > b:
-                b, arg = cand, kept_pos[j + 1]
+                b, arg = cand, j + 1
             j += 1
-        if b > 0:
-            best[kept_pos[i]] = b
-            partner[kept_pos[i]] = arg
-    budget.check()
+        best.append(b)
+        partner.append(arg)
     return best, partner
 
 
@@ -319,7 +335,7 @@ def _piece_report(
     budget: Budget,
 ) -> PieceReport:
     budget.check()
-    best, partner = _max_matches(words, budget)
+    matches = _max_matches(words, budget)
 
     proper = tuple(i for i, r in enumerate(p.relators) if proper_power_root(r)[1] > 1)
     if proper:
@@ -329,14 +345,6 @@ def _piece_report(
             stacklevel=3,
         )
 
-    # aggregate per rotation class, then map back to relators
-    word_max = [0] * len(words)
-    word_arg: dict[int, tuple[int, int]] = {}
-    for (wi, t), b in best.items():
-        if b > word_max[wi]:
-            word_max[wi] = b
-            word_arg[wi] = (wi, t)
-
     rows: list[RelatorPieces] = []
     failing: list[int] = []
     verdict = True
@@ -345,16 +353,15 @@ def _piece_report(
         mx = 0
         wit = None
         for wi in pair:
-            if word_max[wi] > mx:
-                mx = word_max[wi]
-                src = word_arg[wi]
-                dst = partner[src]
-                w_src, w_dst = words[src[0]], words[dst[0]]
+            b, t, pw, pt = matches[wi]
+            if b > mx:
+                mx = b
+                w_src, w_dst = words[wi], words[pw]
                 dbl = w_src.letters + w_src.letters
                 wit = PieceWitness(
-                    piece=dbl[src[1] : src[1] + mx],
-                    first=Occurrence(w_src.source, w_src.inverse, src[1]),
-                    second=Occurrence(w_dst.source, w_dst.inverse, dst[1]),
+                    piece=dbl[t : t + mx],
+                    first=Occurrence(w_src.source, w_src.inverse, t),
+                    second=Occurrence(w_dst.source, w_dst.inverse, pt),
                 )
         rows.append(RelatorPieces(relator=idx, length=n, max_piece=mx, witness=wit))
         if m * mx >= n:  # violates |piece| < n/m

@@ -19,8 +19,8 @@ whose images have exponent sum zero in both letters.  The filler part of
 every relator then vanishes under abelianization, so the conjugation relators
 x^e a_i x^-e v kill the a-columns outright and H_1(Gamma) = H_1(Q); in
 particular Gamma is perfect whenever Q is.  The segment lengths are designed
-for the positive scheme underneath at parameter 5m (sigma_0 stretches letters
-sixfold), but only the final presentation is certified, at m.
+at m as for the positive scheme: sigma_0 stretches every filler bit, and so
+every piece between fillers and every segment alike, sixfold.
 
 uce(G) presents the universal central extension of a perfect group on the
 same generators: the commutator family [a, r] makes every old relator
@@ -144,8 +144,8 @@ def rips(
     The de Bruijn order d starts at the smallest value whose sequence holds
     all W = |R| + 4|X| segments and is raised until the output's C'(1/m)
     certificate passes; in practice the first d succeeds.  With zero_exponent
-    the segments are designed for the positive scheme at 5m, which is not
-    itself certified.  The budget's deadline is checked before each attempt.
+    the segments are the positive scheme's, stretched sixfold by sigma_0.
+    The budget's deadline is checked before each attempt.
     """
     if m < 6:
         raise RipsError(f"cancellation parameter must be at least 6, got {m}")
@@ -171,12 +171,11 @@ def rips(
     ]
     n_segments = len(heads)
     prefix_max = max(map(len, heads))
-    design_m = 5 * m if zero_exponent else m
     stretch = 6 if zero_exponent else 1
 
     def segment_length(d: int) -> int:
         # piece candidates span at most one prefix plus two sub-d filler runs
-        return design_m * (prefix_max + 2 * d + 4) + 1
+        return m * (prefix_max + 2 * d + 4) + 1
 
     d = 2
     while n_segments * segment_length(d) > (1 << d):

@@ -271,6 +271,10 @@ def hom_search(
         assign({}, 1)
     except BudgetExhausted:
         complete = False
+    finally:
+        # assign holds itself through its closure cell; emptying the cell
+        # frees the search state now, not at the next cyclic collection
+        del assign
     return HomSearchResult(tuple(found), tuple(flags), complete)
 
 

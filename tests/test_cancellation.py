@@ -1,17 +1,27 @@
+import json
 import random
 import warnings
 from collections import defaultdict
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpgroups import cancellation
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.cancellation import (
     DehnSolver,
     SmallCancellationError,
     check_metric,
 )
+from fpgroups.construct import rips
 from fpgroups.presentations import Presentation, parse_presentation
 from fpgroups.words import Alphabet, Word
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.pres"))
 
 
 # --- exhaustive piece oracle (positional convention, wrap-capped) ----------
@@ -56,11 +66,130 @@ def brute_max_pieces(p: Presentation) -> dict[int, int]:
     return out
 
 
+def quiet_presentation_text(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return parse_presentation(text)
+
+
 def quiet_presentation(names, relator_letters):
     ab = Alphabet(names)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return Presentation(ab, [Word(ab, ls) for ls in relator_letters])
+
+
+# --- the pure-Python piece scan, kept as an oracle for _max_matches ---------
+
+
+def lcp_kasai(s: list[int], sa: list[int]) -> list[int]:
+    """lcp[i] = longest common prefix of suffixes sa[i] and sa[i+1]."""
+    n = len(s)
+    if n < 2:
+        return []
+    rank = [0] * n
+    for i, p in enumerate(sa):
+        rank[p] = i
+    lcp = [0] * (n - 1)
+    h = 0
+    for p in range(n):
+        r = rank[p]
+        if r == n - 1:
+            h = 0
+            continue
+        q = sa[r + 1]
+        limit = n - max(p, q)
+        while h < limit and s[p + h] == s[q + h]:
+            h += 1
+        lcp[r] = h
+        if h:
+            h -= 1
+    return lcp
+
+
+def oracle_max_matches(words, budget):
+    """Kasai's LCP and a per-position walk over the kept suffix order, with
+    the per-class aggregation of the report: the same contract as
+    cancellation._max_matches."""
+    seq: list[int] = []
+    meta: list[tuple[int, int] | None] = []  # (word_idx, offset) for first-copy cells
+    sep = 10**9
+    for wi, w in enumerate(words):
+        for copy in range(2):
+            for t, l in enumerate(w.letters):
+                seq.append(l)
+                meta.append((wi, t) if copy == 0 else None)
+        sep += 1
+        seq.append(sep)
+        meta.append(None)
+    if not seq:
+        return []
+    a = np.asarray(seq, dtype=np.int64)
+    sa = cancellation._suffix_array(a, np.ones(a.size, dtype=bool), budget)[0].tolist()
+    lcp = lcp_kasai(seq, sa)
+    lcp.append(0)
+
+    kept_pos: list[tuple[int, int]] = []
+    kept_lcp: list[int] = []  # between consecutive kept entries
+    run = None
+    for i, p in enumerate(sa):
+        mp = meta[p]
+        if mp is not None:
+            kept_pos.append(mp)
+            if run is not None:
+                kept_lcp.append(run)
+            run = lcp[i]
+        elif run is not None:
+            if lcp[i] < run:
+                run = lcp[i]
+
+    lengths = [len(w.letters) for w in words]
+    k = len(kept_pos)
+    best: dict[tuple[int, int], int] = {}
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    for i in range(k):
+        cap_i = lengths[kept_pos[i][0]]
+        b = 0
+        arg = None
+        run_l = None
+        j = i - 1
+        while j >= 0:
+            run_l = kept_lcp[j] if run_l is None else min(run_l, kept_lcp[j])
+            if run_l <= b:
+                break
+            cand = min(run_l, cap_i, lengths[kept_pos[j][0]])
+            if cand > b:
+                b, arg = cand, kept_pos[j]
+            j -= 1
+        run_r = None
+        j = i
+        while j < k - 1:
+            run_r = kept_lcp[j] if run_r is None else min(run_r, kept_lcp[j])
+            if run_r <= b:
+                break
+            cand = min(run_r, cap_i, lengths[kept_pos[j + 1][0]])
+            if cand > b:
+                b, arg = cand, kept_pos[j + 1]
+            j += 1
+        if b > 0:
+            best[kept_pos[i]] = b
+            partner[kept_pos[i]] = arg
+
+    out = [(0, 0, 0, 0)] * len(words)
+    for (wi, t), b in best.items():
+        if b > out[wi][0]:
+            out[wi] = (b, t, *partner[(wi, t)])
+    return out
+
+
+def assert_matches_oracle(p: Presentation, m: int) -> None:
+    """check_metric's report is byte-identical to the oracle scan's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = json.dumps(check_metric(p, m).to_json(p.alphabet))
+        with mock.patch.object(cancellation, "_max_matches", oracle_max_matches):
+            want = json.dumps(check_metric(p, m).to_json(p.alphabet))
+    assert got == want, p.to_text()[:200]
 
 
 # --- check_metric -----------------------------------------------------------
@@ -191,6 +320,46 @@ def test_brute_cross_check_random():
         for row, rel in zip(rep.rows, p.relators):
             assert row.max_piece == brute[row.relator], (trial, p.to_text())
             assert row.length == len(rel.cyclic_reduce()[0]), (trial, p.to_text())
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda f: f.stem)
+def test_piece_reports_match_the_oracle_on_fixtures(path):
+    q = quiet_presentation_text(path.read_text())
+    assert_matches_oracle(q, 6)
+    for m, zero in ((6, True), (7, True), (12, True), (12, False)):
+        assert_matches_oracle(rips(q, m, zero_exponent=zero).gamma, m)
+
+
+def test_capped_positions_take_the_exact_walk():
+    # "a b a b b" matches its neighbour "a b" past the shorter word's
+    # length, so the cap binds and the walk decides
+    p = quiet_presentation(["a", "b"], [(1, 2, 1, 2, 2), (1, 2)])
+    with mock.patch.object(cancellation, "_walk", wraps=cancellation._walk) as walk:
+        assert_matches_oracle(p, 2)
+    assert walk.called
+
+
+@st.composite
+def small_presentations(draw):
+    """Up to four relators over one to three generators: short words,
+    proper powers of them, one-letter relators, and optionally every
+    relator's inverse beside it."""
+    n_gen = draw(st.integers(1, 3))
+    letter = st.integers(1, n_gen).flatmap(lambda g: st.sampled_from((g, -g)))
+    drawn = draw(st.lists(
+        st.tuples(st.lists(letter, min_size=1, max_size=6), st.integers(1, 3)),
+        min_size=1, max_size=4,
+    ))
+    rels = [tuple(ls) * k for ls, k in drawn]
+    if draw(st.booleans()):
+        rels += [tuple(-x for x in reversed(r)) for r in rels]
+    return quiet_presentation(["a", "b", "c"][:n_gen], rels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_presentations(), st.integers(2, 7))
+def test_piece_reports_match_the_oracle_on_small_presentations(p, m):
+    assert_matches_oracle(p, m)
 
 
 # --- Dehn's algorithm -------------------------------------------------------

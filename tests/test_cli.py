@@ -12,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from fpgroups import construct
+from fpgroups.budget import BudgetExhausted
 from fpgroups.cli import dispatch
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -280,12 +282,24 @@ def test_time_limit_bounds_the_whole_run():
     assert code == 2 and rep["payload"]["equal"] is None
 
 
-def test_time_limit_bounds_the_piece_check(tmp_path):
-    # rips and its piece check used to ignore the clock: this ran 7.5 s, exit 0
+def test_time_limit_bounds_the_piece_check(tmp_path, monkeypatch):
+    # the deadline must cut rips short inside its piece check: at m = 96 the
+    # output has about 540k letters, which the check takes seconds over
+    check_metric, cut_short = construct.check_metric, []
+
+    def watched(*args):
+        try:
+            return check_metric(*args)
+        except BudgetExhausted:
+            cut_short.append(True)
+            raise
+
+    monkeypatch.setattr(construct, "check_metric", watched)
     started = time.perf_counter()
-    code, rep = run("rips", "--m", "7", "--zero-exponent", "--time-limit", "0.5", fx("bp2"))
+    code, rep = run("rips", "--m", "96", "--zero-exponent", "--time-limit", "0.5", fx("bp2"))
     assert time.perf_counter() - started < 3.0
     assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    assert cut_short == [True]
     f = tmp_path / "surface.pres"
     f.write_text("< a, b, c, d | [a, b] [c, d] >")
     for argv in (("sc-check", "--m", "6"), ("dehn", "--word", "a")):

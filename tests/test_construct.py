@@ -2,9 +2,11 @@
 
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+from fpgroups import construct
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.cancellation import DehnSolver, check_metric
 from fpgroups.construct import (
@@ -32,6 +34,7 @@ def quiet(text):
 
 A5 = catalog("A5").presentation
 BP2 = catalog("Bp", (2,)).presentation
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.pres"))
 
 
 @lru_cache(maxsize=None)
@@ -167,6 +170,25 @@ def test_rips_to_json_shape():
     # the worst piece stays under 1/7 of the shortest relator
     shortest = min(len(r) for r in rr.gamma.relators)
     assert 0 < j["max_piece"] * 7 < shortest
+
+
+@pytest.mark.parametrize("m", (6, 7, 12))
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda f: f.stem)
+def test_rips_zero_exponent_certifies_at_the_first_order(path, m, monkeypatch):
+    # the fillers are designed at m: sigma_0 stretches pieces and segments
+    # alike, so the first de Bruijn order's certificate passes
+    check, reports = construct.check_metric, []
+
+    def counted(*args):
+        reports.append(check(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(construct, "check_metric", counted)
+    rr = rips(quiet(path.read_text()), m, zero_exponent=True)
+    assert len(reports) == 1 and rr.metric is reports[0] and rr.metric.verdict
+    shortest = min(len(r) for r in rr.gamma.relators)
+    assert 0 < rr.metric.max_piece() * m < shortest
+    assert rr.to_json()["total_letters"] == sum(len(r) for r in rr.gamma.relators)
 
 
 # -- uce ---------------------------------------------------------------------

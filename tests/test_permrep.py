@@ -1,7 +1,9 @@
 """Permutation quotients: hom search, epi counting, fibre products."""
 
+import gc
 import warnings
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,20 @@ def test_hom_search_budget_partial():
         Budget.start(time_limit_s=0.0),
     )
     assert not res.complete
+
+
+def test_hom_search_leaves_no_reference_cycles():
+    # the recursive search closure must not keep a call's state alive until
+    # the cyclic collector runs
+    p = parse_presentation((Path(__file__).parent / "fixtures" / "bp2.pres").read_text())
+    gc.collect()
+    gc.disable()
+    try:
+        for target in (symmetric_group(4), *transitive_groups(5)):
+            assert hom_search(p, target).complete
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_epis_permuted_by_conjugation():

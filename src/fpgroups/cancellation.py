@@ -85,13 +85,17 @@ class _CyclicWord:
     inverse: bool  # representative is the inverse of that relator's core
 
 
-def _cyclic_words(p: Presentation) -> tuple[list[_CyclicWord], list[tuple[int, int]]]:
+def _cyclic_words(
+    p: Presentation, budget: Budget
+) -> tuple[list[_CyclicWord], list[tuple[int, int]]]:
     """Deduplicated rotation classes of relator cores and their inverses, and
-    per relator the class indices of its core and of its core's inverse."""
+    per relator the class indices of its core and of its core's inverse.  The
+    budget's deadline is checked once per relator."""
     out: list[_CyclicWord] = []
     index: dict[tuple[int, ...], int] = {}
     classes: list[tuple[int, int]] = []
     for idx, r in enumerate(p.relators):
+        budget.check()
         core, _ = r.cyclic_reduce()
         pair = []
         for inv, ls in ((False, core.letters), (True, tuple(-x for x in reversed(core.letters)))):
@@ -324,7 +328,8 @@ def check_metric(p: Presentation, m: int, budget: Budget | None = None) -> Piece
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    return _piece_report(p, m, *_cyclic_words(p), budget or Budget.start())
+    budget = budget or Budget.start()
+    return _piece_report(p, m, *_cyclic_words(p, budget), budget)
 
 
 def _piece_report(
@@ -415,8 +420,9 @@ class DehnSolver:
 
     def __init__(self, p: Presentation, budget: Budget | None = None):
         self.presentation = p
-        self.words, classes = _cyclic_words(p)
-        report = _piece_report(p, 6, self.words, classes, budget or Budget.start())
+        budget = budget or Budget.start()
+        self.words, classes = _cyclic_words(p, budget)
+        report = _piece_report(p, 6, self.words, classes, budget)
         if not report.verdict:
             raise SmallCancellationError(
                 f"presentation is not C'(1/6): relators {list(report.failing)} "

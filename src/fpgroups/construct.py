@@ -50,11 +50,7 @@ from .budget import Budget, BudgetExhausted
 from .cancellation import PieceReport, check_metric
 from .cosets import Fingerprint, low_index
 from .homology import schur_multiplier
-from .presentations import (
-    Presentation,
-    PresentationWarning,
-    direct_product,
-)
+from .presentations import Presentation, PresentationWarning
 from .words import Alphabet, Word, commutator
 from .zlattice import (
     AbelianInvariants,
@@ -523,7 +519,7 @@ def grothendieck_evidence(
 @dataclass(frozen=True)
 class PipelineResult:
     rips_stage: RipsResult
-    extension: Presentation  # Gtilde x Gtilde
+    tilde: Presentation  # Gtilde; the extension is Gtilde x Gtilde
     p_generators: tuple[tuple[Word, Word], ...]  # over Gtilde's alphabet
     counts: dict
     evidence: GrothendieckEvidence
@@ -554,7 +550,9 @@ def pipeline(
     """rips (zero-exponent) -> uce -> direct square, with the fibre-product
     generating pairs {(x,x)} u {(a_1,1), (a_2,1)} u {(r,1) : r in R}.
 
-    Generator and relator counts of the extension depend only on (|X|, |R|):
+    The result carries Gtilde; the square Gtilde x Gtilde is built only by a
+    caller that writes it (direct_product).  Generator and relator counts of
+    the extension depend only on (|X|, |R|):
     2(|X|+2) generators and (|X|+2)^2 + 2(|X|+2)(1+|R|+4|X|) relators.
     """
     if not is_perfect(q):
@@ -564,9 +562,6 @@ def pipeline(
     budget = budget or Budget.start()
     rr = rips(q, m, zero_exponent=True, budget=budget)
     ur = uce(rr.gamma, budget)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PresentationWarning)
-        extension = direct_product(ur.tilde, ur.tilde)
 
     galph = rr.gamma.alphabet
     one = Word.identity(galph)
@@ -576,9 +571,12 @@ def pipeline(
     # q-relator are valid as-is
     p_gens += [(Word(galph, r.letters, _reduced=True), one) for r in q.relators]
 
+    # direct_product keeps every relator of both factors and adds one
+    # commutator per pair of generators
+    nx, nr = len(ur.tilde.alphabet), len(ur.tilde.relators)
     counts = {
-        "extension_generators": len(extension.alphabet),
-        "extension_relators": len(extension.relators),
+        "extension_generators": 2 * nx,
+        "extension_relators": 2 * nr + nx * nx,
         "p_generators": len(p_gens),
     }
 
@@ -586,11 +584,11 @@ def pipeline(
     deadline = min(budget.deadline, time.monotonic() + 10.0)
     sub_budget = replace(budget, deadline=deadline, max_cosets=min(budget.max_cosets, 20_000))
     evidence = grothendieck_evidence(q, evidence_index, sub_budget)
-    budget.check()  # direct_product never reads the clock; an overrun run is exhausted
+    budget.check()  # the evidence keeps its own exhaustion; an overrun run is exhausted
 
     return PipelineResult(
         rips_stage=rr,
-        extension=extension,
+        tilde=ur.tilde,
         p_generators=tuple(p_gens),
         counts=counts,
         evidence=evidence,

@@ -1,12 +1,16 @@
 """Coset enumeration and everything built on it.
 
-todd_coxeter is HLT-style (scan-and-fill under the run budget's coset cap and
-deadline), with coincidence handling through a union-find and symmetric
-tables; completed tables are compressed and standardized (breadth-first
-renumbering), so the output is independent of enumeration order.  Exhaustion
-is a first-class result, never an exception (the word problem behind this is
-undecidable in general): todd_coxeter returns a caught BudgetExhausted as an
-Exhausted value, low_index as a Fingerprint's first unfinished index.
+todd_coxeter is one HLT pass (scan-and-fill of every relator at every coset
+in definition order, under the run budget's coset cap and deadline) over
+symmetric tables on relators compiled to columns once.  Coincidences are
+processed eagerly: a dead coset's edges move to its survivor at once, so no
+live row ever holds a dead coset.  The coset cap counts cosets defined, dead
+ones included.  Completed tables are compressed and standardized
+(breadth-first renumbering), so the output is independent of enumeration
+order.  Exhaustion is a first-class result, never an exception (the word
+problem behind this is undecidable in general): todd_coxeter returns a caught
+BudgetExhausted as an Exhausted value, low_index as a Fingerprint's first
+unfinished index.
 
 reidemeister_schreier rewrites relator conjugates on Schreier generators of
 a complete table.  low_index enumerates standardized coset tables directly by
@@ -37,7 +41,7 @@ class Exhausted:
     """Enumeration hit its cap before closing; carries what was spent."""
 
     reason: str
-    cosets_used: int
+    cosets_used: int  # cosets defined, dead ones included, as the cap counts
     max_cosets: int
 
     def __bool__(self) -> bool:  # lets callers write `if not result:`
@@ -46,10 +50,6 @@ class Exhausted:
 
 def _col(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
-
-def _inv_col(col: int) -> int:
-    return col ^ 1
 
 
 class CosetTable:
@@ -152,10 +152,13 @@ def _bfs_order(action: list[list[int]], start: int) -> list[int]:
 
 
 class _Enumerator:
+    """The HLT table: rows of column entries, None while undefined.  Every
+    edge is stored with its inverse, and after each coincidence no live row
+    holds a dead coset, so entries are read directly."""
+
     def __init__(self, ncols: int, max_cosets: int):
         self.tab: list[list[int | None]] = [[None] * ncols]
-        self.parent = [0]  # union-find over coset ids
-        self.alive = 1
+        self.parent = [0]  # union-find over coset ids; a live coset is its own root
         self.ncols = ncols
         self.max_cosets = max_cosets
 
@@ -167,98 +170,75 @@ class _Enumerator:
         return c
 
     def new_coset(self) -> int:
-        if len(self.tab) >= self.max_cosets:
+        n = len(self.tab)
+        if n >= self.max_cosets:
             raise BudgetExhausted("coset cap")
         self.tab.append([None] * self.ncols)
-        self.parent.append(len(self.tab) - 1)
-        self.alive += 1
-        return len(self.tab) - 1
-
-    def get(self, c: int, col: int) -> int | None:
-        d = self.tab[c][col]
-        if d is None:
-            return None
-        d2 = self.find(d)
-        if d2 != d:
-            self.tab[c][col] = d2
-        return d2
-
-    def set_edge(self, c: int, col: int, d: int) -> None:
-        """Record c --col--> d and the inverse edge, merging on conflict."""
-        pend = [(c, col, d)]
-        while pend:
-            c, col, d = pend.pop()
-            c, d = self.find(c), self.find(d)
-            e = self.get(c, col)
-            if e is not None:
-                if e != d:
-                    self.coincide(e, d)
-                continue
-            self.tab[c][col] = d
-            back = self.get(d, _inv_col(col))
-            if back is None:
-                self.tab[d][_inv_col(col)] = c
-            elif back != c:
-                self.coincide(back, c)
+        self.parent.append(n)
+        return n
 
     def coincide(self, a: int, b: int) -> None:
-        queue = [(a, b)]
-        while queue:
-            x, y = queue.pop()
-            x, y = self.find(x), self.find(y)
-            if x == y:
-                continue
-            if y < x:
-                x, y = y, x
-            self.parent[y] = x
-            self.alive -= 1
-            row = self.tab[y]
+        """Merge a and b and every pair that merge forces, keeping the smaller
+        id (Holt's COINCIDENCE): each dead row's edges move to its survivor,
+        and the back edges that pointed at the dead coset are cleared."""
+        tab, parent, find = self.tab, self.parent, self.find
+        dead: list[int] = []
+
+        def merge(x: int, y: int) -> None:
+            x, y = find(x), find(y)
+            if x != y:
+                if y < x:
+                    x, y = y, x
+                parent[y] = x
+                dead.append(y)
+
+        merge(a, b)
+        for y in dead:  # grows while it is walked
+            row = tab[y]
             for col in range(self.ncols):
                 d = row[col]
                 if d is None:
                     continue
-                d = self.find(d)
-                e = self.get(x, col)
-                if e is None:
-                    self.tab[x][col] = d
-                    back = self.get(d, _inv_col(col))
-                    if back is None:
-                        self.tab[d][_inv_col(col)] = x
-                    elif back != x:
-                        queue.append((back, x))
-                elif e != d:
-                    queue.append((e, d))
+                inv = col ^ 1
+                tab[d][inv] = None
+                x, d = find(y), find(d)
+                e = tab[x][col]
+                if e is not None:
+                    merge(d, e)
+                elif (e := tab[d][inv]) is not None:
+                    merge(x, e)
+                else:
+                    tab[x][col] = d
+                    tab[d][inv] = x
 
-    def scan_and_fill(self, start: int, letters: tuple[int, ...]) -> None:
-        i, j = 0, len(letters) - 1
-        f = b = self.find(start)
+    def scan_and_fill(self, c: int, cols: tuple[int, ...]) -> None:
+        """Trace cols from live coset c at both ends, defining new cosets
+        until the trace closes; merge its ends if they differ."""
+        tab = self.tab
+        i, j = 0, len(cols) - 1
+        f = b = c
         while True:
-            while i <= j:
-                d = self.get(f, _col(letters[i]))
-                if d is None:
-                    break
+            while i <= j and (d := tab[f][cols[i]]) is not None:
                 f = d
                 i += 1
             if i > j:
-                if f != b:
-                    self.coincide(f, b)
-                return
-            while j >= i:
-                d = self.get(b, _col(-letters[j]))
-                if d is None:
-                    break
+                break
+            while j >= i and (d := tab[b][cols[j] ^ 1]) is not None:
                 b = d
                 j -= 1
             if j < i:
-                if f != b:
-                    self.coincide(f, b)
+                break
+            if i == j:  # one gap left: the trace closes by a deduction
+                tab[f][cols[i]] = b
+                tab[b][cols[i] ^ 1] = f
                 return
-            if i == j:
-                self.set_edge(f, _col(letters[i]), b)
-                return
-            self.set_edge(f, _col(letters[i]), self.new_coset())
-            f = self.get(f, _col(letters[i]))  # type: ignore[assignment]
+            d = self.new_coset()
+            tab[f][cols[i]] = d
+            tab[d][cols[i] ^ 1] = f
+            f = d
             i += 1
+        if f != b:
+            self.coincide(f, b)
 
 
 def todd_coxeter(
@@ -279,46 +259,35 @@ def todd_coxeter(
             raise WordError("subgroup generator over a different alphabet")
     ncols = 2 * len(p.alphabet)
     e = _Enumerator(ncols, budget.max_cosets)
-    rel_letters = [r.letters for r in p.relators]
-    sub_letters = [w.reduce().letters for w in subgroup]
+    tab, parent = e.tab, e.parent
+    rel_cols = [tuple(map(_col, r.letters)) for r in p.relators]
     try:
-        for ls in sub_letters:
-            e.scan_and_fill(0, ls)
-        # passes until stable: scan relators at every live coset, fill rows
-        while True:
-            snapshot = (len(e.tab), e.alive)
-            for ls in sub_letters:
-                e.scan_and_fill(e.find(0), ls)
-            c = 0
-            while c < len(e.tab):
-                if c % 64 == 0:
-                    budget.check()
-                if e.find(c) == c:
-                    for ls in rel_letters:
-                        e.scan_and_fill(c, ls)
-                        if e.find(c) != c:
-                            break  # this coset just died; move on
-                    if e.find(c) == c:
-                        for col in range(ncols):
-                            if e.get(c, col) is None:
-                                e.set_edge(c, col, e.new_coset())
-                c += 1
-            if (len(e.tab), e.alive) == snapshot:
-                break
+        for w in subgroup:
+            e.scan_and_fill(0, tuple(map(_col, w.reduce().letters)))
+        # One pass: a relator closed at a processed coset stays closed, and a
+        # merge keeps the smaller id, which the pointer has already passed.
+        c = 0
+        while c < len(tab):
+            if c % 64 == 0:
+                budget.check()
+            for cols in rel_cols:
+                if parent[c] != c:
+                    break  # this coset died; move on
+                e.scan_and_fill(c, cols)
+            if parent[c] == c:
+                row = tab[c]
+                for col in range(ncols):
+                    if row[col] is None:
+                        d = e.new_coset()
+                        row[col] = d
+                        tab[d][col ^ 1] = c
+            c += 1
     except BudgetExhausted as ex:
-        return Exhausted(ex.what, e.alive, budget.max_cosets)
+        return Exhausted(ex.what, len(tab), budget.max_cosets)
 
-    # compress to live cosets
-    live = [c for c in range(len(e.tab)) if e.find(c) == c]
+    live = [c for c in range(len(tab)) if parent[c] == c]
     idx = {c: i for i, c in enumerate(live)}
-    action: list[list[int]] = []
-    for col in range(ncols):
-        arr = []
-        for c in live:
-            d = e.get(c, col)
-            assert d is not None
-            arr.append(idx[d])
-        action.append(arr)
+    action = [[idx[tab[c][col]] for c in live] for col in range(ncols)]
     table = CosetTable(p.alphabet, action, tuple(w.reduce() for w in subgroup))
     table = table.standardize()
     table.verify(p)

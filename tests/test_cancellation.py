@@ -481,6 +481,14 @@ def test_dehn_word_search_reads_the_deadline():
         solver.is_trivial(SURFACE.relators[0], Budget.start(time_limit_s=0.0))
 
 
+def test_piece_check_reads_the_deadline_while_canonicalising():
+    # the rotation classes are the first stage; a spent deadline must stop
+    # the check there, before any later stage runs
+    with pytest.raises(BudgetExhausted) as info:
+        check_metric(SURFACE, 6, Budget.start(time_limit_s=0.0))
+    assert "_cyclic_words" in [entry.name for entry in info.traceback]
+
+
 def test_dehn_alphabet_guard():
     solver = DehnSolver(SURFACE)
     with pytest.raises(SmallCancellationError):

@@ -1,5 +1,6 @@
 """Exit codes, report shape, and rerun determinism of the command line."""
 
+import hashlib
 import io
 import json
 import re
@@ -258,6 +259,15 @@ def test_pipeline_verb(tmp_path):
     assert counts["extension_relators"] == 45
     assert run("parse", str(out))[0] == 0
     assert run("pipeline", "--m", "6", fx("z5"))[0] == 3
+
+
+def test_pipeline_out_writes_the_extension(tmp_path):
+    # the bytes the CLI wrote when pipeline built G~ x G~ on every run
+    out = tmp_path / "ext.pres"
+    assert run("pipeline", "--m", "6", "--out", str(out), fx("trivial"))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bfae1c4e89dd4e6c4200f4bc54cfb196c730a81f5840a79c8363c245d9cdb7d8"
+    )
 
 
 # -- budgets and bad input ------------------------------------------------------

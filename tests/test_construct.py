@@ -21,7 +21,7 @@ from fpgroups.construct import (
 )
 from fpgroups.cosets import todd_coxeter
 from fpgroups.permrep import GroupHom, check_generation, cyclic_group, fibre_product_finite
-from fpgroups.presentations import catalog, parse_presentation
+from fpgroups.presentations import catalog, direct_product, parse_presentation
 from fpgroups.words import Word
 from fpgroups.zlattice import abelianization, exponent_matrix, is_perfect
 
@@ -315,7 +315,9 @@ def test_pipeline_a5_counts():
         1 + nr + 4 * nx
     ) == 112
     assert pl.counts["p_generators"] == nx + 2 + nr == 7
-    assert len(pl.extension.relators) == pl.counts["extension_relators"]
+    extension = direct_product(pl.tilde, pl.tilde)
+    assert len(extension.alphabet) == pl.counts["extension_generators"]
+    assert len(extension.relators) == pl.counts["extension_relators"]
 
 
 def test_pipeline_counts_depend_only_on_sizes():

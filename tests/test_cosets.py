@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpgroups.budget import Budget, BudgetExhausted
+from fpgroups.construct import uce
 from fpgroups.cosets import (
     _class_key,
     CosetError,
@@ -25,6 +26,7 @@ from fpgroups.permrep import hom_search, symmetric_group
 from fpgroups.presentations import (
     Presentation,
     catalog,
+    direct_product,
     load_presentation,
     parse_presentation,
     parse_word,
@@ -44,6 +46,7 @@ def quiet(text):
 Z5 = parse_presentation("< a | a^5 >")
 A5 = catalog("A5").presentation
 F2 = parse_presentation("< a, b | >")
+_AB = Alphabet(["a", "b"])
 
 
 # -- Todd-Coxeter -----------------------------------------------------------
@@ -155,6 +158,212 @@ def test_standardize_idempotent():
     t = todd_coxeter(A5, (A5.word("a b"),))
     again = t.standardize()
     assert again.action == t.action
+
+
+def test_tc_cap_counts_cosets_defined():
+    # (2,3,7) is infinite and its enumeration merges cosets on the way, so
+    # fewer are live than defined when the cap runs out
+    r = todd_coxeter(parse_presentation("< a, b | a^2, b^3, (a b)^7 >"),
+                     budget=Budget.start(max_cosets=2000))
+    assert isinstance(r, Exhausted)
+    assert r.reason == "coset cap"
+    assert r.cosets_used == r.max_cosets == 2000
+
+
+# -- HLT oracle ---------------------------------------------------------------
+
+
+class _ReferenceEnumerator:
+    """HLT as it stood before the one-pass rewrite: entries read through a
+    union-find, coincidences merged lazily."""
+
+    def __init__(self, ncols, max_cosets):
+        self.tab = [[None] * ncols]
+        self.parent = [0]
+        self.ncols = ncols
+        self.max_cosets = max_cosets
+
+    def find(self, c):
+        p = self.parent
+        while p[c] != c:
+            p[c] = p[p[c]]
+            c = p[c]
+        return c
+
+    def new_coset(self):
+        if len(self.tab) >= self.max_cosets:
+            raise BudgetExhausted("coset cap")
+        self.tab.append([None] * self.ncols)
+        self.parent.append(len(self.tab) - 1)
+        return len(self.tab) - 1
+
+    def get(self, c, col):
+        d = self.tab[c][col]
+        if d is None:
+            return None
+        d2 = self.find(d)
+        self.tab[c][col] = d2
+        return d2
+
+    def set_edge(self, c, col, d):
+        pend = [(c, col, d)]
+        while pend:
+            c, col, d = pend.pop()
+            c, d = self.find(c), self.find(d)
+            e = self.get(c, col)
+            if e is not None:
+                if e != d:
+                    self.coincide(e, d)
+                continue
+            self.tab[c][col] = d
+            back = self.get(d, col ^ 1)
+            if back is None:
+                self.tab[d][col ^ 1] = c
+            elif back != c:
+                self.coincide(back, c)
+
+    def coincide(self, a, b):
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            x, y = self.find(x), self.find(y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            self.parent[y] = x
+            for col in range(self.ncols):
+                d = self.tab[y][col]
+                if d is None:
+                    continue
+                d = self.find(d)
+                e = self.get(x, col)
+                if e is None:
+                    self.tab[x][col] = d
+                    back = self.get(d, col ^ 1)
+                    if back is None:
+                        self.tab[d][col ^ 1] = x
+                    elif back != x:
+                        queue.append((back, x))
+                elif e != d:
+                    queue.append((e, d))
+
+    def scan_and_fill(self, start, cols):
+        i, j = 0, len(cols) - 1
+        f = b = self.find(start)
+        while True:
+            while i <= j and (d := self.get(f, cols[i])) is not None:
+                f, i = d, i + 1
+            if i > j:
+                break
+            while j >= i and (d := self.get(b, cols[j] ^ 1)) is not None:
+                b, j = d, j - 1
+            if j < i:
+                break
+            if i == j:
+                self.set_edge(f, cols[i], b)
+                return
+            self.set_edge(f, cols[i], self.new_coset())
+            f = self.get(f, cols[i])
+            i += 1
+        if f != b:
+            self.coincide(f, b)
+
+
+def _reference_todd_coxeter(p, subgroup=(), max_cosets=100_000):
+    """The standardized action, or (reason, cosets defined) when the cap runs
+    out, from full HLT passes repeated until a pass changes nothing."""
+    ncols = 2 * len(p.alphabet)
+    e = _ReferenceEnumerator(ncols, max_cosets)
+    to_cols = lambda w: tuple(2 * (abs(l) - 1) + (l < 0) for l in w.letters)
+    rels = [to_cols(r) for r in p.relators]
+    subs = [to_cols(w.reduce()) for w in subgroup]
+    try:
+        for cols in subs:
+            e.scan_and_fill(0, cols)
+        while True:
+            snapshot = (len(e.tab), sum(e.find(c) == c for c in range(len(e.tab))))
+            for cols in subs:
+                e.scan_and_fill(e.find(0), cols)
+            c = 0
+            while c < len(e.tab):
+                if e.find(c) == c:
+                    for cols in rels:
+                        e.scan_and_fill(c, cols)
+                        if e.find(c) != c:
+                            break
+                    if e.find(c) == c:
+                        for col in range(ncols):
+                            if e.get(c, col) is None:
+                                e.set_edge(c, col, e.new_coset())
+                c += 1
+            if (len(e.tab), sum(e.find(c) == c for c in range(len(e.tab)))) == snapshot:
+                break
+    except BudgetExhausted as ex:
+        return ex.what, len(e.tab)
+    live = [c for c in range(len(e.tab)) if e.find(c) == c]
+    idx = {c: i for i, c in enumerate(live)}
+    action = [[idx[e.get(c, col)] for c in live] for col in range(ncols)]
+    return CosetTable(p.alphabet, action).standardize().action
+
+
+def _assert_matches_reference_tc(p, subgroup=(), max_cosets=100_000):
+    got = todd_coxeter(p, subgroup, Budget.start(max_cosets=max_cosets))
+    want = _reference_todd_coxeter(p, subgroup, max_cosets)
+    if isinstance(got, Exhausted):
+        assert (got.reason, got.cosets_used) == want
+    else:
+        assert got.action == want
+
+
+_FIXTURE_NAMES = sorted(f.stem for f in FIXTURES.glob("*.pres"))
+
+
+def _fixture(name):
+    return load_presentation((FIXTURES / f"{name}.pres").read_text())
+
+
+@pytest.mark.parametrize("cap", [50, 3000])
+@pytest.mark.parametrize("name", _FIXTURE_NAMES)
+def test_tc_matches_reference_on_fixtures(name, cap):
+    p = _fixture(name)
+    _assert_matches_reference_tc(p, (), cap)
+    _assert_matches_reference_tc(p, (p.word(p.alphabet.names[0]),), cap)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(a, b) for i, a in enumerate(_FIXTURE_NAMES) for b in _FIXTURE_NAMES[i:]],
+)
+def test_tc_matches_reference_on_direct_products(left, right):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = direct_product(_fixture(left), _fixture(right))
+    _assert_matches_reference_tc(p, (), 10_000)
+
+
+def test_tc_matches_reference_on_larger_groups():
+    a5xpsl27 = parse_presentation(
+        "< a, b, c, d | a^2, b^3, (a b)^5, c^2, d^3, (c d)^7, (c d c d^-1)^4, "
+        "[a, c], [a, d], [b, c], [b, d] >"
+    )
+    _assert_matches_reference_tc(a5xpsl27)
+    _assert_matches_reference_tc(uce(A5).tilde)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8),
+             min_size=1, max_size=4),
+    st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=4),
+             max_size=2),
+    st.sampled_from([30, 300, 3000]),
+)
+def test_tc_matches_reference_random(relators, subgroup, cap):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # relators that reduce away, duplicates
+        p = Presentation(_AB, [Word(_AB, r) for r in relators])
+    _assert_matches_reference_tc(p, tuple(Word(_AB, w) for w in subgroup), cap)
 
 
 # -- Reidemeister-Schreier --------------------------------------------------
@@ -382,9 +591,6 @@ def _assert_matches_reference(p, bound: int) -> None:
 )
 def test_low_index_matches_reference_search(name, bound):
     _assert_matches_reference(load_presentation((FIXTURES / f"{name}.pres").read_text()), bound)
-
-
-_AB = Alphabet(["a", "b"])
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fpgroups.budget import BudgetExhausted
+from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.cancellation import _cyclic_words
 from fpgroups.presentations import (
     CatalogError,
@@ -133,7 +133,7 @@ def test_serialize_roundtrip():
 def symmetrize(p: Presentation) -> dict[Word, int]:
     """The symmetrized set as the piece checker builds it: every rotation of
     every rotation class, mapped to the class's source relator."""
-    words, _ = _cyclic_words(p)
+    words, _ = _cyclic_words(p, Budget.start())
     return {
         Word(p.alphabet, w.letters[k:] + w.letters[:k], _reduced=True): w.source
         for w in words

@@ -54,12 +54,10 @@ from .presentations import Presentation, PresentationWarning
 from .words import Alphabet, Word, commutator
 from .zlattice import (
     AbelianInvariants,
-    IntMatrix,
     abelianization,
     exponent_matrix,
     is_perfect,
     lattice_solve,
-    smith_normal_form,
 )
 
 
@@ -141,7 +139,8 @@ def rips(
     all W = |R| + 4|X| segments and is raised until the output's C'(1/m)
     certificate passes; in practice the first d succeeds.  With zero_exponent
     the segments are the positive scheme's, stretched sixfold by sigma_0.
-    The budget's deadline is checked before each attempt.
+    The budget's deadline is checked before each attempt, after the de
+    Bruijn sequence and once per filler.
     """
     if m < 6:
         raise RipsError(f"cancellation parameter must be at least 6, got {m}")
@@ -188,8 +187,10 @@ def rips(
             )
 
         bits = de_bruijn_bits(d)
+        budget.check()
 
         def filler(k: int) -> tuple[int, ...]:
+            budget.check()
             block = bits[k * seg : (k + 1) * seg]
             if zero_exponent:
                 out: list[int] = []
@@ -310,19 +311,6 @@ def _lll(basis: list[list[int]]) -> list[list[int]]:
     return b
 
 
-def _row_kernel(b: IntMatrix) -> list[list[int]]:
-    """An LLL-reduced basis of {c : c * b = 0}.
-
-    The raw basis (rows of U at zero Smith diagonal) inherits the astronomical
-    coefficients unimodular tracking accumulates — entries near 10^60 on the
-    embedding presentations — so it is reduced before use."""
-    res = smith_normal_form(b)
-    diag = res.diagonal()
-    return _lll(
-        [list(res.U.data[i]) for i in range(b.rows) if i >= len(diag) or diag[i] == 0]
-    )
-
-
 def _shrink_certificate(
     c: Sequence[int], kernel: list[list[int]], weights: Sequence[int]
 ) -> list[int]:
@@ -383,8 +371,10 @@ def _shrink_certificate(
 def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
     """Present the universal central extension of a perfect group on the same
     generators: relators {[a, r]} make R central, {w_a} force perfection.
-    The budget's deadline is checked after the commutators, after the
-    relation kernel and after each generator's certificate."""
+    One Smith normal form of the exponent matrix gives every w_a and the
+    relation kernel they are shortened against.  The budget's deadline is
+    checked after the commutators, at every pivot of that SNF, after the
+    kernel's reduction and after each generator's certificate."""
     h1 = abelianization(g)
     if not h1.is_trivial:
         raise ConstructionError(
@@ -399,16 +389,17 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
             commutators.append(_commutator_relator(gens, ai, r))
     budget.check()
 
-    expo = exponent_matrix(g)
-    kernel = _row_kernel(expo)
+    units = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+    solutions, kernel = lattice_solve(units, exponent_matrix(g), budget)
+    # the raw kernel rows inherit the astronomical coefficients unimodular
+    # tracking accumulates (entries near 10^60 on the embedding
+    # presentations), so they are reduced before use
+    kernel = _lll(kernel)
     budget.check()
     weights = [len(r) for r in g.relators]
     expressions: list[Word] = []
     witnesses: list[tuple[int, ...]] = []
-    for ai in range(len(gens)):
-        target = [0] * len(g.alphabet)
-        target[ai] = 1
-        c = lattice_solve(target, expo)
+    for c in solutions:
         assert c is not None, "a perfect presentation spans every unit vector"
         c = _shrink_certificate(c, kernel, weights)
         w = Word.identity(g.alphabet)

@@ -8,6 +8,10 @@ induced map to F_ab.  The identifications are
 
     H2(Q) = (N \\cap [F,F]) / [F,N] = ker( N/[F,N] -> F_ab ).
 
+The image of that map is free, so the kernel splits off: H2(Q) is the
+torsion of the coinvariant cokernel N/[F,N], and its free rank less the rank
+of the map (zero for finite Q).  Both are read off Smith diagonals.
+
 The other entry points are finite-instance checks used by the construction
 pipeline: a coinvariants-versus-H2 comparison for central quotients, the H2
 rank count for aspherical presentations, and the arithmetic isomorphism test
@@ -33,7 +37,6 @@ from .presentations import Presentation
 from .words import Word
 from .zlattice import (
     AbelianInvariants,
-    FpAbelianGroup,
     IntMatrix,
     abelianization,
     kernel_invariants,
@@ -73,10 +76,13 @@ def _certified_table(p: Presentation, budget: Budget | None) -> CosetTable:
 
 def schur_multiplier(p: Presentation, budget: Budget | None = None) -> SchurReport:
     """H2 of the presented group, once a coset enumeration certifies it finite."""
-    return _schur_from_table(p, _certified_table(p, budget))
+    budget = budget or Budget.start()
+    return _schur_from_table(p, _certified_table(p, budget), budget)
 
 
-def _schur_from_table(p: Presentation, t: CosetTable) -> SchurReport:
+def _schur_from_table(p: Presentation, t: CosetTable, budget: Budget) -> SchurReport:
+    """The coinvariant rows, one per ambient generator and Schreier generator
+    (the deadline is read once per row), then the kernel of their map to F_ab."""
     rw = SchreierRewriter(p, t)
     rank = rw.rank
     ngens = len(p.alphabet)
@@ -88,12 +94,12 @@ def _schur_from_table(p: Presentation, t: CosetTable) -> SchurReport:
         g = Word(p.alphabet, (gi + 1,))
         ginv = g.inverse()
         for i in range(rank):
+            budget.check()
             conj = (g * sgens[i] * ginv).reduce()
             row = list(rw.rewrite(conj, 0).exponent_vector())
             row[i] -= 1  # coinvariant relation  g·s_i·g^-1 - s_i
             rows.append(row)
-    domain = FpAbelianGroup(rank, IntMatrix(len(rows), rank, rows))
-    h2 = kernel_invariants(domain, expo)
+    h2 = kernel_invariants(IntMatrix(len(rows), rank, rows), expo, budget)
     return SchurReport(
         group_order=t.n, h2=h2, schreier_rank=rank, coinvariant_rows=len(rows)
     )
@@ -187,7 +193,7 @@ def lemma_l0_check(inst: L0Instance, budget: Budget | None = None) -> L0Report:
     if not abelianization(g).is_trivial:
         return L0Report(False, "ambient group has nontrivial H1", None, None, None, None)
     t = _certified_table(g, budget)
-    if not _schur_from_table(g, t).h2.is_trivial:
+    if not _schur_from_table(g, t, budget).h2.is_trivial:
         return L0Report(False, "ambient group has nontrivial H2", None, None, None, None)
 
     gen_perms = [t.permutation(name) for name in g.alphabet.names]

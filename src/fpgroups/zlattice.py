@@ -2,8 +2,11 @@
 
 Everything here runs on arbitrary-precision Python ints; no floating point.
 The workhorse is Smith normal form with recorded unimodular transforms
-U * A * V = S and the inverse of U, from which abelianizations, solvability
-certificates and kernels of induced maps on cokernels follow.
+U * A * V = S, from which abelianizations, solvability certificates and
+left kernels follow.  Kernels of induced maps on cokernels need no transform
+at all: the image is free, so the kernel splits off (see kernel_invariants)
+and two diagonal-only eliminations give its invariants.  Every elimination
+reads the run budget's deadline once per pivot.
 
 Convention: group presentations contribute a relation matrix with one row per
 relation and one column per generator; the group presented is the cokernel
@@ -13,8 +16,10 @@ the image of basis vector j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+from .budget import Budget
 
 if TYPE_CHECKING:  # pragma: no cover
     from .presentations import Presentation
@@ -151,35 +156,30 @@ class AbelianInvariants:
 
 @dataclass
 class SnfResult:
-    """U * A * V = S with U, V unimodular and S in Smith normal form; U_inv
-    is the inverse of U."""
+    """U * A * V = S with U, V unimodular and S in Smith normal form."""
 
     S: IntMatrix
     U: IntMatrix
     V: IntMatrix
-    U_inv: IntMatrix
 
     def diagonal(self) -> list[int]:
         k = min(self.S.rows, self.S.cols)
         return [self.S.data[i][i] for i in range(k)]
 
 
-def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
-    """In-place SNF; returns (U, Uinv, V) as row lists or Nones.
+def _snf_core(a: list[list[int]], m: int, n: int, track: bool, budget: Budget):
+    """In-place SNF; returns (U, V) as row lists or Nones.
 
-    Row ops on A are mirrored on U (and inversely on Uinv columns, kept as
-    rows of the inverse); column ops on V.
+    Row ops on A are mirrored on U, column ops on V.  The budget's deadline
+    is read once per pivot.
     """
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
-    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         if track:
             U[i], U[j] = U[j], U[i]
-            for r in Ui:  # inverse: swap columns
-                r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -199,8 +199,6 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
             for k in range(m):
                 if us[k]:
                     ud[k] += q * us[k]
-            for r in Ui:  # inverse: col src -= q * col dst
-                r[src] -= q * r[dst]
 
     def add_col(src, dst, q):
         for r in a:
@@ -215,12 +213,11 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
         a[i] = [-x for x in a[i]]
         if track:
             U[i] = [-x for x in U[i]]
-            for r in Ui:
-                r[i] = -r[i]
 
     t = 0
     kmax = min(m, n)
     while t < kmax:
+        budget.check()
         # pivot: smallest nonzero absolute value in the trailing block
         piv = None
         best = None
@@ -288,49 +285,30 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool):
             negate_row(t)
         t += 1
 
-    return U, Ui, V
+    return U, V
 
 
-def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Smith normal form with unimodular certificates and the inverse of U."""
+def smith_normal_form(A: IntMatrix, budget: Budget | None = None) -> SnfResult:
+    """Smith normal form with its unimodular certificates U and V."""
     a = [list(r) for r in A.data]
     m, n = A.rows, A.cols
-    U, Ui, V = _snf_core(a, m, n, track=True)
-    return SnfResult(
-        S=IntMatrix(m, n, a),
-        U=IntMatrix(m, m, U),
-        V=IntMatrix(n, n, V),
-        U_inv=IntMatrix(m, m, Ui),
-    )
+    U, V = _snf_core(a, m, n, track=True, budget=budget or Budget.start())
+    return SnfResult(S=IntMatrix(m, n, a), U=IntMatrix(m, m, U), V=IntMatrix(n, n, V))
 
 
-def smith_diagonal(A: IntMatrix) -> list[int]:
+def smith_diagonal(A: IntMatrix, budget: Budget | None = None) -> list[int]:
     """Just the diagonal of S (faster: no transform bookkeeping)."""
     a = [list(r) for r in A.data]
-    _snf_core(a, A.rows, A.cols, track=False)
+    _snf_core(a, A.rows, A.cols, track=False, budget=budget or Budget.start())
     return [a[i][i] for i in range(min(A.rows, A.cols))]
 
 
-def cokernel_invariants(A: IntMatrix) -> AbelianInvariants:
+def cokernel_invariants(A: IntMatrix, budget: Budget | None = None) -> AbelianInvariants:
     """Invariants of Z^cols / rowspace(A)."""
-    diag = smith_diagonal(A)
+    diag = smith_diagonal(A, budget)
     nonzero = [d for d in diag if d]
     torsion = tuple(d for d in nonzero if d >= 2)
     return AbelianInvariants(free_rank=A.cols - len(nonzero), torsion=torsion)
-
-
-@dataclass
-class FpAbelianGroup:
-    """Z^n modulo the row lattice of `relations` (relations has n columns)."""
-
-    n: int
-    relations: IntMatrix = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.relations is None:
-            self.relations = IntMatrix(0, self.n)
-        if self.relations.rows and self.relations.cols != self.n:
-            raise LatticeError("relation matrix has wrong number of columns")
 
 
 def exponent_matrix(p: "Presentation") -> IntMatrix:
@@ -348,50 +326,51 @@ def is_perfect(p: "Presentation") -> bool:
     return abelianization(p).is_trivial
 
 
-def lattice_solve(target: Sequence[int], basis: IntMatrix) -> list[int] | None:
-    """Find integer c with c * basis = target, or None if target is outside
-    the row lattice.  The certificate re-multiplies exactly before returning."""
-    if len(target) != basis.cols:
-        raise LatticeError("target length does not match basis columns")
-    res = smith_normal_form(basis)
-    S, U, V = res.S, res.U, res.V
-    # target * V expressed in the transformed coordinates
-    y = [sum(target[i] * V.data[i][j] for i in range(basis.cols)) for j in range(basis.cols)]
-    k = min(basis.rows, basis.cols)
-    x = [0] * basis.rows
-    for i in range(basis.cols):
-        d = S.data[i][i] if i < k else 0
-        if d:
-            if y[i] % d:
+def lattice_solve(
+    targets: Iterable[Sequence[int]], basis: IntMatrix, budget: Budget | None = None
+) -> tuple[list[list[int] | None], list[list[int]]]:
+    """Solve c * basis = t for every target t from one Smith normal form.
+
+    Returns one integer solution per target, None where t lies outside the
+    row lattice, and a basis of the left kernel {c : c * basis = 0}: the rows
+    of U at zero diagonal entries.  Every solution is re-multiplied exactly
+    before it is returned, and the general solution is any one plus the
+    kernel lattice."""
+    res = smith_normal_form(basis, budget)
+    U, V = res.U, res.V
+    diag = res.diagonal()
+    kernel = [list(U.data[i]) for i in range(basis.rows) if i >= len(diag) or diag[i] == 0]
+
+    def solve(target: Sequence[int]) -> list[int] | None:
+        # with y = t * V, solve x * S = y; then c = x * U
+        x = [0] * basis.rows
+        for i, y in enumerate(V.row_mul(target)):
+            d = diag[i] if i < len(diag) else 0
+            if d and y % d == 0:
+                x[i] = y // d
+            elif y:
                 return None
-            x[i] = y[i] // d
-        elif y[i]:
-            return None
-    c = [sum(x[i] * U.data[i][j] for i in range(basis.rows)) for j in range(basis.rows)]
-    check = [sum(c[i] * basis.data[i][j] for i in range(basis.rows)) for j in range(basis.cols)]
-    if check != list(target):  # pragma: no cover - algebra guarantees this
-        raise LatticeError("internal: certificate failed re-multiplication")
-    return c
+        c = U.row_mul(x)
+        if basis.row_mul(c) != list(target):  # pragma: no cover - algebra guarantees this
+            raise LatticeError("internal: certificate failed re-multiplication")
+        return c
+
+    return [solve(t) for t in targets], kernel
 
 
-def kernel_invariants(domain: FpAbelianGroup, m: IntMatrix) -> AbelianInvariants:
-    """Invariants of ker(domain -> Z^k) for the map sending generator i to
-    row i of m.  Requires the map to kill the relation lattice."""
-    if m.rows != domain.n:
-        raise LatticeError("map must have one row per domain generator")
-    R = domain.relations
-    if not (R * m).is_zero():
+def kernel_invariants(
+    relations: IntMatrix, m: IntMatrix, budget: Budget | None = None
+) -> AbelianInvariants:
+    """Invariants of the kernel of D = Z^n / rowspace(relations) -> Z^k, the
+    map sending generator i to row i of m.  Requires R * m = 0, so that the
+    map is well defined on D.
+
+    The image is a subgroup of Z^k, hence free, so 0 -> ker -> D -> im -> 0
+    splits and D = ker + im.  The kernel thus has the torsion of D and the
+    free rank of D less rank(m), the number of nonzero Smith invariants of m;
+    no transform of either matrix is needed."""
+    if not (relations * m).is_zero():
         raise LatticeError("map does not kill the relation lattice")
-    res = smith_normal_form(m)
-    S, Ui = res.S, res.U_inv
-    k = min(m.rows, m.cols)
-    # rows of U indexed by zero diagonal entries form a basis of the left kernel
-    basis_idx = [i for i in range(domain.n) if i >= k or S.data[i][i] == 0]
-    keep = set(basis_idx)
-    coeff_rows = []
-    for row in R.data:
-        c = [sum(row[i] * Ui.data[i][j] for i in range(domain.n)) for j in range(domain.n)]
-        if any(c[j] for j in range(domain.n) if j not in keep):  # pragma: no cover
-            raise LatticeError("internal: relation escapes the kernel lattice")
-        coeff_rows.append([c[b] for b in basis_idx])
-    return cokernel_invariants(IntMatrix(len(coeff_rows), len(basis_idx), coeff_rows))
+    rank = sum(1 for d in smith_diagonal(m, budget) if d)
+    whole = cokernel_invariants(relations, budget)
+    return AbelianInvariants(whole.free_rank - rank, whole.torsion)

@@ -323,6 +323,30 @@ def test_time_limit_bounds_uce():
     assert code == 2 and rep["outcome"] == "EXHAUSTED"
 
 
+def test_time_limit_bounds_schur(tmp_path):
+    # the coinvariant rows and the SNF used to ignore the clock: this ran for
+    # about 17 s and exited 0
+    f = tmp_path / "a5xz5.pres"
+    f.write_text("< a_1, b_1, c_2 | a_1^2, b_1^3, (a_1 b_1)^5, c_2^5, [a_1, c_2], [b_1, c_2] >")
+    started = time.perf_counter()
+    code, rep = run("schur", "--time-limit", "2", str(f))
+    assert time.perf_counter() - started < 3.0
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+
+
+def test_time_limit_bounds_rips_assembly(monkeypatch):
+    # 1,836,200 letters: building the fillers alone took about 0.3 s, all of
+    # it before the piece check first read the clock
+    entered = []
+    check_metric = construct.check_metric
+    monkeypatch.setattr(construct, "check_metric", lambda *a: entered.append(1) or check_metric(*a))
+    started = time.perf_counter()
+    code, rep = run("rips", "--m", "300", "--zero-exponent", "--time-limit", "0.1", fx("bp2"))
+    assert time.perf_counter() - started < 0.3
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    assert entered == []
+
+
 def test_letter_cap_exits_exhausted(tmp_path):
     f = tmp_path / "huge.pres"
     f.write_text("< a | a^99999999999 >")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fpgroups import construct
+from fpgroups import construct, zlattice
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.cancellation import DehnSolver, check_metric
 from fpgroups.construct import (
@@ -155,6 +155,37 @@ def test_rips_letter_cap():
         rips(A5, 12, zero_exponent=True, budget=Budget.start(max_letters=10_000))
 
 
+class Countdown(Budget):
+    """A budget whose deadline passes at its n-th check, whatever the clock."""
+
+    def __init__(self, n: int):
+        super().__init__(deadline=float("inf"))
+        object.__setattr__(self, "left", n)
+
+    def check(self, what: str = "time limit") -> None:
+        object.__setattr__(self, "left", self.left - 1)
+        if self.left <= 0:
+            raise BudgetExhausted(what)
+
+
+def test_rips_reads_the_deadline_while_assembling(monkeypatch):
+    # one check before the attempt, one after the de Bruijn sequence and one
+    # per filler: a deadline that passes anywhere in the assembly stops rips
+    # before the piece check, and only the next check is the piece check's
+    entered = []
+
+    def watched(*args):
+        entered.append(1)
+        return check_metric(*args)
+
+    monkeypatch.setattr(construct, "check_metric", watched)
+    fillers = len(A5.relators) + 4 * len(A5.alphabet)
+    for n in range(1, fillers + 4):
+        with pytest.raises(BudgetExhausted):
+            rips(A5, 7, zero_exponent=True, budget=Countdown(n))
+        assert len(entered) == (n == fillers + 3), n
+
+
 def test_rips_deterministic():
     a = rips(A5, 7, zero_exponent=True)
     b = rips(A5, 7, zero_exponent=True)
@@ -264,6 +295,24 @@ def test_uce_expressions_trivial_in_source():
 def test_uce_reads_the_deadline():
     with pytest.raises(BudgetExhausted):
         uce(A5, Budget.start(time_limit_s=0.0))
+
+
+def test_uce_runs_one_smith_normal_form(monkeypatch):
+    # the certificates and the kernel they are shortened against come from
+    # the same SNF of the exponent matrix (it ran |X| + 1 times)
+    gamma = rips_a5(7, True).gamma
+    calls = []
+    snf = zlattice.smith_normal_form
+
+    def counted(*args):
+        calls.append(args[0].rows)
+        return snf(*args)
+
+    monkeypatch.setattr(zlattice, "smith_normal_form", counted)
+    for g in (A5, BP2, gamma):
+        calls.clear()
+        uce(g)
+        assert calls == [len(g.relators)]
 
 
 def test_uce_rejects_non_perfect():

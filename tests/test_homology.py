@@ -1,6 +1,9 @@
 """Schur multipliers, the kernel-coinvariants check, and the metacyclic test."""
 
+import itertools
+import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +18,8 @@ from fpgroups.homology import (
     lemma_l0_check,
     schur_multiplier,
 )
-from fpgroups.presentations import catalog, parse_presentation
-from fpgroups.zlattice import AbelianInvariants, abelianization
+from fpgroups.presentations import catalog, direct_product, parse_presentation
+from fpgroups.zlattice import AbelianInvariants, IntMatrix, abelianization, cokernel_invariants
 
 
 def quiet(text):
@@ -106,6 +109,53 @@ def test_uce_order_crosscheck_binary_icosahedral():
     # and 2I itself is superperfect
     assert abelianization(two_i).is_trivial
     assert schur_multiplier(two_i).h2.is_trivial
+
+
+# -- Kunneth: H2(G x H) = H2(G) + H2(H) + (G_ab (x) H_ab) -------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FINITE = {name: quiet((FIXTURES / f"{name}.pres").read_text()) for name in ("trivial", "klein", "z5", "q8", "a5")}
+ORDERS = {"trivial": 1, "klein": 4, "z5": 5, "q8": 8, "a5": 60}
+
+
+def finite_abelian(orders):
+    """Invariant-factor form of the direct sum of the Z/d."""
+    n = len(orders)
+    return cokernel_invariants(IntMatrix(n, n, [[d * (i == j) for j in range(n)] for i, d in enumerate(orders)]))
+
+
+def kunneth_h2(g, h):
+    """H2(G x H) of finite G and H from the factors: Z/a (x) Z/b = Z/gcd(a, b)."""
+    tensor = [math.gcd(a, b) for a in abelianization(g).torsion for b in abelianization(h).torsion]
+    return finite_abelian([*schur_multiplier(g).h2.torsion, *schur_multiplier(h).h2.torsion, *tensor])
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        pair
+        for pair in itertools.combinations_with_replacement(FINITE, 2)
+        if ORDERS[pair[0]] * ORDERS[pair[1]] <= 64
+    ],
+)
+def test_kunneth_on_fixture_products(left, right):
+    g, h = FINITE[left], FINITE[right]
+    rep = schur_multiplier(direct_product(g, h))
+    assert rep.group_order == ORDERS[left] * ORDERS[right]
+    assert rep.h2 == kunneth_h2(g, h)
+
+
+def test_kunneth_tensor_term():
+    # V4 x V4: Z/2 from each factor and four Z/2 from V4 (x) V4
+    rep = schur_multiplier(direct_product(FINITE["klein"], FINITE["klein"]))
+    assert rep.h2 == AbelianInvariants(0, (2,) * 6)
+
+
+def test_kunneth_a5_times_z3():
+    z3 = quiet("< c | c^3 >")
+    rep = schur_multiplier(direct_product(FINITE["a5"], z3))
+    assert rep.group_order == 180
+    assert rep.h2 == kunneth_h2(FINITE["a5"], z3) == AbelianInvariants(0, (2,))
 
 
 # -- kernel-coinvariants comparison ------------------------------------------

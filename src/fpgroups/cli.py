@@ -225,6 +225,7 @@ def _cmd_hom_search(args, inputs, budget):
             "nontrivial": non,
             "epimorphisms": res.epi_count,
             "complete": res.complete,
+            "nodes": res.nodes,
         }
     payload = {
         "degree_bound": args.transitive_degree,

@@ -9,11 +9,18 @@ Element enumeration is naive closure under the run budget's element cap,
 raising BudgetExhausted when it runs out; every target this library
 cares about is at most SL(2,5) x SL(2,5) sized, so there is no Schreier-Sims
 machinery here on purpose.
+
+The homomorphism search does not compose tuples: it sorts the target's
+elements, builds their multiplication table with numpy (n^2 entries, which
+also count against the element cap), and extends blocks of partial
+assignments by gathers from that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .budget import Budget, BudgetExhausted
 from .presentations import Presentation, direct_product
@@ -81,10 +88,10 @@ def evaluate_word(w: Word, images: dict[str, Perm] | list[Perm], degree: int) ->
         imgs = [images[name] for name in w.alphabet.names]
     else:
         imgs = list(images)
+    inverses = [invert(g) for g in imgs]
     acc = identity_perm(degree)
     for l in w.letters:
-        g = imgs[abs(l) - 1]
-        acc = compose(acc, g if l > 0 else invert(g))
+        acc = compose(acc, imgs[l - 1] if l > 0 else inverses[-l - 1])
     return acc
 
 
@@ -168,20 +175,67 @@ class HomSearchResult:
     homs: tuple[GroupHom, ...]
     epi_flags: tuple[bool, ...]
     complete: bool
+    nodes: int  # partial assignments that passed every check, the empty one included
 
     @property
     def epi_count(self) -> int:
         return sum(self.epi_flags)
 
 
-def _single_occurrence(letters: tuple[int, ...], gen: int):
-    """If generator `gen` (1-based) occurs exactly once in the relator,
-    return (prefix, sign, suffix); otherwise None."""
-    hits = [i for i, l in enumerate(letters) if abs(l) == gen]
-    if len(hits) != 1:
-        return None
-    i = hits[0]
-    return letters[:i], (1 if letters[i] > 0 else -1), letters[i + 1 :]
+# Rows of an expanded block, so that the search's peak memory does not grow
+# with the input; a block whose parents have more than this many children
+# between them is expanded a slice of parents at a time.
+_BLOCK_ROWS = 1 << 12
+
+
+def _multiplication_table(elems: list[Perm], degree: int, budget: Budget):
+    """mul[i, j] is the index of elems[i] * elems[j] and inv[i] that of
+    elems[i]^-1, for elements sorted lexicographically (the identity is 0).
+
+    The table's n^2 entries count against the element cap."""
+    n = len(elems)
+    if n * n > budget.max_elements:
+        raise BudgetExhausted(
+            f"element cap {budget.max_elements} exceeded by the {n} x {n} "
+            "multiplication table"
+        )
+    if n == 1:  # the trivial group, possibly on no points at all
+        return np.zeros((1, 1), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    # a permutation's key is the bytes of its image row, so degrees whose
+    # base-degree codes would overflow int64 (SL(2,5) on 24 points) need no
+    # special case; the keys sort in byte order, mapped back through `order`
+    perms = np.array(elems, dtype=np.intp)
+    key = np.dtype((np.void, perms.itemsize * degree))
+    keys = perms.view(key).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    mul = np.empty((n, n), dtype=np.intp)
+    for i, p in enumerate(elems):
+        # (p * q)[k] = q[p[k]], for every q at once
+        products = np.ascontiguousarray(perms[:, p]).view(key).ravel()
+        mul[i] = order[np.searchsorted(sorted_keys, products)]
+    inv = np.argmin(mul, axis=1)  # the one j with elems[i] * elems[j] = 1
+    return mul, inv
+
+
+def _generates_all(rows: np.ndarray, mul: np.ndarray, inv: np.ndarray) -> list[bool]:
+    """Does each row of image indices generate the whole group?  A
+    breadth-first closure of the identity under right multiplication by the
+    row's images, for all rows at once: y joins when y * g^-1 is in.  A row
+    drops out once a round adds nothing to it."""
+    seen = np.zeros((len(rows), len(mul)), dtype=bool)
+    seen[:, 0] = True
+    back = inv[rows]
+    active = np.arange(len(rows))
+    while len(active):
+        part = seen[active]
+        before = part.sum(axis=1)
+        at = np.arange(len(active))[:, None]
+        for col in back[active].T:
+            part |= part[at, mul[:, col].T]
+        seen[active] = part
+        active = active[part.sum(axis=1) > before]
+    return seen.all(axis=1).tolist()
 
 
 def hom_search(
@@ -191,91 +245,84 @@ def hom_search(
     deterministic (lexicographic image tuple) order, each flagged as an
     epimorphism or not.
 
-    The search assigns generator images in order, pruning with every relator
-    that becomes fully evaluable, and deducing images outright from relators
-    in which the next generator occurs exactly once.
+    The search runs on element indices of the target's multiplication table.
+    It assigns generator images in order: a row is a partial assignment, and
+    a block of rows is extended by one generator at a time, depth first.
+    Each relator is checked at its highest generator.  Where that generator
+    occurs in it exactly once, the relator also forces its image, so the
+    block gains one column instead of one row per element.  The deadline is
+    read once per block.  `nodes` counts the partial assignments that passed
+    every check, from the empty one to the homomorphisms.
     """
     budget = budget or Budget.start()
     degree = target.degree
     elems = sorted(target.elements(budget))
-    elem_set = frozenset(elems)
-    target_order = len(elems)
-    idp = identity_perm(degree)
+    n = len(elems)
+    mul, inv = _multiplication_table(elems, degree, budget)
     ngens = len(p.generators)
-    rel_support = [frozenset(abs(l) for l in r.letters) for r in p.relators]
+
+    # each relator as (0-based generator, positive?) letters, filed under its
+    # highest generator; the first one with that generator once forces it
+    checks: list[list] = [[] for _ in range(ngens)]
+    forcing: list = [None] * ngens
+    for r in p.relators:
+        word = [(abs(l) - 1, l > 0) for l in r.letters]
+        top = max(g for g, _ in word)
+        checks[top].append(word)
+        hits = [i for i, (g, _) in enumerate(word) if g == top]
+        if len(hits) == 1 and forcing[top] is None:
+            i = hits[0]
+            forcing[top] = (word[:i], word[i][1], word[i + 1 :])
+
+    def value(word, rows, inverse_rows):
+        acc = np.zeros(len(rows), dtype=np.intp)
+        for g, positive in word:
+            acc = mul[acc, (rows if positive else inverse_rows)[:, g]]
+        return acc
 
     found: list[GroupHom] = []
     flags: list[bool] = []
+    nodes = 1
     complete = True
-
-    def finish(images: list[Perm]):
-        h = GroupHom(p, images, degree)
-        gen_set = close_under_products([idp] + list(images), compose, invert, budget)
-        found.append(h)
-        flags.append(len(gen_set) == target_order)
-
-    def assign(images: dict[int, Perm], level: int):
-        budget.check("homomorphism search")
-        if level > ngens:
-            finish([images[i] for i in range(1, ngens + 1)])
-            return
-        # deduction: a relator where `level` is the only unassigned generator
-        # and occurs exactly once pins its image
-        forced: Perm | None = None
-        assigned = set(images)
-        for ri, r in enumerate(p.relators):
-            if level not in rel_support[ri]:
-                continue
-            if not (rel_support[ri] - assigned <= {level}):
-                continue
-            so = _single_occurrence(r.letters, level)
-            if so is None:
-                continue
-            pre, sign, post = so
-            acc = idp
-            for l in pre:
-                g = images[abs(l)]
-                acc = compose(acc, g if l > 0 else invert(g))
-            tail = idp
-            for l in post:
-                g = images[abs(l)]
-                tail = compose(tail, g if l > 0 else invert(g))
-            # pre * x^sign * post = 1  =>  x^sign = pre^-1 * post^-1
-            val = compose(invert(acc), invert(tail))
-            if sign < 0:
-                val = invert(val)
-            if forced is not None and forced != val:
-                return
-            forced = val
-        candidates = [forced] if forced is not None else elems
-        if forced is not None and forced not in elem_set:
-            return
-        for cand in candidates:
-            images[level] = cand
-            assigned_now = set(images)
-            ok = True
-            for ri, r in enumerate(p.relators):
-                if level in rel_support[ri] and rel_support[ri] <= assigned_now:
-                    acc = idp
-                    for l in r.letters:
-                        g = images[abs(l)]
-                        acc = compose(acc, g if l > 0 else invert(g))
-                    if acc != idp:
-                        ok = False
-                        break
-            if ok:
-                assign(images, level + 1)
-            del images[level]
-
+    stack = [np.zeros((1, 0), dtype=np.intp)]  # a block's level is its width
     try:
-        assign({}, 1)
+        while stack:
+            budget.check("homomorphism search")
+            rows = stack.pop()
+            level = rows.shape[1]
+            if level == ngens:
+                flags.extend(_generates_all(rows, mul, inv))
+                found.extend(
+                    GroupHom(p, [elems[i] for i in row], degree) for row in rows.tolist()
+                )
+                continue
+            rule = forcing[level]
+            if rule is None:
+                parents = max(1, _BLOCK_ROWS // n)
+                if len(rows) > parents:
+                    stack.append(rows[parents:])
+                    rows = rows[:parents]
+                column = np.tile(np.arange(n), len(rows))
+                rows = np.repeat(rows, n, axis=0)
+            else:
+                # pre x^s post = 1, so x^-s = post pre
+                pre, positive, post = rule
+                inverse_rows = inv[rows]
+                column = mul[value(post, rows, inverse_rows), value(pre, rows, inverse_rows)]
+                if positive:
+                    column = inv[column]
+            rows = np.column_stack([rows, column])
+            inverse_rows = inv[rows]
+            keep = np.ones(len(rows), dtype=bool)
+            for word in checks[level]:
+                keep &= value(word, rows, inverse_rows) == 0
+            rows = rows[keep]
+            nodes += len(rows)
+            if len(rows):
+                stack.append(rows)
     except BudgetExhausted:
         complete = False
-    finally:
-        # assign holds itself through its closure cell; emptying the cell
-        # frees the search state now, not at the next cyclic collection
-        del assign
-    return HomSearchResult(tuple(found), tuple(flags), complete)
+    return HomSearchResult(tuple(found), tuple(flags), complete, nodes)
 
 
 @dataclass(frozen=True)

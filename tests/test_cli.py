@@ -281,6 +281,25 @@ def test_element_cap_exits_exhausted():
     assert code == 2 and rep["outcome"] == "EXHAUSTED"
 
 
+def test_time_limit_bounds_hom_search(tmp_path):
+    # S5 leaves 120^4 rows to check at the last generator: 11 s on a 2-core Xeon
+    f = tmp_path / "long.pres"
+    f.write_text("< a, b, c, d | d^2 a b c, d^3 c b a >")
+    started = time.perf_counter()
+    code, rep = run("hom-search", "--transitive-degree", "5", "--time-limit", "1", str(f))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    assert not rep["payload"]["targets"]["S5"]["complete"]
+    assert time.perf_counter() - started < 2.0
+
+
+def test_hom_search_table_counts_against_the_element_cap():
+    # no target has more than 120 elements, under the cap of 1000, but A5's
+    # table (3,600 entries) and S5's (14,400) are over it
+    code, rep = run("hom-search", "--transitive-degree", "5", "--max-elements", "1000", fx("a5"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    assert "multiplication table" in rep["payload"]["error"]
+
+
 def test_time_limit_bounds_the_whole_run():
     # each low-index call used to start its own clock: this ran for 4.4 s
     started = time.perf_counter()

@@ -6,6 +6,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.permrep import (
@@ -14,6 +16,7 @@ from fpgroups.permrep import (
     PermGroup,
     alternating_group,
     check_generation,
+    close_under_products,
     compose,
     cycle_notation,
     cyclic_group,
@@ -29,8 +32,10 @@ from fpgroups.permrep import (
     symmetric_group,
     transitive_groups,
 )
-from fpgroups.presentations import catalog, parse_presentation
-from fpgroups.words import Word
+from fpgroups.presentations import Presentation, catalog, load_presentation, parse_presentation
+from fpgroups.words import Alphabet, Word
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def quiet(text):
@@ -165,7 +170,7 @@ def test_hom_search_budget_partial():
 def test_hom_search_leaves_no_reference_cycles():
     # the recursive search closure must not keep a call's state alive until
     # the cyclic collector runs
-    p = parse_presentation((Path(__file__).parent / "fixtures" / "bp2.pres").read_text())
+    p = parse_presentation((FIXTURES / "bp2.pres").read_text())
     gc.collect()
     gc.disable()
     try:
@@ -234,6 +239,155 @@ def test_transitive_hom_count_matches_low_index():
             transitive += 1
     assert transitive % 24 == 0
     assert transitive // 24 == low_index(p, 5).totals[5]
+
+
+# -- the tuple search as an oracle ---------------------------------------------
+
+
+def _single_occurrence(letters, gen):
+    hits = [i for i, l in enumerate(letters) if abs(l) == gen]
+    if len(hits) != 1:
+        return None
+    i = hits[0]
+    return letters[:i], (1 if letters[i] > 0 else -1), letters[i + 1 :]
+
+
+def reference_hom_search(p, target):
+    """The depth-first search on permutation tuples that hom_search replaced:
+    (image tuples in order, epi flags, number of assign calls)."""
+    budget = Budget.start()
+    degree = target.degree
+    elems = sorted(target.elements(budget))
+    elem_set = frozenset(elems)
+    idp = identity_perm(degree)
+    ngens = len(p.generators)
+    rel_support = [frozenset(abs(l) for l in r.letters) for r in p.relators]
+    found, flags = [], []
+    calls = 0
+
+    def evaluate(letters, images):
+        acc = idp
+        for l in letters:
+            g = images[abs(l)]
+            acc = compose(acc, g if l > 0 else invert(g))
+        return acc
+
+    def assign(images, level):
+        nonlocal calls
+        calls += 1
+        if level > ngens:
+            imgs = [images[i] for i in range(1, ngens + 1)]
+            GroupHom(p, imgs, degree)
+            found.append(tuple(imgs))
+            gen_set = close_under_products([idp] + imgs, compose, invert, budget)
+            flags.append(len(gen_set) == len(elems))
+            return
+        forced = None
+        assigned = set(images)
+        for ri, r in enumerate(p.relators):
+            if level not in rel_support[ri] or not (rel_support[ri] - assigned <= {level}):
+                continue
+            so = _single_occurrence(r.letters, level)
+            if so is None:
+                continue
+            pre, sign, post = so
+            val = compose(invert(evaluate(pre, images)), invert(evaluate(post, images)))
+            if sign < 0:
+                val = invert(val)
+            if forced is not None and forced != val:
+                return
+            forced = val
+        if forced is not None and forced not in elem_set:
+            return
+        for cand in [forced] if forced is not None else elems:
+            images[level] = cand
+            if all(
+                evaluate(r.letters, images) == idp
+                for ri, r in enumerate(p.relators)
+                if level in rel_support[ri] and rel_support[ri] <= set(images)
+            ):
+                assign(images, level + 1)
+            del images[level]
+
+    assign({}, 1)
+    return found, tuple(flags), calls
+
+
+def _assert_matches_reference(p, target):
+    res = hom_search(p, target)
+    homs, flags, calls = reference_hom_search(p, target)
+    assert res.complete
+    assert [tuple(h.images) for h in res.homs] == homs
+    assert res.epi_flags == flags
+    assert res.nodes == calls
+
+
+_TARGETS_UP_TO_4 = [symmetric_group(1)] + [t for d in (2, 3, 4) for t in transitive_groups(d)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.lists(st.sampled_from([s * g for g in range(1, k + 1) for s in (1, -1)]),
+                      min_size=1, max_size=8), min_size=k - 1, max_size=3),
+)))
+def test_hom_search_matches_reference_random(case):
+    ngens, relators = case
+    alphabet = Alphabet("abc"[:ngens])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # relators that reduce away, duplicates
+        p = Presentation(alphabet, [Word(alphabet, r) for r in relators])
+    for target in _TARGETS_UP_TO_4:
+        _assert_matches_reference(p, target)
+
+
+@pytest.mark.parametrize("name", ["a5", "bp2", "klein", "q8", "z5", "baumslag25_1", "trivial"])
+def test_hom_search_matches_reference_on_fixtures(name):
+    p = load_presentation((FIXTURES / f"{name}.pres").read_text())
+    for target in (alternating_group(5), symmetric_group(5)):
+        _assert_matches_reference(p, target)
+
+
+def _element_order(g):
+    order, power = 1, g
+    while power != identity_perm(len(g)):
+        order, power = order + 1, compose(power, g)
+    return order
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cyclic_source_counts_solutions_of_g_n(n):
+    # |Hom(<a | a^n>, G)| = #{g : g^n = 1}; SL(2,5) acts on 24 points, more
+    # than base-degree codes of its permutations could hold in int64
+    p = parse_presentation(f"< a | a^{n} >")
+    for target in [t for d in range(2, 6) for t in transitive_groups(d)] + [sl25()]:
+        expected = sum(n % _element_order(g) == 0 for g in target.elements())
+        assert len(hom_search(p, target).homs) == expected, (n, target.name)
+
+
+def test_free_source_counts_pairs():
+    p = parse_presentation("< a, b | >")
+    for target in [t for d in range(2, 6) for t in transitive_groups(d)]:
+        res = hom_search(p, target)
+        assert len(res.homs) == target.order() ** 2, target.name
+
+
+def test_trivial_targets_give_one_hom():
+    for f in sorted(FIXTURES.glob("*.pres")):
+        p = load_presentation(f.read_text())
+        for target in (symmetric_group(1), PermGroup(3, []), PermGroup(0, [])):
+            res = hom_search(p, target)
+            assert res.complete and res.epi_flags == (True,), f.name
+            assert [h.images for h in res.homs] == [
+                [identity_perm(target.degree)] * len(p.generators)
+            ]
+
+
+def test_multiplication_table_counts_against_the_element_cap():
+    p = parse_presentation("< a | a^2 >")
+    with pytest.raises(BudgetExhausted, match="multiplication table"):
+        hom_search(p, symmetric_group(4), Budget.start(max_elements=24 * 24 - 1))
+    assert hom_search(p, symmetric_group(4), Budget.start(max_elements=24 * 24)).complete
 
 
 # -- epi product check -------------------------------------------------------

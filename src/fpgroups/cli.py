@@ -276,13 +276,7 @@ def _cmd_l0_check(args, inputs, budget):
     quotient = _load(args.quotient, inputs)
     normal = tuple(ambient.word(w) for w in args.normal or [])
     rep = lemma_l0_check(L0Instance(ambient, normal, quotient), budget)
-    if rep.hypotheses_met and rep.equal:
-        outcome = "OK"
-    elif rep.equal is None and rep.hypotheses_met:
-        outcome = "EXHAUSTED"
-    else:
-        outcome = "NEGATIVE"
-    return outcome, rep.to_json()
+    return ("OK" if rep.hypotheses_met and rep.equal else "NEGATIVE"), rep.to_json()
 
 
 def _cmd_h2_rank(args, inputs, budget):

@@ -85,11 +85,6 @@ class CosetTable:
             c = self.action[_col(l)][c]
         return c
 
-    def permutation(self, name: str) -> tuple[int, ...]:
-        """The generator's permutation as a tuple of 0-based images."""
-        i = self.alphabet.index(name)
-        return tuple(self.action[2 * i])
-
     def verify(self, p: Presentation) -> bool:
         """Re-check the full certificate: mutually inverse total columns,
         every relator closing at every coset, subgroup generators fixing

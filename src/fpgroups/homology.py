@@ -12,33 +12,29 @@ The image of that map is free, so the kernel splits off: H2(Q) is the
 torsion of the coinvariant cokernel N/[F,N], and its free rank less the rank
 of the map (zero for finite Q).  Both are read off Smith diagonals.
 
-The other entry points are finite-instance checks used by the construction
-pipeline: a coinvariants-versus-H2 comparison for central quotients, the H2
-rank count for aspherical presentations, and the arithmetic isomorphism test
-for the metacyclic pairs Z/n x| Z given by a unit and its powers.
+lemma_l0_check compares H2(G/N) with N/[G,N] for N normal in a finite
+superperfect G.  With M = ker(F -> G/N) and R the relators of G, N/[G,N] =
+M/([F,M]·R^F): the cokernel of the coinvariant rows of G/N, as above, with
+the rewritten relators appended.  The other entry points are the H2 rank
+count for aspherical presentations and the arithmetic isomorphism test for
+the metacyclic pairs Z/n x| Z given by a unit and its powers.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .budget import Budget, BudgetExhausted
 from .cosets import CosetTable, Exhausted, SchreierRewriter, todd_coxeter
-from .permrep import (
-    PermGroup,
-    close_under_products,
-    compose,
-    evaluate_word,
-    identity_perm,
-    invert,
-)
-from .presentations import Presentation
+from .presentations import Presentation, PresentationWarning
 from .words import Word
 from .zlattice import (
     AbelianInvariants,
     IntMatrix,
     abelianization,
+    cokernel_invariants,
     kernel_invariants,
 )
 
@@ -80,28 +76,34 @@ def schur_multiplier(p: Presentation, budget: Budget | None = None) -> SchurRepo
     return _schur_from_table(p, _certified_table(p, budget), budget)
 
 
-def _schur_from_table(p: Presentation, t: CosetTable, budget: Budget) -> SchurReport:
-    """The coinvariant rows, one per ambient generator and Schreier generator
-    (the deadline is read once per row), then the kernel of their map to F_ab."""
+def _coinvariant_rows(
+    p: Presentation, t: CosetTable, budget: Budget
+) -> tuple[SchreierRewriter, list[Word], list[list[int]]]:
+    """The Schreier rewriter of the subgroup behind t, its generators as
+    ambient words, and the coinvariant rows g·s_i·g^-1 - s_i, one per ambient
+    generator g and Schreier generator s_i (the deadline is read once per
+    row)."""
     rw = SchreierRewriter(p, t)
-    rank = rw.rank
-    ngens = len(p.alphabet)
-    sgens = [rw.generator_word(i) for i in range(rank)]
-    expo = IntMatrix(rank, ngens, [list(w.exponent_vector()) for w in sgens])
-    # conjugation action of each ambient generator on N_ab
+    sgens = [rw.generator_word(i) for i in range(rw.rank)]
     rows: list[list[int]] = []
-    for gi in range(ngens):
+    for gi in range(len(p.alphabet)):
         g = Word(p.alphabet, (gi + 1,))
         ginv = g.inverse()
-        for i in range(rank):
+        for i, s in enumerate(sgens):
             budget.check()
-            conj = (g * sgens[i] * ginv).reduce()
-            row = list(rw.rewrite(conj, 0).exponent_vector())
-            row[i] -= 1  # coinvariant relation  g·s_i·g^-1 - s_i
+            row = rw.rewrite((g * s * ginv).reduce(), 0).exponent_vector()
+            row[i] -= 1
             rows.append(row)
-    h2 = kernel_invariants(IntMatrix(len(rows), rank, rows), expo, budget)
+    return rw, sgens, rows
+
+
+def _schur_from_table(p: Presentation, t: CosetTable, budget: Budget) -> SchurReport:
+    """The coinvariant rows, then the kernel of their map to F_ab."""
+    rw, sgens, rows = _coinvariant_rows(p, t, budget)
+    expo = IntMatrix(rw.rank, len(p.alphabet), [w.exponent_vector() for w in sgens])
+    h2 = kernel_invariants(IntMatrix(len(rows), rw.rank, rows), expo, budget)
     return SchurReport(
-        group_order=t.n, h2=h2, schreier_rank=rank, coinvariant_rows=len(rows)
+        group_order=t.n, h2=h2, schreier_rank=rw.rank, coinvariant_rows=len(rows)
     )
 
 
@@ -139,55 +141,30 @@ class L0Report:
         }
 
 
-def _abelian_invariants_from_orders(orders: list[int]) -> AbelianInvariants:
-    """Invariant factors of a finite abelian group from its element orders
-    (the counts of solutions of d·x = 0 determine the group)."""
-    size = len(orders)
-    invariants: list[int] = []
-    while size > 1:
-        e = lcm(*orders)
-        invariants.append(e)
-        size //= e
-        # orders of the complement A' with A = Z/e + A': each count of
-        # solutions of d x = 0 divides out gcd(d, e)
-        counts = {}
-        for d in sorted({o for o in orders}):
-            counts[d] = sum(1 for o in orders if d % o == 0) // gcd(d, e)
-        # rebuild the order multiset of A' from divisor counts
-        new_orders = []
-        divisors = sorted(counts)
-        exact = {}
-        for d in divisors:
-            below = sum(v for dd, v in exact.items() if d % dd == 0)
-            exact[d] = counts[d] - below
-            new_orders.extend([d] * exact[d])
-        orders = new_orders or [1]
-    invariants.reverse()
-    return AbelianInvariants(0, tuple(d for d in invariants if d > 1))
-
-
-def _normal_closure(seed: list, gen_perms: list, budget: Budget) -> frozenset:
-    degree = len(gen_perms[0]) if gen_perms else 0
-    current = close_under_products([identity_perm(degree)] + seed, compose, invert, budget)
-    while True:
-        extra = []
-        for g in gen_perms:
-            ginv = invert(g)
-            for n in current:
-                c = compose(compose(g, n), ginv)
-                if c not in current:
-                    extra.append(c)
-        if not extra:
-            return current
-        current = close_under_products(list(current) + extra, compose, invert, budget)
+def _kernel_coinvariants(
+    g: Presentation, normal_gens: tuple[Word, ...], budget: Budget
+) -> tuple[int, AbelianInvariants]:
+    """|G/N| and N/[G,N] for N the normal closure of normal_gens in the
+    finite group g presents: the cokernel of the coinvariant rows of G/N with
+    one row appended per relator of g."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PresentationWarning)
+        g_mod_n = Presentation(g.alphabet, (*g.relators, *normal_gens))
+    t = _certified_table(g_mod_n, budget)
+    rw, _, rows = _coinvariant_rows(g_mod_n, t, budget)
+    rows += [rw.rewrite(r, 0).exponent_vector() for r in g.relators]
+    return t.n, cokernel_invariants(IntMatrix(len(rows), rw.rank, rows), budget)
 
 
 def lemma_l0_check(inst: L0Instance, budget: Budget | None = None) -> L0Report:
     """For 1 -> N -> G -> Q -> 1 with G finite and H1(G) = H2(G) = 0, the
-    coinvariants H0(Q, H1 N) must equal H2(Q).  Both sides are computed by
-    independent routes: the left brute-force in the regular permutation
-    image of G, the right by the Hopf formula on the quotient presentation.
-    Hypothesis failures are reported, not raised."""
+    coinvariants H0(Q, H1 N) = N/[G,N] must equal H2(Q).  With F free on
+    G's generators, R its relators and M = ker(F -> G/N) the normal closure
+    of R and the normal generators, N/[G,N] = M/([F,M]·R^F) = M/([F,M]·R),
+    as a conjugate of a relator equals it modulo [F,M]: the left side is the
+    Schreier coinvariant matrix of G/N, as `schur` builds it, with one row
+    per relator of G.  The right side is the Hopf formula on the quotient
+    presentation.  Hypothesis failures are reported, not raised."""
     budget = budget or Budget.start()
     g = inst.ambient
     if not abelianization(g).is_trivial:
@@ -195,55 +172,18 @@ def lemma_l0_check(inst: L0Instance, budget: Budget | None = None) -> L0Report:
     t = _certified_table(g, budget)
     if not _schur_from_table(g, t, budget).h2.is_trivial:
         return L0Report(False, "ambient group has nontrivial H2", None, None, None, None)
-
-    gen_perms = [t.permutation(name) for name in g.alphabet.names]
-    degree = t.n
-    seed = [evaluate_word(w, gen_perms, degree) for w in inst.normal_gens]
-    N = _normal_closure(seed, gen_perms, budget)
-
-    # [G, N]: normal closure of the generator-element commutators
-    comms = []
-    for gp in gen_perms:
-        gpi = invert(gp)
-        for n in N:
-            c = compose(compose(compose(gp, n), gpi), invert(n))
-            if c != identity_perm(degree):
-                comms.append(c)
-    K = (
-        _normal_closure(comms, gen_perms, budget)
-        if comms
-        else frozenset([identity_perm(degree)])
-    )
-    # element orders of N/K via coset multiplication
-    cosets: dict = {}
-    for n in N:
-        key = frozenset(compose(n, k) for k in K)
-        cosets.setdefault(key, n)
-    idcoset = frozenset(K)
-    orders = []
-    for key, rep in cosets.items():
-        power, o = rep, 1
-        while frozenset(compose(power, k) for k in K) != idcoset:
-            power = compose(power, rep)
-            o += 1
-        orders.append(o)
-    coinv = _abelian_invariants_from_orders(orders)
+    quotient_order, coinv = _kernel_coinvariants(g, inst.normal_gens, budget)
+    kernel_order = t.n // quotient_order
 
     quotient_report = schur_multiplier(inst.quotient, budget)
-    if quotient_report.group_order * len(N) != t.n:
-        return L0Report(
-            False,
-            f"quotient order {quotient_report.group_order} is not |G|/|N| = {t.n}/{len(N)}",
-            len(N),
-            None,
-            None,
-            None,
-        )
+    if quotient_report.group_order * kernel_order != t.n:
+        reason = f"quotient order {quotient_report.group_order} is not |G|/|N| = {t.n}/{kernel_order}"
+        return L0Report(False, reason, kernel_order, None, None, None)
     h2_q = quotient_report.h2
     return L0Report(
         True,
         "ambient certified finite and superperfect",
-        len(N),
+        kernel_order,
         coinv,
         h2_q,
         coinv == h2_q,

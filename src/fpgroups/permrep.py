@@ -81,17 +81,13 @@ def cycle_notation(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-def evaluate_word(w: Word, images: dict[str, Perm] | list[Perm], degree: int) -> Perm:
-    """Image of a free word under generator images (list aligned with the
-    word's alphabet, or a name-keyed mapping)."""
-    if isinstance(images, dict):
-        imgs = [images[name] for name in w.alphabet.names]
-    else:
-        imgs = list(images)
-    inverses = [invert(g) for g in imgs]
+def evaluate_word(w: Word, images: list[Perm], degree: int) -> Perm:
+    """Image of a free word under generator images aligned with the word's
+    alphabet."""
+    inverses = [invert(g) for g in images]
     acc = identity_perm(degree)
     for l in w.letters:
-        acc = compose(acc, imgs[l - 1] if l > 0 else inverses[-l - 1])
+        acc = compose(acc, images[l - 1] if l > 0 else inverses[-l - 1])
     return acc
 
 

@@ -222,6 +222,22 @@ def test_l0_check_through_files(tmp_path):
     assert rep["payload"]["coinvariants"] == {"free_rank": 0, "torsion": [2]}
 
 
+def test_time_limit_bounds_l0_check(tmp_path):
+    # N = SL(2,7) itself: the normal closure in the regular permutation image
+    # took about 6.7 s and exited 2 under this limit
+    psl27, sl27 = tmp_path / "psl27.pres", tmp_path / "sl27.pres"
+    psl27.write_text("< a, b | a^2, b^3, (a b)^7, [a, b]^4 >")
+    assert run("uce", "--out", str(sl27), str(psl27))[0] == 0
+    started = time.perf_counter()
+    code, rep = run(
+        "l0-check", "--ambient", str(sl27), "--normal", "a", "--quotient", fx("trivial"),
+        "--max-cosets", "400000", "--time-limit", "3",
+    )
+    assert time.perf_counter() - started < 3.0
+    assert code == 0 and rep["payload"]["kernel_order"] == 336
+    assert rep["payload"]["equal"] is True
+
+
 def test_uce_rejects_non_perfect():
     code, rep = run("uce", fx("z5"))
     assert code == 3 and "perfect" in rep["payload"]["error"]

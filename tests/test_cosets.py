@@ -59,7 +59,7 @@ def test_tc_cyclic_five():
     assert t.standardized
     assert t.verify(Z5)
     # a acts as a 5-cycle; numbering follows BFS over (a, a^-1) columns
-    perm = t.permutation("a")
+    perm = tuple(t.action[0])  # column 2i holds generator i's images
     assert perm == (1, 3, 0, 4, 2)
     seen, c = {0}, 0
     for _ in range(4):
@@ -128,8 +128,9 @@ def test_tc_klein_bottle_quotient():
 def test_table_permutations():
     t = todd_coxeter(Z5)
     assert t.n == 5
-    assert t.permutation("a") == tuple(t.action[0])  # 0-based images
-    assert sorted(t.permutation("a")) == [0, 1, 2, 3, 4]
+    i = t.alphabet.index("a")
+    assert 2 * i == 0  # generator a's images are column 0, 0-based
+    assert sorted(t.action[2 * i]) == [0, 1, 2, 3, 4]
     assert t.standardized is True
 
 

@@ -3,22 +3,29 @@
 import itertools
 import math
 import warnings
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpgroups.budget import Budget, BudgetExhausted
+from fpgroups.construct import uce
 from fpgroups.cosets import todd_coxeter
 from fpgroups.homology import (
     BaumslagIsoReport,
     HomologyError,
     L0Instance,
+    _kernel_coinvariants,
     aspherical_h2_rank,
     baumslag_iso_test,
     lemma_l0_check,
     schur_multiplier,
 )
+from fpgroups.permrep import close_under_products, compose, evaluate_word, identity_perm, invert
 from fpgroups.presentations import catalog, direct_product, parse_presentation
+from fpgroups.words import Word
 from fpgroups.zlattice import AbelianInvariants, IntMatrix, abelianization, cokernel_invariants
 
 
@@ -216,6 +223,156 @@ def test_l0_guards_quotient_order():
     )
     assert not rep.hypotheses_met
     assert "order" in rep.reason
+
+
+# -- kernel coinvariants against the brute force they replaced ----------------
+
+
+def _abelian_invariants_from_orders(orders: list[int]) -> AbelianInvariants:
+    """Invariant factors of a finite abelian group from its element orders
+    (the counts of solutions of d·x = 0 determine the group)."""
+    size = len(orders)
+    invariants: list[int] = []
+    while size > 1:
+        e = lcm(*orders)
+        invariants.append(e)
+        size //= e
+        # orders of the complement A' with A = Z/e + A': each count of
+        # solutions of d x = 0 divides out gcd(d, e)
+        counts = {}
+        for d in sorted({o for o in orders}):
+            counts[d] = sum(1 for o in orders if d % o == 0) // gcd(d, e)
+        # rebuild the order multiset of A' from divisor counts
+        new_orders = []
+        divisors = sorted(counts)
+        exact = {}
+        for d in divisors:
+            below = sum(v for dd, v in exact.items() if d % dd == 0)
+            exact[d] = counts[d] - below
+            new_orders.extend([d] * exact[d])
+        orders = new_orders or [1]
+    invariants.reverse()
+    return AbelianInvariants(0, tuple(d for d in invariants if d > 1))
+
+
+def _normal_closure(seed: list, gen_perms: list, budget: Budget) -> frozenset:
+    degree = len(gen_perms[0]) if gen_perms else 0
+    current = close_under_products([identity_perm(degree)] + seed, compose, invert, budget)
+    while True:
+        extra = []
+        for g in gen_perms:
+            ginv = invert(g)
+            for n in current:
+                c = compose(compose(g, n), ginv)
+                if c not in current:
+                    extra.append(c)
+        if not extra:
+            return current
+        current = close_under_products(list(current) + extra, compose, invert, budget)
+
+
+def reference_kernel_coinvariants(g, normal_gens):
+    """(|N|, N/[G,N]) by brute force in the regular permutation image of G:
+    normal closures of permutation tuples, cosets of [G,N] in N as frozensets,
+    and the invariants from the orders of those cosets."""
+    budget = Budget.start()
+    t = todd_coxeter(g)
+    gen_perms = [tuple(t.action[2 * i]) for i in range(len(g.alphabet))]
+    degree = t.n
+    seed = [evaluate_word(w, gen_perms, degree) for w in normal_gens]
+    N = _normal_closure(seed, gen_perms, budget)
+
+    # [G, N]: normal closure of the generator-element commutators
+    comms = []
+    for gp in gen_perms:
+        gpi = invert(gp)
+        for n in N:
+            c = compose(compose(compose(gp, n), gpi), invert(n))
+            if c != identity_perm(degree):
+                comms.append(c)
+    K = (
+        _normal_closure(comms, gen_perms, budget)
+        if comms
+        else frozenset([identity_perm(degree)])
+    )
+    # element orders of N/K via coset multiplication
+    cosets: dict = {}
+    for n in N:
+        key = frozenset(compose(n, k) for k in K)
+        cosets.setdefault(key, n)
+    idcoset = frozenset(K)
+    orders = []
+    for key, rep in cosets.items():
+        power, o = rep, 1
+        while frozenset(compose(power, k) for k in K) != idcoset:
+            power = compose(power, rep)
+            o += 1
+        orders.append(o)
+    return len(N), _abelian_invariants_from_orders(orders)
+
+
+def kernel_coinvariants(g, normal_gens):
+    """(|N|, N/[G,N]) as lemma_l0_check computes them."""
+    quotient_order, coinv = _kernel_coinvariants(g, tuple(normal_gens), Budget.start())
+    return todd_coxeter(g).n // quotient_order, coinv
+
+
+TWO_I = parse_presentation("< s, t | (s t)^2 s^-3, s^3 t^-5 >")
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    UCE_A5 = uce(FINITE["a5"]).tilde
+
+
+def _letters(p):
+    k = len(p.alphabet)
+    return st.sampled_from([s * i for i in range(1, k + 1) for s in (1, -1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FINITE)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.lists(st.lists(_letters(FINITE[name]), max_size=6), max_size=2),
+)))
+def test_kernel_coinvariants_match_brute_force_random(case):
+    name, words = case
+    g = FINITE[name]
+    gens = [Word(g.alphabet, letters) for letters in words]
+    assert kernel_coinvariants(g, gens) == reference_kernel_coinvariants(g, gens)
+
+
+@pytest.mark.parametrize(
+    "which,gens",
+    [
+        ("2I", []),
+        ("2I", ["s^3"]),
+        ("2I", ["t^2"]),
+        ("2I", ["s", "t"]),
+        ("uce(A5)", []),
+        ("uce(A5)", ["a^2"]),
+        ("uce(A5)", ["b"]),
+        ("uce(A5)", ["a"]),
+    ],
+)
+def test_kernel_coinvariants_match_brute_force_perfect(which, gens):
+    g = TWO_I if which == "2I" else UCE_A5
+    normal = [g.word(w) for w in gens]
+    assert kernel_coinvariants(g, normal) == reference_kernel_coinvariants(g, normal)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_kernel_coinvariants_of_empty_and_repeated_relator_generators(name, capsys):
+    # a generator word that freely reduces away, and one that repeats an
+    # ambient relator, each normally generate the trivial subgroup; the
+    # presentation of G/N must drop or keep them without a warning
+    g = FINITE[name]
+    a = g.alphabet
+    for gens in ([Word(a, (1, -1))], [g.relators[0]], [Word(a, (-1, 1)), g.relators[-1]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_coinvariants(g, gens)
+        assert got == reference_kernel_coinvariants(g, gens)
+        assert got == (1, AbelianInvariants(0, ()))
+    assert capsys.readouterr().out == ""
 
 
 # -- aspherical rank formula --------------------------------------------------

@@ -483,14 +483,3 @@ def test_check_generation_rejects_outsiders():
     ffp = fibre_product_finite(eta, G)
     with pytest.raises(PermError, match="outside"):
         check_generation(ffp, [(p.word("a"), Word.identity(p.alphabet))])
-
-
-def test_evaluate_word_mapping_form():
-    p = parse_presentation("< a, b | >")
-    w = p.word("a b^-1")
-    img = evaluate_word(
-        w,
-        {"a": perm_from_cycles(3, [(1, 2)]), "b": perm_from_cycles(3, [(2, 3)])},
-        3,
-    )
-    assert img == compose(perm_from_cycles(3, [(1, 2)]), perm_from_cycles(3, [(2, 3)]))

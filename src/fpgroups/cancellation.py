@@ -24,7 +24,14 @@ binds walk outward through the suffix order in Python.
 Words of the presented group can be tested for triviality by Dehn's
 algorithm once the presentation is verified C'(1/6): Greendlinger's lemma
 guarantees every nonempty cyclically reduced word representing the identity
-contains more than half of some symmetrized relator.
+contains more than half of some symmetrized relator.  The word under test
+is one str of shifted code points from start to end: it is encoded once,
+each step splices the inverted relator remainder (a slice of a precomputed
+string) in place of the match, and free and cyclic cancellation can then
+happen only at the splice and at the wrap.  Steps are recorded as
+references (rotation, rotation class, offset, matched length), and the
+choice among matches is fixed: leftmost position, then longest match, then
+lowest class, then lowest offset.
 """
 
 from __future__ import annotations
@@ -382,15 +389,15 @@ def _piece_report(
 
 @dataclass(frozen=True)
 class DehnStep:
-    """One replacement: rotate the cyclic word left by `rotation`, match the
-    first `matched` letters against a prefix of `relator` (a symmetrized
-    element), and substitute the inverted remainder of that relator."""
+    """One replacement, by reference: rotate the cyclic word left by
+    `rotation`, match its first `matched` letters against the rotation of
+    rotation class `relator` that starts at `offset`, and substitute the
+    inverse of that rotation's unmatched remainder."""
 
-    before: tuple[int, ...]
     rotation: int
-    relator: tuple[int, ...]
-    matched: int  # > len(relator) / 2
-    after: tuple[int, ...]  # freely and cyclically reduced
+    relator: int  # index into DehnSolver.words
+    offset: int
+    matched: int  # > len(relator's class) / 2
 
 
 @dataclass
@@ -399,26 +406,45 @@ class DehnTrace:
     final: tuple[int, ...] = ()
 
 
-def _to_chars(ls) -> str:
-    # letters land in the Unicode private use area: C-speed hashing/slicing
-    return "".join(chr(0xE000 + l) for l in ls)
-
-
 _GRAM_CAP = 32  # index grams are at most this long; hits are then extended
+_MAX_GENERATORS = 0x10FFFF // 2  # letters -n..n become code points 1..2n+1
+
+
+def _code_string(codes: np.ndarray) -> str:
+    """The str of the given code points, made in one numpy pass; slicing,
+    hashing and comparing it then run at C speed."""
+    if not codes.size:
+        return ""
+    codes = np.ascontiguousarray(codes, dtype="<u4")
+    return str(codes.view(f"<U{codes.size}")[0])
 
 
 class DehnSolver:
     """Word-problem solver for a fixed C'(1/6) presentation.
 
-    The index maps fixed-length grams (min(32, floor(n/2)+1) letters) of each
-    rotation class to their positions; a lookup hit is extended greedily and
-    accepted when it exceeds half the relator.  Deterministic choice:
-    leftmost match position, then longest match, then lowest rotation-class
-    index, then lowest offset.  The C'(1/6) certificate shares check_metric's
-    rotation classes; it and the word search both read the budget's deadline.
+    Over n generators, letter x is code point x + n + 1, so letters -n..n
+    are 1..2n+1 and at most 0x10FFFF // 2 generators fit; the word under
+    test stays one str from start to end.  The index maps fixed-length grams
+    (min(32, floor(k/2)+1) letters) of each rotation class's doubled string
+    to their positions; a lookup hit is extended by binary search over slice
+    equality, as far as it goes, and accepted when it exceeds half the
+    relator.  Deterministic choice: leftmost match position, then longest
+    match, then lowest rotation-class index, then lowest offset.  A step
+    splices the inverted remainder of the relator, one slice of the class's
+    inverted doubled string, in place of the match.  Free and cyclic
+    cancellation can then happen only at the splice and at the wrap, and
+    the splice has none, as every match runs as far as it goes.  Steps are
+    recorded as references into the rotation classes.  The C'(1/6)
+    certificate shares check_metric's rotation classes; it and the word
+    search both read the budget's deadline.
     """
 
     def __init__(self, p: Presentation, budget: Budget | None = None):
+        if len(p.alphabet) > _MAX_GENERATORS:
+            raise SmallCancellationError(
+                f"Dehn's algorithm handles at most {_MAX_GENERATORS} generators, "
+                f"one code point per letter; the presentation has {len(p.alphabet)}"
+            )
         self.presentation = p
         budget = budget or Budget.start()
         self.words, classes = _cyclic_words(p, budget)
@@ -428,16 +454,19 @@ class DehnSolver:
                 f"presentation is not C'(1/6): relators {list(report.failing)} "
                 f"carry pieces of at least 1/6 of their length"
             )
+        self.shift = len(p.alphabet) + 1
         self.doubled: list[str] = []
-        self.doubled_letters: list[tuple[int, ...]] = []
+        self.inverted: list[str] = []  # the inverse of each doubled string
         # gram length -> gram -> [(word_idx, offset)]
         self.grams: dict[int, dict[str, list[tuple[int, int]]]] = {}
+        # no shorter cyclic word holds more than half of a relator
+        self.shortest_match = min((len(w.letters) // 2 + 1 for w in self.words), default=1)
         for wi, w in enumerate(self.words):
             n = len(w.letters)
-            dbl_ls = w.letters + w.letters
-            dbl = _to_chars(dbl_ls)
+            codes = np.asarray(w.letters * 2, dtype=np.int64) + self.shift
+            dbl = _code_string(codes)
             self.doubled.append(dbl)
-            self.doubled_letters.append(dbl_ls)
+            self.inverted.append(_code_string(2 * self.shift - codes[::-1]))
             g = min(_GRAM_CAP, n // 2 + 1)
             bucket = self.grams.setdefault(g, {})
             for t in range(n):
@@ -460,13 +489,19 @@ class DehnSolver:
                 if cap < half:
                     continue
                 dbl = self.doubled[wi]
-                l = g
-                while l < cap and dbl[t + l] == s[i + l]:
-                    l += 1
-                if l >= half and (
-                    best is None or (l, -wi, -t) > (best[0], -best[1], -best[2])
-                ):
-                    best = (l, wi, t)
+                if dbl[t + g : t + half] != s[i + g : i + half]:
+                    continue  # half the relator or less
+                # prefix equality is monotone in the length, so the longest
+                # equal prefix is found by bisection, a memcmp per probe
+                lo, hi = half, cap
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if dbl[t + lo : t + mid] == s[i + lo : i + mid]:
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                if best is None or (lo, -wi, -t) > (best[0], -best[1], -best[2]):
+                    best = (lo, wi, t)
         return best
 
     def is_trivial(self, w: Word, budget: Budget | None = None) -> tuple[bool, DehnTrace]:
@@ -478,33 +513,31 @@ class DehnSolver:
             raise SmallCancellationError("word is over a different alphabet")
         budget = budget or Budget.start()
         trace = DehnTrace()
-        cur, _ = w.cyclic_reduce()
-        ls = cur.letters
-        while ls:
-            budget.check()
-            n = len(ls)
-            s = _to_chars(ls + ls)
-            found = None
-            for i in range(n):
-                found = self._best_match_at(s, i, n)
-                if found:
-                    l, wi, t = found
-                    before = ls
-                    rotated = ls[i:] + ls[:i]
-                    rel_n = len(self.words[wi].letters)
-                    relator = self.doubled_letters[wi][t : t + rel_n]
-                    tail = relator[l:]
-                    repl = tuple(-x for x in reversed(tail))
-                    nxt = Word(self.presentation.alphabet, repl + rotated[l:])
-                    core, _ = nxt.reduce().cyclic_reduce()
-                    trace.steps.append(
-                        DehnStep(before=before, rotation=i, relator=relator,
-                                 matched=l, after=core.letters)
-                    )
-                    ls = core.letters
-                    break
-            if not found:
+        s = _code_string(np.asarray(w.reduce().letters, dtype=np.int64) + self.shift)
+        inverse_pair = 2 * self.shift  # code-point sum of a letter and its inverse
+        while True:
+            # s is freely reduced, so it cancels cyclically only at the wrap
+            a, b = 0, len(s)
+            while b - a >= 2 and ord(s[a]) + ord(s[b - 1]) == inverse_pair:
+                a += 1
+                b -= 1
+            s = s[a:b]
+            n = len(s)
+            if n < self.shortest_match:
                 break
-        trace.final = ls
-        return (not ls), trace
-
+            budget.check()
+            d = s + s
+            for i in range(n):
+                found = self._best_match_at(d, i, n)
+                if found:
+                    break
+            else:
+                break
+            l, wi, t = found
+            trace.steps.append(DehnStep(rotation=i, relator=wi, offset=t, matched=l))
+            # the match is as long as it goes, so the letters either side of
+            # the splice never cancel: either they differ, or one side is empty
+            k = len(self.words[wi].letters)
+            s = self.inverted[wi][k - t : 2 * k - t - l] + d[i + l : i + n]
+        trace.final = tuple(ord(c) - self.shift for c in s)
+        return (not s), trace

@@ -142,15 +142,17 @@ class L0Report:
 
 
 def _kernel_coinvariants(
-    g: Presentation, normal_gens: tuple[Word, ...], budget: Budget
+    g: Presentation, table: CosetTable, normal_gens: tuple[Word, ...], budget: Budget
 ) -> tuple[int, AbelianInvariants]:
     """|G/N| and N/[G,N] for N the normal closure of normal_gens in the
-    finite group g presents: the cokernel of the coinvariant rows of G/N with
-    one row appended per relator of g."""
+    finite group g presents, whose regular coset table is given: the
+    cokernel of the coinvariant rows of G/N with one row appended per
+    relator of g."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PresentationWarning)
         g_mod_n = Presentation(g.alphabet, (*g.relators, *normal_gens))
-    t = _certified_table(g_mod_n, budget)
+    # when every normal generator reduces away, G/N is G and so is its table
+    t = table if g_mod_n.relators == g.relators else _certified_table(g_mod_n, budget)
     rw, _, rows = _coinvariant_rows(g_mod_n, t, budget)
     rows += [rw.rewrite(r, 0).exponent_vector() for r in g.relators]
     return t.n, cokernel_invariants(IntMatrix(len(rows), rw.rank, rows), budget)
@@ -170,12 +172,17 @@ def lemma_l0_check(inst: L0Instance, budget: Budget | None = None) -> L0Report:
     if not abelianization(g).is_trivial:
         return L0Report(False, "ambient group has nontrivial H1", None, None, None, None)
     t = _certified_table(g, budget)
-    if not _schur_from_table(g, t, budget).h2.is_trivial:
+    ambient_report = _schur_from_table(g, t, budget)
+    if not ambient_report.h2.is_trivial:
         return L0Report(False, "ambient group has nontrivial H2", None, None, None, None)
-    quotient_order, coinv = _kernel_coinvariants(g, inst.normal_gens, budget)
+    quotient_order, coinv = _kernel_coinvariants(g, t, inst.normal_gens, budget)
     kernel_order = t.n // quotient_order
 
-    quotient_report = schur_multiplier(inst.quotient, budget)
+    q = inst.quotient
+    if (q.alphabet, q.relators) == (g.alphabet, g.relators):
+        quotient_report = ambient_report  # the quotient is presented as G is
+    else:
+        quotient_report = schur_multiplier(q, budget)
     if quotient_report.group_order * kernel_order != t.n:
         reason = f"quotient order {quotient_report.group_order} is not |G|/|N| = {t.n}/{kernel_order}"
         return L0Report(False, reason, kernel_order, None, None, None)

@@ -80,10 +80,8 @@ MEMBERS_ALLOWED = {
     # re-multiplies Smith certificates in acceptance criterion 11
     "IntMatrix.row_mul",
     # the Dehn certificate that the tests replay step by step
-    "DehnStep.before",
     "DehnStep.rotation",
     "DehnStep.matched",
-    "DehnStep.after",
     # the result of epi_count_product_check, the route of criterion 10
     "EpiProductReport.e1",
     "EpiProductReport.e2",

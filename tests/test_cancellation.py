@@ -367,31 +367,124 @@ def test_piece_reports_match_the_oracle_on_small_presentations(p, m):
 SURFACE = parse_presentation("< a, b, c, d | [a, b] [c, d] >")
 
 
-def verify_trace(p: Presentation, w: Word, trace, result: bool):
-    sym = set()
+def step_relator(solver: DehnSolver, step) -> tuple[int, ...]:
+    """The letters of the symmetrized relator a step refers to."""
+    ls = solver.words[step.relator].letters
+    return (ls + ls)[step.offset : step.offset + len(ls)]
+
+
+def verify_trace(solver: DehnSolver, w: Word, trace, result: bool):
+    """Replay the trace: each step's word is rebuilt from the one before, the
+    match is checked against a relator of the symmetrized set, and the word
+    must shrink at every step."""
+    p = solver.presentation
+    # a rotation of a relator core or its inverse is a subword of it doubled
+    doubled = []
     for r in p.relators:
         core, _ = r.cyclic_reduce()
         for ls in (core.letters, tuple(-x for x in reversed(core.letters))):
-            for k in range(len(ls)):
-                sym.add(ls[k:] + ls[:k])
+            doubled.append((len(ls), ReferenceDehn.chars(ls + ls)))
     cur, _ = w.cyclic_reduce()
     cur = cur.letters
     for step in trace.steps:
-        assert step.before == cur
+        assert 0 <= step.rotation < len(cur)
         rotated = cur[step.rotation :] + cur[: step.rotation]
-        assert step.relator in sym
-        n = len(step.relator)
+        relator = step_relator(solver, step)
+        n = len(relator)
+        key = ReferenceDehn.chars(relator)
+        assert any(k == n and key in dbl for k, dbl in doubled)
         assert 2 * step.matched > n
-        assert rotated[: step.matched] == step.relator[: step.matched]
-        tail = step.relator[step.matched :]
+        assert rotated[: step.matched] == relator[: step.matched]
+        tail = relator[step.matched :]
         repl = tuple(-x for x in reversed(tail))
         nxt = Word(p.alphabet, repl + rotated[step.matched :])
         core, _ = nxt.reduce().cyclic_reduce()
-        assert core.letters == step.after
-        assert len(step.after) < len(step.before)
-        cur = step.after
+        assert len(core) < len(cur)
+        cur = core.letters
     assert trace.final == cur
     assert result == (len(cur) == 0)
+
+
+class ReferenceDehn:
+    """The Dehn search as it ran on letter tuples: each step re-encodes the
+    doubled word, extends gram hits letter by letter and reduces the spliced
+    word as a Word.  Kept as the oracle for DehnSolver.is_trivial; it shares
+    the solver's rotation classes and nothing else."""
+
+    def __init__(self, solver: DehnSolver):
+        self.alphabet = solver.presentation.alphabet
+        self.words = [w.letters for w in solver.words]
+        self.doubled = [self.chars(ls + ls) for ls in self.words]
+        self.doubled_letters = [ls + ls for ls in self.words]
+        self.grams = {}
+        for wi, ls in enumerate(self.words):
+            n = len(ls)
+            g = min(32, n // 2 + 1)
+            bucket = self.grams.setdefault(g, {})
+            for t in range(n):
+                bucket.setdefault(self.doubled[wi][t : t + g], []).append((wi, t))
+
+    @staticmethod
+    def chars(ls) -> str:
+        return "".join(chr(0xE000 + l) for l in ls)
+
+    def best_match_at(self, s, i, max_len):
+        best = None
+        for g, bucket in self.grams.items():
+            if g > max_len:
+                continue
+            for wi, t in bucket.get(s[i : i + g], ()):
+                n = len(self.words[wi])
+                half = n // 2 + 1
+                cap = min(n, max_len)
+                if cap < half:
+                    continue
+                dbl = self.doubled[wi]
+                l = g
+                while l < cap and dbl[t + l] == s[i + l]:
+                    l += 1
+                if l >= half and (
+                    best is None or (l, -wi, -t) > (best[0], -best[1], -best[2])
+                ):
+                    best = (l, wi, t)
+        return best
+
+    def is_trivial(self, w: Word):
+        """(trivial, [(rotation, relator letters, matched)], residue)."""
+        steps = []
+        cur, _ = w.cyclic_reduce()
+        ls = cur.letters
+        while ls:
+            n = len(ls)
+            s = self.chars(ls + ls)
+            found = None
+            for i in range(n):
+                found = self.best_match_at(s, i, n)
+                if found:
+                    break
+            if not found:
+                break
+            l, wi, t = found
+            rotated = ls[i:] + ls[:i]
+            relator = self.doubled_letters[wi][t : t + len(self.words[wi])]
+            repl = tuple(-x for x in reversed(relator[l:]))
+            core, _ = Word(self.alphabet, repl + rotated[l:]).reduce().cyclic_reduce()
+            steps.append((i, relator, l))
+            ls = core.letters
+        return not ls, steps, ls
+
+
+def assert_matches_reference(solver: DehnSolver, reference: ReferenceDehn, w: Word) -> bool:
+    """The solver and the reference take the same steps to the same residue;
+    the solver's trace also replays.  Returns the verdict."""
+    trivial, trace = solver.is_trivial(w)
+    ref_trivial, ref_steps, ref_final = reference.is_trivial(w)
+    got = [(step.rotation, step_relator(solver, step), step.matched) for step in trace.steps]
+    assert got == ref_steps
+    assert trace.final == ref_final
+    assert trivial == ref_trivial
+    verify_trace(solver, w, trace, trivial)
+    return trivial
 
 
 def test_dehn_refuses_without_c16():
@@ -405,7 +498,7 @@ def test_dehn_kills_relators():
     for r in SURFACE.relators:
         ok, trace = solver.is_trivial(r)
         assert ok
-        verify_trace(SURFACE, r, trace, ok)
+        verify_trace(solver, r, trace, ok)
     # rotations and inverses of relators die too
     r = SURFACE.relators[0]
     ls = r.letters
@@ -424,7 +517,7 @@ def test_dehn_identity_and_conjugates():
     r = SURFACE.relators[0]
     ok, trace = solver.is_trivial(x * r * ~x)
     assert ok
-    verify_trace(SURFACE, x * r * ~x, trace, ok)
+    verify_trace(solver, x * r * ~x, trace, ok)
 
 
 def rand_word_over(rng, ab, n):
@@ -451,7 +544,7 @@ def test_dehn_conjugate_products_complete():
             w = w * (x * (r if e > 0 else ~r) * ~x)
         ok, trace = solver.is_trivial(w)
         assert ok, w.text()
-        verify_trace(SURFACE, w, trace, ok)
+        verify_trace(solver, w, trace, ok)
 
 
 def test_dehn_nontrivial_words():
@@ -460,7 +553,7 @@ def test_dehn_nontrivial_words():
         w = SURFACE.word(text)
         ok, trace = solver.is_trivial(w)
         assert not ok
-        verify_trace(SURFACE, w, trace, ok)
+        verify_trace(solver, w, trace, ok)
         assert trace.final  # a nonempty irreducible residue
 
 
@@ -493,3 +586,80 @@ def test_dehn_alphabet_guard():
     solver = DehnSolver(SURFACE)
     with pytest.raises(SmallCancellationError):
         solver.is_trivial(Word(Alphabet(["x"]), (1,)))
+
+
+def test_dehn_large_alphabet_letters():
+    # letters are shifted by the alphabet size, so every one has a code point
+    n = 60000
+    ab = Alphabet([f"g{i}" for i in range(1, n + 1)])
+    solver = DehnSolver(Presentation(ab, ()))
+    ok, trace = solver.is_trivial(Word(ab, (-n, 1, n, 1)))
+    assert not ok and trace.final == (-n, 1, n, 1)
+
+
+# --- the splice loop against the reference -----------------------------------
+
+SURFACE_SOLVER = DehnSolver(SURFACE)
+SURFACE_REFERENCE = ReferenceDehn(SURFACE_SOLVER)
+SURFACE_LETTER = st.integers(1, 4).flatmap(lambda g: st.sampled_from((g, -g)))
+
+
+@st.composite
+def surface_conjugate_products(draw):
+    """Products of one to five conjugates of the surface relator or its
+    inverse, each by a word of up to six letters, not reduced."""
+    r = SURFACE.relators[0]
+    w = Word.identity(SURFACE.alphabet)
+    for _ in range(draw(st.integers(1, 5))):
+        x = Word(SURFACE.alphabet, draw(st.lists(SURFACE_LETTER, max_size=6)))
+        w = w * x * (r if draw(st.booleans()) else ~r) * ~x
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SURFACE_LETTER, max_size=40))
+def test_dehn_matches_reference_on_surface_words(ls):
+    assert_matches_reference(SURFACE_SOLVER, SURFACE_REFERENCE, Word(SURFACE.alphabet, ls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(surface_conjugate_products())
+def test_dehn_matches_reference_on_surface_conjugate_products(w):
+    assert assert_matches_reference(SURFACE_SOLVER, SURFACE_REFERENCE, w)
+
+
+@pytest.fixture(scope="module")
+def rips_a5_12():
+    a5 = parse_presentation((Path(__file__).parent / "fixtures" / "a5.pres").read_text())
+    gamma = rips(a5, 12).gamma
+    solver = DehnSolver(gamma)
+    return solver, ReferenceDehn(solver)
+
+
+def test_dehn_matches_reference_on_rips_relator_products(rips_a5_12):
+    # acceptance criterion 8's trivial words: products of conjugated relators
+    solver, reference = rips_a5_12
+    gamma = solver.presentation
+    rng = random.Random(0xD2)
+    for _ in range(100):
+        w = Word.identity(gamma.alphabet)
+        for _ in range(rng.randint(1, 5)):
+            r = rng.choice(gamma.relators)
+            r = r.inverse() if rng.random() < 0.5 else r
+            g = rand_word_over(rng, gamma.alphabet, rng.randint(0, 8))
+            w = w * g * r * g.inverse()
+        assert assert_matches_reference(solver, reference, w.reduce())
+
+
+def test_dehn_matches_reference_on_rips_random_words(rips_a5_12):
+    # random words and relator halves spliced into them, so that some steps
+    # are taken and some words die only part of the way
+    solver, reference = rips_a5_12
+    gamma = solver.presentation
+    rng = random.Random(0xD3)
+    for _ in range(150):
+        w = rand_word_over(rng, gamma.alphabet, rng.randint(1, 30))
+        r = rng.choice(gamma.relators).letters
+        k = rng.randint(len(r) // 2, len(r))
+        w = w * Word(gamma.alphabet, r[:k]) * rand_word_over(rng, gamma.alphabet, rng.randint(0, 10))
+        assert_matches_reference(solver, reference, w)

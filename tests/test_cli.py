@@ -176,6 +176,30 @@ def test_dehn_refuses_weak_presentation():
     assert code == 3
 
 
+def free_group_file(tmp_path, n):
+    path = tmp_path / f"free{n}.pres"
+    path.write_text("< " + ", ".join(f"g{i}" for i in range(1, n + 1)) + " | >\n")
+    return str(path)
+
+
+def test_dehn_answers_at_the_largest_alphabet(tmp_path):
+    # 0x10FFFF // 2 generators: letters -n..n fill every code point from 1 up
+    n = 0x10FFFF // 2
+    word = f"g{n}^-1 g1 g{n} g1"
+    code, rep = run("dehn", "--word", word, free_group_file(tmp_path, n))
+    assert code == 1 and rep["outcome"] == "NEGATIVE"
+    assert rep["payload"] == {
+        "residue_length": 4, "steps": 0, "trivial": False, "word_length": 4
+    }
+
+
+def test_dehn_refuses_a_larger_alphabet(tmp_path):
+    n = 0x10FFFF // 2 + 1
+    code, rep = run("dehn", "--word", f"g{n}^-1", free_group_file(tmp_path, n))
+    assert code == 3 and rep["outcome"] == "ERROR"
+    assert f"at most {n - 1} generators" in rep["payload"]["error"]
+
+
 def test_baumslag_iso_exit_codes():
     code, rep = run("baumslag-iso", "--modulus", "25", "--unit", "6", "--k", "2")
     assert code == 1 and rep["payload"]["isomorphic"] is False

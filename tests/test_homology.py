@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpgroups import homology
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.construct import uce
 from fpgroups.cosets import todd_coxeter
@@ -225,6 +226,28 @@ def test_l0_guards_quotient_order():
     assert "order" in rep.reason
 
 
+def test_l0_with_trivial_kernel_enumerates_once(monkeypatch):
+    # N = 1 and Q presented as G is: one coset table of G serves the H2(G)
+    # hypothesis, G/N and Q, and the report is as it was with three
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return todd_coxeter(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "todd_coxeter", counting)
+    rep = lemma_l0_check(L0Instance(UCE_A5, (), UCE_A5))
+    assert calls == [UCE_A5]
+    assert rep.to_json() == {
+        "hypotheses_met": True,
+        "reason": "ambient certified finite and superperfect",
+        "kernel_order": 1,
+        "coinvariants": {"free_rank": 0, "torsion": []},
+        "h2_quotient": {"free_rank": 0, "torsion": []},
+        "equal": True,
+    }
+
+
 # -- kernel coinvariants against the brute force they replaced ----------------
 
 
@@ -313,8 +336,9 @@ def reference_kernel_coinvariants(g, normal_gens):
 
 def kernel_coinvariants(g, normal_gens):
     """(|N|, N/[G,N]) as lemma_l0_check computes them."""
-    quotient_order, coinv = _kernel_coinvariants(g, tuple(normal_gens), Budget.start())
-    return todd_coxeter(g).n // quotient_order, coinv
+    t = todd_coxeter(g)
+    quotient_order, coinv = _kernel_coinvariants(g, t, tuple(normal_gens), Budget.start())
+    return t.n // quotient_order, coinv
 
 
 TWO_I = parse_presentation("< s, t | (s t)^2 s^-3, s^3 t^-5 >")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -55,9 +56,18 @@ _OUTCOME_CODE = {
 }
 
 
+def _seconds(text: str) -> float:
+    """A finite float: nan or inf would never reach the deadline, and the
+    report's parameters would not be JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"time limit must be finite, not {text!r}")
+    return value
+
+
 def _global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit one RunReport as JSON")
-    parser.add_argument("--time-limit", type=float, default=60.0, metavar="SECONDS")
+    parser.add_argument("--time-limit", type=_seconds, default=60.0, metavar="SECONDS")
     parser.add_argument("--max-cosets", type=int, default=100_000, metavar="N")
     parser.add_argument("--max-elements", type=int, default=100_000, metavar="N")
     # randomized property drivers only; every verb below is seed-independent
@@ -244,14 +254,10 @@ def _cmd_fibre_check(args, inputs, budget):
         ambient = cyclic_group(6)
         eta = GroupHom(src, [cyclic_group(3).generators[0]], 3)
         kernel_words = [src.word("a^3")]
-    elif args.instance == "sl25-a5":
+    else:  # "sl25-a5"; argparse's choices refuse any other name
         ambient, eta = sl25_to_a5()
         src = eta.source
         kernel_words = [src.word("s^2")]  # s^2 = -I generates the centre
-    else:
-        raise ValueError(
-            f"unknown instance {args.instance!r}; choose from {', '.join(_FIBRE_INSTANCES)}"
-        )
     pairs = list(fibre_generators(src, kernel_words))
     ffp = fibre_product_finite(eta, ambient, budget)
     generated = check_generation(ffp, pairs, budget)

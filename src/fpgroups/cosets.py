@@ -13,12 +13,18 @@ BudgetExhausted as an Exhausted value, low_index as a Fingerprint's first
 unfinished index.
 
 reidemeister_schreier rewrites relator conjugates on Schreier generators of
-a complete table.  low_index enumerates standardized coset tables directly by
-Sims' search: first-undefined-slot branching on one flat table with an undo
-log, closed after each branch by deductions through the edges just defined,
-against relator rotations compiled once per presentation.  It visits every
-subgroup of each index exactly once; conjugacy classes are counted by
-rebasing each table at every coset and keeping the least serialization.
+a complete standardized table.  Its spanning tree is read off the scan order
+(a standardized table numbers cosets as breadth-first search discovers
+them), and each column keeps one list of edge labels, so a rewrite costs one
+label and one action lookup per letter.
+
+low_index enumerates standardized coset tables directly by Sims' search:
+first-undefined-slot branching on one flat table with an undo log, closed
+after each branch by deductions through the edges just defined, against
+relator rotations compiled once per presentation.  It visits every subgroup
+of each index exactly once; conjugacy classes are counted by rebasing each
+table at every coset (one breadth-first renumbering each, the one
+standardize uses) and keeping the least serialization.
 
 Cosets are numbered 1..n in messages; internal arrays are 0-based.
 """
@@ -75,10 +81,6 @@ class CosetTable:
         self.subgroup_gens = subgroup_gens
         self.standardized = standardized
 
-    def apply(self, coset: int, letter: int) -> int:
-        """Image of 0-based coset under a signed letter."""
-        return self.action[_col(letter)][coset]
-
     def trace(self, coset: int, w: Word) -> int:
         c = coset
         for l in w.letters:
@@ -110,36 +112,30 @@ class CosetTable:
     def standardize(self) -> "CosetTable":
         """Renumber cosets in breadth-first discovery order (columns scanned
         generator, inverse, generator, ...)."""
-        order = _bfs_order(self.action, 0)
-        newidx = [0] * self.n
-        for new, old in enumerate(order):
-            newidx[old] = new
-        action = [
-            [newidx[colarr[old]] for old in order] for colarr in self.action
-        ]
-        return CosetTable(self.alphabet, action, self.subgroup_gens, standardized=True)
+        return CosetTable(
+            self.alphabet, _renumbered(self.action, 0), self.subgroup_gens, standardized=True
+        )
 
     def __repr__(self) -> str:
         return f"<coset table on {self.n} cosets over {self.alphabet!r}>"
 
 
-def _bfs_order(action: list[list[int]], start: int) -> list[int]:
+def _renumbered(action: list[list[int]], base: int) -> list[list[int]]:
+    """The action with cosets renumbered in breadth-first discovery order
+    from base (columns scanned generator, inverse, generator, ...)."""
     n = len(action[0])
-    seen = [False] * n
-    order = [start]
-    seen[start] = True
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
+    newidx = [-1] * n
+    newidx[base] = 0
+    order = [base]
+    for c in order:  # grows while it is walked
         for colarr in action:
             d = colarr[c]
-            if not seen[d]:
-                seen[d] = True
+            if newidx[d] < 0:
+                newidx[d] = len(order)
                 order.append(d)
     if len(order) != n:
         raise CosetError("table is not transitive")
-    return order
+    return [[newidx[colarr[old]] for old in order] for colarr in action]
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +293,13 @@ class SchreierRewriter:
     """Rewrites words of the ambient group, started at any coset, into words
     over the Schreier generators of the subgroup at coset 1.
 
-    Schreier generators are indexed by (coset, generator) pairs that are not
-    edges of the breadth-first spanning tree; their count is
-    index·(#generators) − index + 1.
+    A standardized table numbers cosets in breadth-first discovery order, so
+    its spanning tree is read off in one scan over (coset, column): the edge
+    that first reaches the next unseen id is that coset's tree edge.
+    Schreier generators are indexed by the (coset, generator) pairs that are
+    not tree edges, in lex order; their count is
+    index·(#generators) − index + 1.  `label[col][c]` is the signed 1-based
+    Schreier generator on the edge c --col-->, 0 on tree edges.
     """
 
     def __init__(self, p: Presentation, t: CosetTable):
@@ -309,40 +309,33 @@ class SchreierRewriter:
             raise CosetError("table alphabet does not match the presentation")
         self.p = p
         self.t = t
+        action = t.action
         g = len(p.alphabet)
-        # breadth-first spanning tree: tree[c] = (parent, letter) reaching c
-        tree: dict[int, tuple[int, int]] = {}
-        seen = [False] * t.n
-        seen[0] = True
-        order = [0]
-        qi = 0
-        while qi < len(order):
-            c = order[qi]
-            qi += 1
-            for i in range(g):
-                for l in (i + 1, -(i + 1)):
-                    d = t.apply(c, l)
-                    if not seen[d]:
-                        seen[d] = True
-                        tree[d] = (c, l)
-                        order.append(d)
-        self.tree_edges = {(c, abs(l)) if l > 0 else (t.apply(c, l), abs(l))
-                           for d, (c, l) in tree.items()}
-        # fix the generator order: (coset, generator) lex over non-tree pairs
-        pairs = [
-            (c, x)
-            for c in range(t.n)
-            for x in range(1, g + 1)
-            if (c, x) not in self.tree_edges
-        ]
-        self.pair_index = {pr: i for i, pr in enumerate(pairs)}
+        # fwd[i] becomes label[2i]: None until the pair (c, i+1) is met
+        fwd: list[list[int | None]] = [[None] * t.n for _ in range(g)]
+        pairs: list[tuple[int, int]] = []
+        rep_letters: list[tuple[int, ...]] = [()] * t.n
+        nxt = 1  # the next unseen coset
+        for c in range(t.n):
+            if c == nxt:  # no edge so far reached c
+                raise CosetError("table is not standardized")
+            for col in range(2 * g):
+                d = action[col][c]
+                i, inverse = divmod(col, 2)
+                if d == nxt:  # tree edge: the pair (c, x), or (d, x) for x^-1
+                    fwd[i][d if inverse else c] = 0
+                    rep_letters[d] = rep_letters[c] + (-(i + 1) if inverse else i + 1,)
+                    nxt += 1
+                elif d > nxt:
+                    raise CosetError("table is not standardized")
+                elif not inverse and fwd[i][c] is None:
+                    pairs.append((c, i + 1))
+                    fwd[i][c] = len(pairs)
+        self.label: list[list[int]] = []
+        for i, lab in enumerate(fwd):
+            self.label += [lab, [-lab[d] for d in action[2 * i + 1]]]
         self.pairs = pairs
         self.sub_alphabet = Alphabet([f"s{i + 1}" for i in range(len(pairs))])
-        # coset representatives (as ambient words), via the tree
-        rep_letters: list[tuple[int, ...]] = [()] * t.n
-        for d in order[1:]:
-            c, l = tree[d]
-            rep_letters[d] = rep_letters[c] + (l,)
         self.representatives = [Word(p.alphabet, ls) for ls in rep_letters]
 
     @property
@@ -353,7 +346,7 @@ class SchreierRewriter:
         """The i-th Schreier generator as an ambient word: rep(c) x rep(c·x)⁻¹."""
         c, x = self.pairs[i]
         rep_c = self.representatives[c]
-        rep_d = self.representatives[self.t.apply(c, x)]
+        rep_d = self.representatives[self.t.action[_col(x)][c]]
         return (rep_c * Word(self.p.alphabet, (x,)) * rep_d.inverse()).reduce()
 
     def rewrite(self, w: Word, start: int = 0) -> Word:
@@ -362,21 +355,14 @@ class SchreierRewriter:
         When w traces start back to itself (relators, subgroup elements) this
         is the rewriting of the conjugate of w by the start representative.
         """
+        label, action = self.label, self.t.action
         out: list[int] = []
         c = start
-        for l in w.letters:
-            if l > 0:
-                pair = (c, l)
-                c2 = self.t.apply(c, l)
-                sign = 1
-            else:
-                c2 = self.t.apply(c, l)
-                pair = (c2, -l)
-                sign = -1
-            si = self.pair_index.get(pair)
-            if si is not None:
-                out.append(sign * (si + 1))
-            c = c2
+        for col in map(_col, w.letters):
+            s = label[col][c]
+            if s:
+                out.append(s)
+            c = action[col][c]
         return Word(self.sub_alphabet, out).reduce()
 
 
@@ -429,19 +415,7 @@ class Fingerprint:
 
 def _class_key(action: list[list[int]]) -> tuple:
     """Least serialization over all basepoints of the standardized table."""
-    best = None
-    n = len(action[0])
-    for base in range(n):
-        order = _bfs_order(action, base)
-        newidx = [0] * n
-        for new, old in enumerate(order):
-            newidx[old] = new
-        ser = tuple(
-            tuple(newidx[colarr[old]] for old in order) for colarr in action
-        )
-        if best is None or ser < best:
-            best = ser
-    return best  # type: ignore[return-value]
+    return min(tuple(map(tuple, _renumbered(action, b))) for b in range(len(action[0])))
 
 
 def _rotations(p: Presentation) -> list[tuple]:

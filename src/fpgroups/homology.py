@@ -79,19 +79,20 @@ def schur_multiplier(p: Presentation, budget: Budget | None = None) -> SchurRepo
 def _coinvariant_rows(
     p: Presentation, t: CosetTable, budget: Budget
 ) -> tuple[SchreierRewriter, list[Word], list[list[int]]]:
-    """The Schreier rewriter of the subgroup behind t, its generators as
+    """The Schreier rewriter of the regular table t, its generators as
     ambient words, and the coinvariant rows g·s_i·g^-1 - s_i, one per ambient
     generator g and Schreier generator s_i (the deadline is read once per
     row)."""
     rw = SchreierRewriter(p, t)
     sgens = [rw.generator_word(i) for i in range(rw.rank)]
     rows: list[list[int]] = []
-    for gi in range(len(p.alphabet)):
-        g = Word(p.alphabet, (gi + 1,))
-        ginv = g.inverse()
+    for col in range(0, 2 * len(p.alphabet), 2):
+        # t is regular, so s_i fixes every coset: the g edge out of coset 1
+        # and the g^-1 edge back into it cancel in the abelianized rewrite
+        c = t.action[col][0]
         for i, s in enumerate(sgens):
             budget.check()
-            row = rw.rewrite((g * s * ginv).reduce(), 0).exponent_vector()
+            row = rw.rewrite(s, c).exponent_vector()
             row[i] -= 1
             rows.append(row)
     return rw, sgens, rows

@@ -378,8 +378,6 @@ def direct_product(p: Presentation, q: Presentation) -> Presentation:
     """Generators renamed g -> g_1 / g_2; relators R_p, R_q, then the
     commutators [x_1, y_2] in (p-generator major, q-generator minor) order."""
     names = [f"{n}_1" for n in p.alphabet.names] + [f"{n}_2" for n in q.alphabet.names]
-    if len(set(names)) != len(names):  # pragma: no cover - suffixes keep sides apart
-        raise WordError(f"suffix renaming collided: {names}")
     ab = Alphabet(names)
     np_ = len(p.alphabet)
     pmap = list(range(np_))

@@ -218,6 +218,11 @@ def test_fibre_check_instances():
     assert rep["payload"]["order"] == 240 and rep["payload"]["kernel_size"] == 2
 
 
+def test_fibre_check_refuses_unknown_instance():
+    code, out, _ = run_plain("fibre-check", "bogus", "--json")
+    assert code == 3 and out == ""
+
+
 def test_evidence_exit_codes():
     assert run("evidence", "--index-bound", "5", fx("bp2"))[0] == 0
     code, rep = run("evidence", "--index-bound", "3", fx("z5"))
@@ -374,6 +379,17 @@ def test_time_limit_bounds_the_piece_check(tmp_path, monkeypatch):
     for argv in (("sc-check", "--m", "6"), ("dehn", "--word", "a")):
         code, rep = run(*argv, "--time-limit", "0", str(f))
         assert code == 2 and rep["outcome"] == "EXHAUSTED"
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf", "-inf", "1e400"])
+def test_time_limit_must_be_finite(limit):
+    # a non-finite limit never reaches the deadline, and its report held
+    # NaN or Infinity, which is not JSON: it is bad input
+    code, out, err = run_plain("schur", f"--time-limit={limit}", fx("z5"), "--json")
+    assert code == 3 and out == ""
+    assert "finite" in err
+    code, rep = run("schur", "--time-limit", "0", fx("z5"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
 
 
 def test_time_limit_bounds_uce():

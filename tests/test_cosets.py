@@ -6,7 +6,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpgroups.budget import Budget, BudgetExhausted
@@ -22,6 +22,7 @@ from fpgroups.cosets import (
     reidemeister_schreier,
     todd_coxeter,
 )
+from fpgroups.homology import _coinvariant_rows
 from fpgroups.permrep import hom_search, symmetric_group
 from fpgroups.presentations import (
     Presentation,
@@ -457,6 +458,165 @@ def test_rs_requires_standardized():
     raw = CosetTable(t.alphabet, t.action, t.subgroup_gens, standardized=False)
     with pytest.raises(CosetError, match="standardized"):
         reidemeister_schreier(Z5, raw)
+
+
+def _swapped(t, i, j):
+    """t with cosets i and j (0-based) exchanged, still flagged standardized."""
+    pi = list(range(t.n))
+    pi[i], pi[j] = j, i
+    action = [[0] * t.n for _ in t.action]
+    for new, old in zip(action, t.action):
+        for c in range(t.n):
+            new[pi[c]] = pi[old[c]]
+    return CosetTable(t.alphabet, action, t.subgroup_gens, standardized=True)
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (0, 1), (5, 59), (30, 31), (57, 58)])
+def test_rs_refuses_a_table_misflagged_standardized(i, j):
+    # swapping 57 and 58 still reaches every coset in order of id; only an
+    # edge to an unseen coset that is not the next id gives it away
+    t = todd_coxeter(A5)
+    bad = _swapped(t, i, j)
+    assert bad.verify(A5) and bad.standardize().action != bad.action
+    with pytest.raises(CosetError, match="not standardized"):
+        SchreierRewriter(A5, bad)
+
+
+# -- Reidemeister-Schreier oracle ---------------------------------------------
+
+
+class _ReferenceRewriter:
+    """SchreierRewriter as it stood before the tree was read off the
+    standardized numbering: its own breadth-first search, the tree edges as
+    a set of (coset, generator) pairs and a dict from pair to generator."""
+
+    def __init__(self, p, t):
+        self.p, self.t = p, t
+        apply = self.apply = lambda c, l: t.action[2 * (abs(l) - 1) + (l < 0)][c]
+        g = len(p.alphabet)
+        tree = {}
+        seen = [False] * t.n
+        seen[0] = True
+        order = [0]
+        qi = 0
+        while qi < len(order):
+            c = order[qi]
+            qi += 1
+            for i in range(g):
+                for l in (i + 1, -(i + 1)):
+                    d = apply(c, l)
+                    if not seen[d]:
+                        seen[d] = True
+                        tree[d] = (c, l)
+                        order.append(d)
+        tree_edges = {(c, abs(l)) if l > 0 else (apply(c, l), abs(l))
+                      for d, (c, l) in tree.items()}
+        self.pairs = [(c, x) for c in range(t.n) for x in range(1, g + 1)
+                      if (c, x) not in tree_edges]
+        self.pair_index = {pr: i for i, pr in enumerate(self.pairs)}
+        self.sub_alphabet = Alphabet([f"s{i + 1}" for i in range(len(self.pairs))])
+        rep_letters = [()] * t.n
+        for d in order[1:]:
+            c, l = tree[d]
+            rep_letters[d] = rep_letters[c] + (l,)
+        self.representatives = [Word(p.alphabet, ls) for ls in rep_letters]
+
+    @property
+    def rank(self):
+        return len(self.pairs)
+
+    def generator_word(self, i):
+        c, x = self.pairs[i]
+        rep_d = self.representatives[self.apply(c, x)]
+        return (self.representatives[c] * Word(self.p.alphabet, (x,)) * rep_d.inverse()).reduce()
+
+    def rewrite(self, w, start=0):
+        out = []
+        c = start
+        for l in w.letters:
+            c2 = self.apply(c, l)
+            pair, sign = ((c, l), 1) if l > 0 else ((c2, -l), -1)
+            si = self.pair_index.get(pair)
+            if si is not None:
+                out.append(sign * (si + 1))
+            c = c2
+        return Word(self.sub_alphabet, out).reduce()
+
+
+def _reference_coinvariant_rows(p, t):
+    """The rows g·s_i·g^-1 - s_i, each from the rewrite of the conjugate."""
+    rw = _ReferenceRewriter(p, t)
+    sgens = [rw.generator_word(i) for i in range(rw.rank)]
+    rows = []
+    for gi in range(len(p.alphabet)):
+        g = Word(p.alphabet, (gi + 1,))
+        for i, s in enumerate(sgens):
+            row = rw.rewrite((g * s * g.inverse()).reduce(), 0).exponent_vector()
+            row[i] -= 1
+            rows.append(row)
+    return rows
+
+
+def _assert_rewriter_matches_reference(p, t, regular):
+    got, want = SchreierRewriter(p, t), _ReferenceRewriter(p, t)
+    assert got.pairs == want.pairs
+    assert [w.letters for w in got.representatives] == [w.letters for w in want.representatives]
+    assert all(got.generator_word(i) == want.generator_word(i) for i in range(got.rank))
+    for w in (*p.relators, *t.subgroup_gens):
+        for c in range(t.n):
+            assert got.rewrite(w, c).letters == want.rewrite(w, c).letters, (w.text(), c)
+    if regular:
+        assert _coinvariant_rows(p, t, Budget.start())[2] == _reference_coinvariant_rows(p, t)
+
+
+# finite-index subgroups of each fixture (bp2 has no proper one of index <= 5)
+_RS_SUBGROUPS = {
+    "a5": [(), ("a",), ("b",), ("a b",)],
+    "baumslag25_1": [("t",), ("a^2", "t^2")],
+    "baumslag25_2": [("t",), ("a^2", "t^2")],
+    "bp2": [("a", "b", "alpha", "beta")],
+    "free2": [("x1 x2^-1", "x2 x1", "x2^2"), ("x1", "x2 x1 x2^-1", "x2^2 x1 x2^-2", "x2^3")],
+    "klein": [(), ("a",)],
+    "q8": [(), ("a",)],
+    "trivial": [()],
+    "z5": [(), ("a^2",)],
+}
+
+
+@pytest.mark.parametrize("name", _FIXTURE_NAMES)
+def test_rewriter_matches_reference_on_fixtures(name):
+    p = _fixture(name)
+    for sub in _RS_SUBGROUPS[name]:
+        t = todd_coxeter(p, tuple(p.word(w) for w in sub), Budget.start(max_cosets=5000))
+        assert isinstance(t, CosetTable), (name, sub)
+        _assert_rewriter_matches_reference(p, t, regular=not sub)
+
+
+def test_rewriter_matches_reference_on_larger_groups():
+    psl27 = parse_presentation("< a, b | a^2, b^3, (a b)^7, (a b a b^-1)^4 >")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        a5xz3 = direct_product(A5, catalog("cyclic", (3,)).presentation)
+    for p in (psl27, uce(A5).tilde, a5xz3):
+        _assert_rewriter_matches_reference(p, todd_coxeter(p), regular=True)
+    _assert_rewriter_matches_reference(psl27, todd_coxeter(psl27, (psl27.word("a b"),)), False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8),
+             min_size=1, max_size=4),
+    st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=4),
+             max_size=2),
+)
+def test_rewriter_matches_reference_random(relators, subgroup):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # relators that reduce away, duplicates
+        p = Presentation(_AB, [Word(_AB, r) for r in relators])
+    sub = tuple(Word(_AB, w) for w in subgroup)
+    t = todd_coxeter(p, sub, Budget.start(max_cosets=300))
+    assume(isinstance(t, CosetTable))
+    _assert_rewriter_matches_reference(p, t, regular=not subgroup)
 
 
 # -- low-index search -------------------------------------------------------

@@ -24,7 +24,15 @@ after each branch by deductions through the edges just defined, against
 relator rotations compiled once per presentation.  It visits every subgroup
 of each index exactly once; conjugacy classes are counted by rebasing each
 table at every coset (one breadth-first renumbering each, the one
-standardize uses) and keeping the least serialization.
+standardize uses) and keeping the least serialization.  Power relators
+prune the search by cycle type (Sims 1994, ch. 5): when relators whose
+cyclic core is x^±n exist, with n's gcd g, every x-cycle of a complete table
+on k cosets has a length dividing g and at most k, so at most D, the largest
+divisor of g that is at most k.  An edge that puts more than D cosets on an
+open x-path, or closes an x-cycle whose length does not divide g, has no
+complete table below it and is refused when it is defined.  The search
+never starts an index above the budget's coset cap, since a table of index
+k has k cosets.
 
 Cosets are numbered 1..n in messages; internal arrays are 0-based.
 """
@@ -32,9 +40,10 @@ Cosets are numbered 1..n in messages; internal arrays are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .budget import Budget, BudgetExhausted
-from .presentations import Presentation
+from .presentations import Presentation, proper_power_root
 from .words import Alphabet, Word, WordError
 
 
@@ -432,9 +441,47 @@ def _rotations(p: Presentation) -> list[tuple]:
     return [tuple((w, tuple(x ^ 1 for x in w)) for w in d) for d in by_col]
 
 
-def _count_index(rots: list[tuple], k: int, budget: Budget) -> tuple[int, int]:
+def _power_orders(p: Presentation) -> list[int]:
+    """Per column, the gcd of the n over the relators whose cyclic core is
+    x^±n for that column's generator x; 0 when there is none."""
+    orders = [0] * len(p.alphabet)
+    for r in p.relators:
+        root, n = proper_power_root(r)
+        if len(root.letters) == 1:
+            i = abs(root.letters[0]) - 1
+            orders[i] = gcd(orders[i], n)
+    return [n for n in orders for _ in (0, 1)]
+
+
+def _cycle_fits(tab: list[int], c: int, col: int, lim: int, n: int) -> bool:
+    """Whether the defined edge c --col--> (a row offset, col of generator x
+    or its inverse) lies on an open x-path through at most lim cosets or on
+    a closed x-cycle whose length divides n.  Takes at most lim + 1 steps."""
+    x = col & -2
+    s, e = (tab[c + col], c) if col & 1 else (c, tab[c + col])  # s --x--> e
+    m = 1  # edges on the path walked so far
+    f = e
+    while f != s:
+        if m >= lim:  # m + 1 distinct cosets on an open path
+            return False
+        f = tab[f + x]
+        if f < 0:
+            break
+        m += 1
+    else:
+        return n % m == 0
+    b = s
+    while (b := tab[b + x + 1]) >= 0:
+        m += 1
+        if m >= lim:
+            return False
+    return True
+
+
+def _count_index(rots: list[tuple], orders: list[int], k: int, budget: Budget) -> tuple[int, int]:
     """(total subgroups, conjugacy classes) of index exactly k, for the
-    relator rotations `_rotations` compiled.
+    relator rotations `_rotations` compiled and the power orders
+    `_power_orders` read.
 
     Sims' search: branch on the first undefined slot in row-major order,
     trying each coset whose inverse slot is free in increasing order and then
@@ -444,8 +491,20 @@ def _count_index(rots: list[tuple], k: int, budget: Budget) -> tuple[int, int]:
     single gaps and prunes on a trace that closes off its start or a clash.
     The last edge defined on any trace triggers its scan, so a complete table
     has every relator closing at every coset.
+
+    Every edge popped from the queue, branch or forced, of a generator x
+    whose power order g is nonzero also has its x-path walked (_cycle_fits):
+    a complete table on at most k cosets has only x-cycles of lengths that
+    divide g, so none longer than D, the largest divisor of g that is at
+    most k.  A node with a longer open x-path, or a closed x-cycle of a
+    length not dividing g, has no complete table below it and is dropped.
+    Raises BudgetExhausted("coset cap") when k exceeds the budget's cap.
     """
+    if k > budget.max_cosets:
+        raise BudgetExhausted("coset cap")
     ncols = len(rots)
+    # lims[col] is D for the generator of col, 0 when it has no power relator
+    lims = [max(d for d in range(1, min(n, k) + 1) if n % d == 0) if n else 0 for n in orders]
     # A coset is held as its row offset c·ncols, so a trace step is one
     # index: tab[c·ncols + col] is the offset of c's image under col, or -1
     # while undefined.
@@ -461,6 +520,9 @@ def _count_index(rots: list[tuple], k: int, budget: Budget) -> tuple[int, int]:
         while queue:
             c, col = queue.pop()
             first = tab[c + col]
+            lim = lims[col]
+            if lim and not _cycle_fits(tab, c, col, lim, orders[col]):
+                return False
             for w, winv in rots[col]:
                 L = len(w)
                 f = first
@@ -537,18 +599,20 @@ def _count_index(rots: list[tuple], k: int, budget: Budget) -> tuple[int, int]:
 def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fingerprint:
     """Count all subgroups of index ≤ bound, exactly, by enumerating
     standardized coset tables: one search per index, smallest first (see
-    _count_index).  Budget exhaustion flags the first index left unfinished;
-    earlier indices stay exact."""
+    _count_index).  Budget exhaustion flags the first index left unfinished,
+    the deadline's or the first index above the coset cap; earlier indices
+    stay exact."""
     if bound < 1:
         raise CosetError("bound must be at least 1")
     budget = budget or Budget.start()
     rots = _rotations(p)
+    orders = _power_orders(p)
     totals: dict[int, int] = {}
     classes: dict[int, int] = {}
     exhausted_at = None
     for k in range(1, bound + 1):
         try:
-            t, c = _count_index(rots, k, budget)
+            t, c = _count_index(rots, orders, k, budget)
         except BudgetExhausted:
             exhausted_at = k
             break

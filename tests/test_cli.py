@@ -132,6 +132,19 @@ def test_fingerprint_single_and_compare():
     assert len(rep["inputs"]) == 2
 
 
+def test_low_index_stops_at_the_coset_cap():
+    # a table of index k has k cosets, so index 51 is over a cap of 50
+    started = time.perf_counter()
+    code, rep = run("low-index", "--bound", "200", "--max-cosets", "50", fx("z5"))
+    assert time.perf_counter() - started < 10.0
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    pl = rep["payload"]
+    assert pl["exhausted_at"] == 51 and pl["complete"] is False
+    assert pl["totals"] == {str(k): int(k in (1, 5)) for k in range(1, 51)}
+    code, rep = run("fingerprint", "--bound", "3", "--max-cosets", "2", fx("a5"), fx("a5"))
+    assert code == 2 and rep["payload"]["equal"] is None
+
+
 def test_hom_search_degree_below_one_is_bad_input():
     code, rep = run("hom-search", "--transitive-degree", "-4", fx("a5"))
     assert code == 3 and rep["outcome"] == "ERROR"
@@ -346,10 +359,12 @@ def test_hom_search_table_counts_against_the_element_cap():
 
 
 def test_time_limit_bounds_the_whole_run():
-    # each low-index call used to start its own clock: this ran for 4.4 s
+    # each low-index call used to start its own clock: this ran for 4.4 s.
+    # Either group alone takes over 2 s to index 16, so two clocks would
+    # take over 4 s.
     started = time.perf_counter()
     code, rep = run(
-        "fingerprint", "--bound", "10", "--time-limit", "2",
+        "fingerprint", "--bound", "16", "--time-limit", "2",
         fx("baumslag25_1"), fx("baumslag25_2"),
     )
     assert time.perf_counter() - started < 3.0

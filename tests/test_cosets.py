@@ -2,17 +2,21 @@
 
 import warnings
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.construct import uce
 from fpgroups.cosets import (
     _class_key,
+    _count_index,
+    _cycle_fits,
+    _power_orders,
+    _rotations,
     CosetError,
     CosetTable,
     Exhausted,
@@ -762,6 +766,79 @@ def test_low_index_matches_reference_search_random(relators):
         warnings.simplefilter("ignore")  # relators that reduce away, duplicates
         p = Presentation(_AB, [Word(_AB, r) for r in relators])
     _assert_matches_reference(p, 4)
+
+
+def _cycle_limit(n: int, k: int) -> int:
+    """The largest divisor of n that is at most k."""
+    return max(d for d in range(1, k + 1) if n % d == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(2, 12),
+    st.sampled_from(["power", "inverse", "conjugated", "two powers"]),
+    st.integers(2, 12),
+    st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5), max_size=2),
+)
+@example(1, 6, "conjugated", 2, [])
+@example(2, 9, "inverse", 2, [[1, 2, -1, -2]])
+@example(1, 4, "two powers", 6, [[2, 2]])
+@example(1, 12, "two powers", 8, [[1, 2, 1, -2]])
+def test_low_index_power_prune_matches_reference_random(x, n, form, m, relators):
+    # every relator set holds a power of x, so the search prunes x-paths at
+    # D = the largest divisor of the power order that is at most k; the
+    # reference search closes tables by rescanning and never prunes that way
+    y = 3 - x
+    powers = {
+        "power": [[x] * n],
+        "inverse": [[-x] * n],
+        "conjugated": [[y] + [x] * n + [-y]],  # not cyclically reduced
+        "two powers": [[x] * n, [-x] * m],  # the gcd counts
+    }[form]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = Presentation(_AB, [Word(_AB, r) for r in powers + relators])
+    order = _power_orders(p)[2 * (x - 1)]  # the extra relators may be powers too
+    assert order and (gcd(n, m) if form == "two powers" else n) % order == 0
+    bound = 5
+    assert any(_cycle_limit(order, k) < k for k in range(1, bound + 1))
+    _assert_matches_reference(p, bound)
+
+
+def test_power_orders():
+    p = parse_presentation("< a, b, c | b a^6 b^-1, a^-4, (a b)^3, c >")
+    assert _power_orders(p) == [2, 2, 0, 0, 1, 1]
+    assert _power_orders(F2) == [0, 0, 0, 0]
+
+
+def test_cycle_fits():
+    # one generator, flat rows of two slots (x, x^-1) at offsets 0, 2, 4
+    cycle = [2, 4, 4, 0, 0, 2]  # the 3-cycle 1 -> 2 -> 3 -> 1
+    path = [2, -1, 4, 0, -1, 2]  # the open path 1 -> 2 -> 3
+    assert _cycle_fits(cycle, 0, 0, 3, 6)
+    assert not _cycle_fits(cycle, 0, 0, 3, 4)  # 3 does not divide 4
+    assert not _cycle_fits(cycle, 0, 0, 2, 6)  # walked to 3 cosets, over 2
+    for c, col in [(0, 0), (2, 0), (2, 1), (4, 1)]:  # each edge, either way
+        assert _cycle_fits(path, c, col, 3, 3)
+        assert not _cycle_fits(path, c, col, 2, 2)
+
+
+def test_low_index_cycle_prune_node_count(monkeypatch):
+    # Budget.check runs once per search node; the prune cut baumslag25_2 at
+    # index 8 from 38,723 nodes to 7,319
+    nodes = 0
+    check = Budget.check
+
+    def counted(self, what="time limit"):
+        nonlocal nodes
+        nodes += 1
+        check(self, what)
+
+    monkeypatch.setattr(Budget, "check", counted)
+    p = load_presentation((FIXTURES / "baumslag25_2.pres").read_text())
+    assert _count_index(_rotations(p), _power_orders(p), 8, Budget.start()) == (1, 1)
+    assert 0 < nodes <= 7319
 
 
 def _hall_totals(h: dict[int, int], bound: int) -> dict[int, int]:

@@ -10,7 +10,11 @@ induced map to F_ab.  The identifications are
 
 The image of that map is free, so the kernel splits off: H2(Q) is the
 torsion of the coinvariant cokernel N/[F,N], and its free rank less the rank
-of the map (zero for finite Q).  Both are read off Smith diagonals.
+of the map (zero for finite Q).  The coinvariant rows are built lazily as
+sparse maps and reduced by unit-pivot elimination (zlattice's sparse stage);
+only the small residue that has no +-1 entry left reaches a Smith diagonal.
+The live entries are capped at a coset table's entry count at the coset
+cap, max_cosets · 2·|X|, so a matrix too large for the budget exhausts it.
 
 lemma_l0_check compares H2(G/N) with N/[G,N] for N normal in a finite
 superperfect G.  With M = ker(F -> G/N) and R the relators of G, N/[G,N] =
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
+from typing import Iterator
 
 from .budget import Budget, BudgetExhausted
 from .cosets import CosetTable, Exhausted, SchreierRewriter, todd_coxeter
@@ -32,10 +38,9 @@ from .presentations import Presentation, PresentationWarning
 from .words import Word
 from .zlattice import (
     AbelianInvariants,
-    IntMatrix,
     abelianization,
-    cokernel_invariants,
     kernel_invariants,
+    sparse_cokernel_invariants,
 )
 
 
@@ -76,35 +81,49 @@ def schur_multiplier(p: Presentation, budget: Budget | None = None) -> SchurRepo
     return _schur_from_table(p, _certified_table(p, budget), budget)
 
 
+def _entry_cap(p: Presentation, budget: Budget) -> int:
+    """The cap on a coinvariant matrix's entries, live or in the dense
+    residue: the entry count of a coset table of p at the coset cap."""
+    return budget.max_cosets * 2 * len(p.alphabet)
+
+
 def _coinvariant_rows(
     p: Presentation, t: CosetTable, budget: Budget
-) -> tuple[SchreierRewriter, list[Word], list[list[int]]]:
+) -> tuple[SchreierRewriter, list[Word], Iterator[dict[int, int]]]:
     """The Schreier rewriter of the regular table t, its generators as
-    ambient words, and the coinvariant rows g·s_i·g^-1 - s_i, one per ambient
-    generator g and Schreier generator s_i (the deadline is read once per
+    ambient words, and the coinvariant rows g·s_i·g^-1 - s_i as sparse
+    {Schreier generator: coefficient} maps, one per ambient generator g and
+    Schreier generator s_i, built lazily (the deadline is read once per
     row)."""
     rw = SchreierRewriter(p, t)
     sgens = [rw.generator_word(i) for i in range(rw.rank)]
-    rows: list[list[int]] = []
-    for col in range(0, 2 * len(p.alphabet), 2):
-        # t is regular, so s_i fixes every coset: the g edge out of coset 1
-        # and the g^-1 edge back into it cancel in the abelianized rewrite
-        c = t.action[col][0]
-        for i, s in enumerate(sgens):
-            budget.check()
-            row = rw.rewrite(s, c).exponent_vector()
-            row[i] -= 1
-            rows.append(row)
-    return rw, sgens, rows
+
+    def rows() -> Iterator[dict[int, int]]:
+        for col in range(0, 2 * len(p.alphabet), 2):
+            # t is regular, so s_i fixes every coset: the g edge out of coset
+            # 1 and the g^-1 edge back into it cancel in the abelianized rewrite
+            c = t.action[col][0]
+            for i, s in enumerate(sgens):
+                budget.check()
+                row = rw.rewrite(s, c).exponent_sums()
+                e = row.pop(i, 0) - 1
+                if e:
+                    row[i] = e
+                yield row
+
+    return rw, sgens, rows()
 
 
 def _schur_from_table(p: Presentation, t: CosetTable, budget: Budget) -> SchurReport:
     """The coinvariant rows, then the kernel of their map to F_ab."""
     rw, sgens, rows = _coinvariant_rows(p, t, budget)
-    expo = IntMatrix(rw.rank, len(p.alphabet), [w.exponent_vector() for w in sgens])
-    h2 = kernel_invariants(IntMatrix(len(rows), rw.rank, rows), expo, budget)
+    expo = [w.exponent_vector() for w in sgens]
+    h2 = kernel_invariants(rows, rw.rank, expo, budget, _entry_cap(p, budget))
     return SchurReport(
-        group_order=t.n, h2=h2, schreier_rank=rw.rank, coinvariant_rows=len(rows)
+        group_order=t.n,
+        h2=h2,
+        schreier_rank=rw.rank,
+        coinvariant_rows=len(p.alphabet) * rw.rank,
     )
 
 
@@ -155,8 +174,10 @@ def _kernel_coinvariants(
     # when every normal generator reduces away, G/N is G and so is its table
     t = table if g_mod_n.relators == g.relators else _certified_table(g_mod_n, budget)
     rw, _, rows = _coinvariant_rows(g_mod_n, t, budget)
-    rows += [rw.rewrite(r, 0).exponent_vector() for r in g.relators]
-    return t.n, cokernel_invariants(IntMatrix(len(rows), rw.rank, rows), budget)
+    relator_rows = (rw.rewrite(r, 0).exponent_sums() for r in g.relators)
+    return t.n, sparse_cokernel_invariants(
+        chain(rows, relator_rows), rw.rank, budget, _entry_cap(g, budget)
+    )
 
 
 def lemma_l0_check(inst: L0Instance, budget: Budget | None = None) -> L0Report:

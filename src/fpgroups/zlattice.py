@@ -3,9 +3,12 @@
 Everything here runs on arbitrary-precision Python ints; no floating point.
 The workhorse is Smith normal form with recorded unimodular transforms
 U * A * V = S, from which abelianizations, solvability certificates and
-left kernels follow.  Kernels of induced maps on cokernels need no transform
-at all: the image is free, so the kernel splits off (see kernel_invariants)
-and two diagonal-only eliminations give its invariants.  Every elimination
+left kernels follow.  Large sparse relation matrices, such as the Schreier
+coinvariant rows behind H2, never become dense: sparse_cokernel_invariants
+eliminates their +-1 pivots as Tietze moves and hands only the small dense
+residue to the diagonal-only SNF, charging live nonzeros against a cap.
+Kernels of induced maps on cokernels need no transform at all: the image is
+free, so the kernel splits off (see kernel_invariants).  Every elimination
 reads the run budget's deadline once per pivot.
 
 Convention: group presentations contribute a relation matrix with one row per
@@ -17,9 +20,10 @@ the image of basis vector j).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .budget import Budget
+from .budget import Budget, BudgetExhausted
 
 if TYPE_CHECKING:  # pragma: no cover
     from .presentations import Presentation
@@ -53,23 +57,6 @@ class IntMatrix:
             cols = len(rows[0])
         return cls(len(rows), cols, rows)
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise LatticeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ob = other.data
-        out = IntMatrix(self.rows, other.cols)
-        for i, row in enumerate(self.data):
-            acc = out.data[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = ob[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-        return out
-
     def row_mul(self, v: Sequence[int]) -> list[int]:
         """v * self for a row vector v of length self.rows."""
         if len(v) != self.rows:
@@ -81,9 +68,6 @@ class IntMatrix:
                     if b:
                         out[j] += a * b
         return out
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -358,19 +342,142 @@ def lattice_solve(
     return [solve(t) for t in targets], kernel
 
 
-def kernel_invariants(
-    relations: IntMatrix, m: IntMatrix, budget: Budget | None = None
+def sparse_cokernel_invariants(
+    rows: Iterable[Mapping[int, int]],
+    cols: int,
+    budget: Budget | None = None,
+    max_entries: int | None = None,
 ) -> AbelianInvariants:
-    """Invariants of the kernel of D = Z^n / rowspace(relations) -> Z^k, the
-    map sending generator i to row i of m.  Requires R * m = 0, so that the
-    map is well defined on D.
+    """Invariants of Z^cols / span(rows), each row a {column: coefficient} map.
+
+    A row with a +-1 entry in column j solves for generator j, so j and the
+    row drop out once the row is subtracted from every other row that
+    touches j: a Tietze move on the abelian presentation (Havas, Holt & Rees,
+    1993).  Unit pivots go in order of least Markowitz cost (row weight - 1)
+    * (column weight - 1): every row with a unit entry keeps a candidate in
+    a heap, its unit entry in the lightest column, which is re-checked when
+    popped and pushed back if its cost has grown.  The rows left, on the
+    columns they touch, are a dense residue for cokernel_invariants; the
+    columns no row touches are free.  No transform is carried.  The deadline
+    is read once per pivot, and the live nonzeros, then the residue's rows *
+    cols before it is built, are charged against max_entries."""
+    budget = budget or Budget.start()
+
+    def charge(n: int) -> None:
+        if max_entries is not None and n > max_entries:
+            raise BudgetExhausted(f"entry cap ({max_entries} matrix entries)")
+
+    live: list[dict[int, int] | None] = []
+    touching: list[set[int]] = [set() for _ in range(cols)]  # rows per column
+    entries = 0
+    for r in rows:
+        row = {j: x for j, x in r.items() if x}
+        if not row:
+            continue
+        for j in row:
+            if not 0 <= j < cols:
+                raise LatticeError(f"column {j} outside 0..{cols - 1}")
+            touching[j].add(len(live))
+        entries += len(row)
+        live.append(row)
+    charge(entries)
+
+    # a row's candidate is its unit entry in the lightest column, keyed by
+    # (cost, row) in one int, which the heap compares faster than a tuple
+    shift = max(len(live), 1).bit_length()
+
+    def candidate(i: int, row: dict[int, int]) -> tuple[int, int] | None:
+        weight = None
+        for j, x in row.items():
+            if (x == 1 or x == -1) and (weight is None or len(touching[j]) < weight):
+                weight, best = len(touching[j]), j
+        if weight is None:
+            return None
+        return ((len(row) - 1) * (weight - 1)) << shift | i, best
+
+    heap = [c[0] for c in map(candidate, range(len(live)), live) if c]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        key = heappop(heap)
+        i = key & ((1 << shift) - 1)
+        row = live[i]
+        c = row and candidate(i, row)
+        if not c:
+            continue  # the row is gone or has no unit entry left
+        if c[0] > key:
+            heappush(heap, c[0])
+            continue
+        j = c[1]
+        budget.check()
+        pivots += 1
+        live[i] = None
+        for k in row:
+            touching[k].discard(i)
+        entries -= len(row)
+        sign = row[j]
+        others, touching[j] = touching[j], set()
+        for r in others:
+            other = live[r]
+            f = other[j] * sign  # other - f * row has no entry at j
+            entries -= len(other)
+            for k, x in row.items():
+                y = other.get(k, 0) - f * x
+                if y:
+                    if k not in other:
+                        touching[k].add(r)
+                    other[k] = y
+                else:
+                    del other[k]
+                    touching[k].discard(r)
+            entries += len(other)
+            if not other:
+                live[r] = None
+            elif c := candidate(r, other):
+                heappush(heap, c[0])
+        charge(entries)
+
+    rest = [row for row in live if row]
+    used = sorted({j for row in rest for j in row})
+    charge(len(rest) * len(used))
+    residue = cokernel_invariants(
+        IntMatrix(len(rest), len(used), [[row.get(j, 0) for j in used] for row in rest]), budget
+    )
+    untouched = cols - pivots - len(used)
+    return AbelianInvariants(residue.free_rank + untouched, residue.torsion)
+
+
+def kernel_invariants(
+    relations: Iterable[Mapping[int, int]],
+    cols: int,
+    m: Sequence[Sequence[int]],
+    budget: Budget | None = None,
+    max_entries: int | None = None,
+) -> AbelianInvariants:
+    """Invariants of the kernel of D = Z^cols / span(relations) -> Z^k, the
+    map sending generator i to row i of m; the relations are sparse rows as
+    in sparse_cokernel_invariants.  Requires R * m = 0, so that the map is
+    well defined on D; each row is checked as it is read.
 
     The image is a subgroup of Z^k, hence free, so 0 -> ker -> D -> im -> 0
     splits and D = ker + im.  The kernel thus has the torsion of D and the
-    free rank of D less rank(m), the number of nonzero Smith invariants of m;
-    no transform of either matrix is needed."""
-    if not (relations * m).is_zero():
-        raise LatticeError("map does not kill the relation lattice")
-    rank = sum(1 for d in smith_diagonal(m, budget) if d)
-    whole = cokernel_invariants(relations, budget)
+    free rank of D less rank(m), which is k less the free rank of m's own
+    cokernel; no transform of either matrix is needed."""
+    if len(m) != cols:
+        raise LatticeError("m needs one row per domain generator")
+    k = len(m[0]) if m else 0
+
+    def checked() -> Iterable[Mapping[int, int]]:
+        for row in relations:
+            image = [0] * k
+            for j, x in row.items():
+                for t, y in enumerate(m[j]):
+                    image[t] += x * y
+            if any(image):
+                raise LatticeError("map does not kill the relation lattice")
+            yield row
+
+    whole = sparse_cokernel_invariants(checked(), cols, budget, max_entries)
+    images = [{t: y for t, y in enumerate(r) if y} for r in m]
+    rank = k - sparse_cokernel_invariants(images, k, budget).free_rank
     return AbelianInvariants(whole.free_rank - rank, whole.torsion)

@@ -359,7 +359,7 @@ def test_criterion_11_exact_algebra():
             rows, cols = rng.randint(1, 8), rng.randint(1, 8)
             A = IntMatrix(rows, cols, [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)])
             res = smith_normal_form(A)
-            assert res.U * A * res.V == res.S
+            assert [res.V.row_mul(A.row_mul(u)) for u in res.U.data] == res.S.data
             diag = res.diagonal()
             nz = [d for d in diag if d]
             assert diag == nz + [0] * (len(diag) - len(nz))  # zeros trail

@@ -414,10 +414,13 @@ def test_time_limit_bounds_uce():
 
 
 def test_time_limit_bounds_schur(tmp_path):
-    # the coinvariant rows and the SNF used to ignore the clock: this ran for
-    # about 17 s and exited 0
-    f = tmp_path / "a5xz5.pres"
-    f.write_text("< a_1, b_1, c_2 | a_1^2, b_1^3, (a_1 b_1)^5, c_2^5, [a_1, c_2], [b_1, c_2] >")
+    # the coinvariant rows and the SNF used to ignore the clock; A5 x PSL(2,7)
+    # runs for about 10 s at the default budget
+    f = tmp_path / "a5xpsl27.pres"
+    f.write_text(
+        "< a, b, c, d | a^2, b^3, (a b)^5, c^2, d^3, (c d)^7, (c d c d^-1)^4, "
+        "[a, c], [a, d], [b, c], [b, d] >"
+    )
     started = time.perf_counter()
     code, rep = run("schur", "--time-limit", "2", str(f))
     assert time.perf_counter() - started < 3.0
@@ -435,6 +438,13 @@ def test_time_limit_bounds_rips_assembly(monkeypatch):
     assert time.perf_counter() - started < 0.3
     assert code == 2 and rep["outcome"] == "EXHAUSTED"
     assert entered == []
+
+
+def test_entry_cap_exits_exhausted():
+    # the coset cap admits V4's 4 cosets but not its coinvariant matrix
+    code, rep = run("schur", "--max-cosets", "4", fx("klein"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    assert "entry cap" in rep["payload"]["error"]
 
 
 def test_letter_cap_exits_exhausted(tmp_path):

@@ -570,7 +570,8 @@ def _assert_rewriter_matches_reference(p, t, regular):
         for c in range(t.n):
             assert got.rewrite(w, c).letters == want.rewrite(w, c).letters, (w.text(), c)
     if regular:
-        assert _coinvariant_rows(p, t, Budget.start())[2] == _reference_coinvariant_rows(p, t)
+        want = [{j: x for j, x in enumerate(row) if x} for row in _reference_coinvariant_rows(p, t)]
+        assert list(_coinvariant_rows(p, t, Budget.start())[2]) == want
 
 
 # finite-index subgroups of each fixture (bp2 has no proper one of index <= 5)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import warnings
 from math import gcd, lcm
 from pathlib import Path
@@ -164,6 +165,36 @@ def test_kunneth_a5_times_z3():
     rep = schur_multiplier(direct_product(FINITE["a5"], z3))
     assert rep.group_order == 180
     assert rep.h2 == kunneth_h2(FINITE["a5"], z3) == AbelianInvariants(0, (2,))
+
+
+def test_schur_a5_times_z5_within_two_seconds():
+    # the dense SNF took about 17 s on the 1,803 x 601 coinvariant matrix
+    a5, z5 = FINITE["a5"], FINITE["z5"]
+    want = kunneth_h2(a5, z5)
+    started = time.perf_counter()
+    rep = schur_multiplier(direct_product(a5, z5))
+    assert time.perf_counter() - started < 2.0
+    assert rep.h2 == want == AbelianInvariants(0, (2,))
+
+
+def test_kunneth_a5_times_a5():
+    # the dense coinvariant matrix was 43,204 x 10,801 and the process was
+    # killed for memory; the sparse stage keeps it under the default budget
+    a5 = FINITE["a5"]
+    rep = schur_multiplier(direct_product(a5, a5))
+    assert rep.group_order == 3600
+    assert (rep.schreier_rank, rep.coinvariant_rows) == (10801, 43204)
+    assert rep.h2 == kunneth_h2(a5, a5) == AbelianInvariants(0, (2, 2))
+
+
+def test_entry_cap_stops_the_coinvariant_matrix():
+    # four cosets admit V4's enumeration, but its 21 coinvariant entries
+    # exceed a coset table's 4 · 2·2 entries at that cap
+    klein = FINITE["klein"]
+    assert todd_coxeter(klein, (), Budget.start(max_cosets=4)).n == 4
+    with pytest.raises(BudgetExhausted, match="entry cap"):
+        schur_multiplier(klein, Budget.start(max_cosets=4))
+    assert schur_multiplier(klein, Budget.start(max_cosets=8)).h2 == AbelianInvariants(0, (2,))
 
 
 # -- kernel-coinvariants comparison ------------------------------------------

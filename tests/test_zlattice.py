@@ -4,10 +4,11 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpgroups import homology
+from fpgroups import homology, zlattice
+from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.presentations import parse_presentation
 from fpgroups.zlattice import (
     AbelianInvariants,
@@ -19,6 +20,7 @@ from fpgroups.zlattice import (
     lattice_solve,
     smith_diagonal,
     smith_normal_form,
+    sparse_cokernel_invariants,
 )
 
 
@@ -46,9 +48,18 @@ def eye(n):
     return IntMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def matmul(A, B):
+    return IntMatrix(A.rows, B.cols, [B.row_mul(row) for row in A.data])
+
+
+def sparse(A):
+    """The rows of A as {column: coefficient} maps."""
+    return [{j: x for j, x in enumerate(row) if x} for row in A.data]
+
+
 def assert_valid_snf(A, res):
     S, U, V = res.S, res.U, res.V
-    assert U * A * V == S
+    assert matmul(matmul(U, A), V) == S
     assert abs(determinant(U)) == 1
     assert abs(determinant(V)) == 1
     d = res.diagonal()
@@ -203,24 +214,24 @@ def test_lattice_solve_random():
 
 def test_kernel_invariants_torsion_killing():
     # Z + Z/2 -> Z collapsing the torsion part: kernel is Z/2
-    relations = IntMatrix(1, 2, [[0, 2]])
-    m = IntMatrix(2, 1, [[1], [0]])
-    assert kernel_invariants(relations, m) == AbelianInvariants(0, (2,))
+    relations = [{1: 2}]
+    m = [[1], [0]]
+    assert kernel_invariants(relations, 2, m) == AbelianInvariants(0, (2,))
 
 
 def test_kernel_invariants_free_kernel():
     # Z^2 -> Z by (x, y) -> x + y: kernel Z
-    relations = IntMatrix(0, 2)
-    m = IntMatrix(2, 1, [[1], [1]])
-    assert kernel_invariants(relations, m) == AbelianInvariants(1)
+    relations = []
+    m = [[1], [1]]
+    assert kernel_invariants(relations, 2, m) == AbelianInvariants(1)
 
 
 def test_kernel_invariants_rejects_bad_map():
-    relations = IntMatrix(1, 1, [[2]])
+    relations = [{0: 2}]
     with pytest.raises(LatticeError):
-        kernel_invariants(relations, IntMatrix(1, 1, [[1]]))
+        kernel_invariants(relations, 1, [[1]])
     with pytest.raises(LatticeError):  # one row of m per domain generator
-        kernel_invariants(relations, IntMatrix(2, 1, [[0], [0]]))
+        kernel_invariants(relations, 1, [[0], [0]])
 
 
 def test_kernel_invariants_random_consistency():
@@ -237,17 +248,17 @@ def test_kernel_invariants_random_consistency():
         # map to the quotient Z^n / (R + extra) ... instead use a map we can
         # verify directly: multiply by a matrix m with R*m = 0 mod nothing.
         # Simplest valid map: the zero map; kernel = whole group.
-        z = IntMatrix(n, 1, [[0]] * n)
-        assert kernel_invariants(R, z) == dinv
+        z = [[0]] * n
+        assert kernel_invariants(sparse(R), n, z) == dinv
 
 
 def test_matrix_ops():
     A = IntMatrix(2, 2, [[1, 2], [3, 4]])
     B = IntMatrix(2, 2, [[0, 1], [1, 0]])
-    assert (A * B).data == [[2, 1], [4, 3]]
+    assert matmul(A, B).data == [[2, 1], [4, 3]]
     assert A.row_mul([1, 1]) == [4, 6]
     with pytest.raises(LatticeError):
-        A * IntMatrix(3, 3)
+        A.row_mul([1, 1, 1])
 
 
 # -- the transform route to kernel invariants, kept as an oracle --------------
@@ -284,7 +295,8 @@ def kernel_problems(draw):
 @given(kernel_problems())
 def test_kernel_invariants_match_the_transform_route(problem):
     relations, m = problem
-    assert kernel_invariants(relations, m) == reference_kernel_invariants(relations, m)
+    got = kernel_invariants(sparse(relations), m.rows, m.data)
+    assert got == reference_kernel_invariants(relations, m)
 
 
 def test_kernel_problems_cover_free_and_torsion_kernels():
@@ -293,7 +305,8 @@ def test_kernel_problems_cover_free_and_torsion_kernels():
     @settings(max_examples=300, deadline=None, database=None)
     @given(kernel_problems())
     def collect(problem):
-        inv = kernel_invariants(*problem)
+        relations, m = problem
+        inv = kernel_invariants(sparse(relations), m.rows, m.data)
         kinds.add((inv.free_rank > 0, bool(inv.torsion)))
 
     collect()
@@ -308,12 +321,119 @@ def test_schur_kernels_match_the_transform_route(name, monkeypatch):
         p = parse_presentation(text)
     seen = []
 
-    def both(relations, m, budget=None):
-        got = kernel_invariants(relations, m, budget)
-        assert got == reference_kernel_invariants(relations, m)
+    def both(relations, cols, m, budget=None, max_entries=None):
+        relations = list(relations)
+        got = kernel_invariants(relations, cols, m, budget, max_entries)
+        dense = [[row.get(j, 0) for j in range(cols)] for row in relations]
+        want = reference_kernel_invariants(
+            IntMatrix(len(dense), cols, dense), IntMatrix(cols, len(m[0]), m)
+        )
+        assert got == want
         seen.append(got)
         return got
 
     monkeypatch.setattr(homology, "kernel_invariants", both)
     h2 = homology.schur_multiplier(p).h2
     assert seen == [h2]
+
+
+# -- the sparse unit-pivot stage against the dense SNF -------------------------
+
+
+def dense(rows, cols):
+    return IntMatrix(len(rows), cols, [[row.get(j, 0) for j in range(cols)] for row in rows])
+
+
+@st.composite
+def sparse_problems(draw):
+    """Sparse rows over up to 8 columns: unit and non-unit entries, zero
+    rows, columns no row touches, and integer combinations of earlier rows,
+    which vanish during elimination when their sources do."""
+    cols = draw(st.integers(0, 8))
+    coefficient = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -4, 6])
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if cols == 0 or kind == "zero":
+            rows.append({})
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            p, q = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            row = {j: p * a.get(j, 0) + q * b.get(j, 0) for j in {*a, *b}}
+            rows.append({j: x for j, x in row.items() if x})
+        else:
+            support = draw(st.sets(st.integers(0, cols - 1), max_size=4))
+            rows.append({j: draw(coefficient) for j in sorted(support)})
+    return rows, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_problems())
+@example(([{}], 1))  # the z5 coinvariant matrix: one zero row, one column
+@example(([], 0))
+@example(([{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 2}], 3))
+def test_sparse_cokernel_matches_the_dense_snf(problem):
+    rows, cols = problem
+    want = cokernel_invariants(dense(rows, cols))
+    assert sparse_cokernel_invariants(rows, cols) == want
+    assert sparse_cokernel_invariants(rows, cols, max_entries=cols * len(rows)) == want
+
+
+def test_sparse_problems_leave_free_and_torsion_residues(monkeypatch):
+    residues = []
+
+    def recording(A, budget=None):
+        got = cokernel_invariants(A, budget)
+        residues.append(got)
+        return got
+
+    monkeypatch.setattr(zlattice, "cokernel_invariants", recording)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(sparse_problems())
+    def collect(problem):
+        sparse_cokernel_invariants(*problem)
+
+    collect()
+    assert any(r.free_rank for r in residues)
+    assert any(r.torsion for r in residues)
+
+
+def test_sparse_cokernel_leaves_its_input_alone():
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 1}]
+    assert sparse_cokernel_invariants(rows, 2) == AbelianInvariants(0, (3,))
+    assert rows == [{0: 1, 1: 2}, {0: 2, 1: 1}]
+
+
+def test_sparse_cokernel_rejects_columns_out_of_range():
+    with pytest.raises(LatticeError):
+        sparse_cokernel_invariants([{2: 1}], 2)
+    with pytest.raises(LatticeError):
+        sparse_cokernel_invariants([{-1: 1}], 2)
+
+
+def test_sparse_cokernel_charges_fill_in():
+    # an arrow: the one unit pivot, at (0, 0), turns every other row dense,
+    # so 31 entries become 100 after the first pivot
+    n = 10
+    rows = [{0: 1, **{j: 2 for j in range(1, n + 1)}}] + [{0: 2, i: 3} for i in range(1, n + 1)]
+    want = cokernel_invariants(dense(rows, n + 1))
+    assert sparse_cokernel_invariants(rows, n + 1, max_entries=100) == want
+    with pytest.raises(BudgetExhausted, match="entry cap"):
+        sparse_cokernel_invariants(rows, n + 1, max_entries=99)
+    with pytest.raises(BudgetExhausted, match="entry cap"):
+        sparse_cokernel_invariants(rows, n + 1, max_entries=30)
+
+
+def test_sparse_cokernel_charges_the_dense_residue():
+    # no unit entry: the 8 entries would become an 8 x 8 dense residue
+    rows = [{i: 2} for i in range(8)]
+    assert sparse_cokernel_invariants(rows, 8, max_entries=64) == AbelianInvariants(0, (2,) * 8)
+    with pytest.raises(BudgetExhausted, match="entry cap"):
+        sparse_cokernel_invariants(rows, 8, max_entries=63)
+
+
+def test_sparse_cokernel_reads_the_deadline():
+    rows = [{i: 1, i + 1: 1} for i in range(5)]
+    with pytest.raises(BudgetExhausted, match="time limit"):
+        sparse_cokernel_invariants(rows, 6, Budget.start(0))

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 
 
 class BudgetExhausted(RuntimeError):
-    """A search hit its budget before reaching a definite answer."""
+    """A search hit its budget before reaching a definite answer.
+    todd_coxeter sets cosets_used, the cosets it defined (dead ones
+    included, as the cap counts them); every other raiser leaves it None."""
 
-    def __init__(self, what: str):
+    def __init__(self, what: str, cosets_used: int | None = None):
         super().__init__(what)
         self.what = what
+        self.cosets_used = cosets_used
 
 
 @dataclass(frozen=True)

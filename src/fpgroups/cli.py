@@ -65,11 +65,19 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _cap(text: str) -> int:
+    """A cap of at least 1: no run fits in a cap below that."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"cap must be at least 1, not {text!r}")
+    return value
+
+
 def _global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit one RunReport as JSON")
     parser.add_argument("--time-limit", type=_seconds, default=60.0, metavar="SECONDS")
-    parser.add_argument("--max-cosets", type=int, default=100_000, metavar="N")
-    parser.add_argument("--max-elements", type=int, default=100_000, metavar="N")
+    parser.add_argument("--max-cosets", type=_cap, default=100_000, metavar="N")
+    parser.add_argument("--max-elements", type=_cap, default=100_000, metavar="N")
     # randomized property drivers only; every verb below is seed-independent
     parser.add_argument("--seed", type=int, default=0, metavar="N")
 
@@ -171,22 +179,21 @@ def _cmd_evidence(args, inputs, budget):
 def _cmd_tc(args, inputs, budget):
     p = _load(args.file, inputs)
     sub = tuple(p.word(w) for w in args.subgroup or [])
-    table = todd_coxeter(p, sub, budget)
-    if not table:
+    try:
+        return "OK", {"index": todd_coxeter(p, sub, budget).n}
+    except BudgetExhausted as e:
         return "EXHAUSTED", {
-            "reason": table.reason,
-            "cosets_used": table.cosets_used,
-            "max_cosets": table.max_cosets,
+            "reason": e.what, "cosets_used": e.cosets_used, "max_cosets": budget.max_cosets
         }
-    return "OK", {"index": table.n}
 
 
 def _cmd_rs(args, inputs, budget):
     p = _load(args.file, inputs)
     sub = tuple(p.word(w) for w in args.subgroup or [])
-    table = todd_coxeter(p, sub, budget)
-    if not table:
-        return "EXHAUSTED", {"reason": table.reason, "cosets_used": table.cosets_used}
+    try:
+        table = todd_coxeter(p, sub, budget)
+    except BudgetExhausted as e:
+        return "EXHAUSTED", {"reason": e.what, "cosets_used": e.cosets_used}
     s = reidemeister_schreier(p, table, budget)
     _write_out(args.out, s)
     return "OK", {

@@ -5,12 +5,12 @@ in definition order, under the run budget's coset cap and deadline) over
 symmetric tables on relators compiled to columns once.  Coincidences are
 processed eagerly: a dead coset's edges move to its survivor at once, so no
 live row ever holds a dead coset.  The coset cap counts cosets defined, dead
-ones included.  Completed tables are compressed and standardized
-(breadth-first renumbering), so the output is independent of enumeration
-order.  Exhaustion is a first-class result, never an exception (the word
-problem behind this is undecidable in general): todd_coxeter returns a caught
-BudgetExhausted as an Exhausted value, low_index as a Fingerprint's first
-unfinished index.
+ones included.  A completed table is read off the rows in one breadth-first
+walk from coset 1, which drops the dead cosets and standardizes the
+numbering (Sims 1994), so the output is independent of enumeration order.
+Like every engine, todd_coxeter raises BudgetExhausted when the budget runs
+out (the word problem behind this is undecidable in general), carrying the
+cosets it defined; low_index records the first unfinished index instead.
 
 reidemeister_schreier rewrites relator conjugates on Schreier generators of
 a complete standardized table.  Its spanning tree is read off the scan order
@@ -24,7 +24,7 @@ after each branch by deductions through the edges just defined, against
 relator rotations compiled once per presentation.  It visits every subgroup
 of each index exactly once; conjugacy classes are counted by rebasing each
 table at every coset (one breadth-first renumbering each, the one
-standardize uses) and keeping the least serialization.  Power relators
+todd_coxeter uses) and keeping the least serialization.  Power relators
 prune the search by cycle type (Sims 1994, ch. 5): when relators whose
 cyclic core is x^±n exist, with n's gcd g, every x-cycle of a complete table
 on k cosets has a length dividing g and at most k, so at most D, the largest
@@ -51,50 +51,28 @@ class CosetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Exhausted:
-    """Enumeration hit its cap before closing; carries what was spent."""
-
-    reason: str
-    cosets_used: int  # cosets defined, dead ones included, as the cap counts
-    max_cosets: int
-
-    def __bool__(self) -> bool:  # lets callers write `if not result:`
-        return False
-
-
 def _col(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
 
 class CosetTable:
-    """A complete right action of the generators on cosets 1..n.
+    """A complete right action of the generators on cosets 1..n, numbered
+    in breadth-first discovery order from coset 1.
 
     `action[col][c]` is the image of coset c (0-based) under column col,
     where columns alternate generator and inverse: 2i is generator i, 2i+1
     its inverse.
     """
 
-    __slots__ = ("alphabet", "n", "action", "subgroup_gens", "standardized")
+    __slots__ = ("alphabet", "n", "action", "subgroup_gens")
 
     def __init__(
-        self,
-        alphabet: Alphabet,
-        action: list[list[int]],
-        subgroup_gens: tuple[Word, ...] = (),
-        standardized: bool = False,
+        self, alphabet: Alphabet, action: list[list[int]], subgroup_gens: tuple[Word, ...] = ()
     ):
         self.alphabet = alphabet
         self.action = action
         self.n = len(action[0]) if action else 0
         self.subgroup_gens = subgroup_gens
-        self.standardized = standardized
-
-    def trace(self, coset: int, w: Word) -> int:
-        c = coset
-        for l in w.letters:
-            c = self.action[_col(l)][c]
-        return c
 
     def verify(self, p: Presentation) -> bool:
         """Re-check the full certificate: mutually inverse total columns,
@@ -102,49 +80,51 @@ class CosetTable:
         coset 1.  Raises CosetError on any failure."""
         if p.alphabet != self.alphabet:
             raise CosetError("table alphabet does not match the presentation")
-        n = self.n
+        n, action = self.n, self.action
         for i in range(len(self.alphabet)):
-            fwd, bwd = self.action[2 * i], self.action[2 * i + 1]
+            fwd, bwd = action[2 * i], action[2 * i + 1]
             for c in range(n):
                 d = fwd[c]
                 if not (0 <= d < n) or bwd[d] != c:
                     raise CosetError(f"columns for generator {i} are not inverse at {c + 1}")
+
+        def images(w: Word, cosets: list[int]) -> list[int]:
+            # w compiled to its column arrays once, walked from every coset
+            for colarr in [action[_col(l)] for l in w.letters]:
+                cosets = list(map(colarr.__getitem__, cosets))
+            return cosets
+
+        every = list(range(n))
         for r in p.relators:
-            for c in range(n):
-                if self.trace(c, r) != c:
-                    raise CosetError(f"relator {r.text()!r} does not close at coset {c + 1}")
+            ends = images(r, every)
+            if ends != every:
+                c = next(c for c in every if ends[c] != c)
+                raise CosetError(f"relator {r.text()!r} does not close at coset {c + 1}")
         for w in self.subgroup_gens:
-            if self.trace(0, w) != 0:
+            if images(w, [0]) != [0]:
                 raise CosetError(f"subgroup generator {w.text()!r} moves coset 1")
         return True
-
-    def standardize(self) -> "CosetTable":
-        """Renumber cosets in breadth-first discovery order (columns scanned
-        generator, inverse, generator, ...)."""
-        return CosetTable(
-            self.alphabet, _renumbered(self.action, 0), self.subgroup_gens, standardized=True
-        )
 
     def __repr__(self) -> str:
         return f"<coset table on {self.n} cosets over {self.alphabet!r}>"
 
 
-def _renumbered(action: list[list[int]], base: int) -> list[list[int]]:
-    """The action with cosets renumbered in breadth-first discovery order
-    from base (columns scanned generator, inverse, generator, ...)."""
-    n = len(action[0])
-    newidx = [-1] * n
+def _renumbered(rows: list[list[int]], base: int, n: int) -> list[list[int]]:
+    """The action, column by column, of the n cosets that rows[c][col]
+    reaches from base, renumbered in breadth-first discovery order from base
+    (columns scanned generator, inverse, generator, ...).  Rows the walk
+    never reaches are left out."""
+    newidx = [-1] * len(rows)
     newidx[base] = 0
     order = [base]
     for c in order:  # grows while it is walked
-        for colarr in action:
-            d = colarr[c]
+        for d in rows[c]:
             if newidx[d] < 0:
                 newidx[d] = len(order)
                 order.append(d)
     if len(order) != n:
         raise CosetError("table is not transitive")
-    return [[newidx[colarr[old]] for old in order] for colarr in action]
+    return [[newidx[rows[c][col]] for c in order] for col in range(len(rows[base]))]
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +225,12 @@ def todd_coxeter(
     p: Presentation,
     subgroup: tuple[Word, ...] | list[Word] = (),
     budget: Budget | None = None,
-) -> CosetTable | Exhausted:
+) -> CosetTable:
     """Enumerate cosets of ⟨subgroup⟩ ≤ the presented group.
 
     Returns a complete, verified, standardized CosetTable whose size is the
-    exact index, or Exhausted when the budget's coset cap or deadline is hit.
+    exact index.  Raises BudgetExhausted, with the cosets defined as its
+    cosets_used, when the budget's coset cap or deadline is hit.
     """
     budget = budget or Budget.start()
     if budget.max_cosets < 1:
@@ -283,13 +264,12 @@ def todd_coxeter(
                         tab[d][col ^ 1] = c
             c += 1
     except BudgetExhausted as ex:
-        return Exhausted(ex.what, len(tab), budget.max_cosets)
+        raise BudgetExhausted(ex.what, len(tab)) from None
 
-    live = [c for c in range(len(tab)) if parent[c] == c]
-    idx = {c: i for i, c in enumerate(live)}
-    action = [[idx[tab[c][col]] for c in live] for col in range(ncols)]
+    # no live row holds a dead coset: the walk from coset 1 reaches the live ones
+    live = sum(parent[c] == c for c in range(len(tab)))
+    action = _renumbered(tab, 0, live)
     table = CosetTable(p.alphabet, action, tuple(w.reduce() for w in subgroup))
-    table = table.standardize()
     table.verify(p)
     return table
 
@@ -312,8 +292,6 @@ class SchreierRewriter:
     """
 
     def __init__(self, p: Presentation, t: CosetTable):
-        if not t.standardized:
-            raise CosetError("rewriter needs a standardized table")
         if t.alphabet != p.alphabet:
             raise CosetError("table alphabet does not match the presentation")
         self.p = p
@@ -374,6 +352,20 @@ class SchreierRewriter:
             c = action[col][c]
         return Word(self.sub_alphabet, out).reduce()
 
+    def exponent_sums(self, w: Word, start: int = 0) -> dict[int, int]:
+        """The nonzero exponent sums of rewrite(w, start), keyed by 0-based
+        Schreier generator: the signed count of the labels along the walk,
+        as free reduction leaves exponent sums unchanged."""
+        label, action = self.label, self.t.action
+        sums: dict[int, int] = {}
+        c = start
+        for col in map(_col, w.letters):
+            if s := label[col][c]:
+                i = abs(s) - 1
+                sums[i] = sums.get(i, 0) + (1 if s > 0 else -1)
+            c = action[col][c]
+        return {i: e for i, e in sums.items() if e}
+
 
 def reidemeister_schreier(
     p: Presentation, t: CosetTable, budget: Budget | None = None
@@ -422,9 +414,11 @@ class Fingerprint:
         }
 
 
-def _class_key(action: list[list[int]]) -> tuple:
-    """Least serialization over all basepoints of the standardized table."""
-    return min(tuple(map(tuple, _renumbered(action, b))) for b in range(len(action[0])))
+def _class_key(rows: list[list[int]]) -> tuple:
+    """Least serialization over all basepoints of the complete table whose
+    row c lists the images of coset c."""
+    k = len(rows)
+    return min(tuple(map(tuple, _renumbered(rows, b, k))) for b in range(k))
 
 
 def _rotations(p: Presentation) -> list[tuple]:
@@ -566,8 +560,8 @@ def _count_index(rots: list[tuple], orders: list[int], k: int, budget: Budget) -
         except ValueError:  # no undefined slot: a complete table on n cosets
             if n == k:
                 total += 1
-                action = [[d // ncols for d in tab[col::ncols]] for col in range(ncols)]
-                class_keys.add(_class_key(action))
+                rows = [[d // ncols for d in tab[c : c + ncols]] for c in range(0, end, ncols)]
+                class_keys.add(_class_key(rows))
             return
         col = slot % ncols
         c = slot - col

@@ -33,7 +33,7 @@ from math import gcd
 from typing import Iterator
 
 from .budget import Budget, BudgetExhausted
-from .cosets import CosetTable, Exhausted, SchreierRewriter, todd_coxeter
+from .cosets import CosetTable, SchreierRewriter, todd_coxeter
 from .presentations import Presentation, PresentationWarning
 from .words import Word
 from .zlattice import (
@@ -66,13 +66,12 @@ class SchurReport:
 
 def _certified_table(p: Presentation, budget: Budget | None) -> CosetTable:
     """The regular coset table, which certifies the group finite, or raise."""
-    t = todd_coxeter(p, (), budget)
-    if isinstance(t, Exhausted):
+    try:
+        return todd_coxeter(p, (), budget)
+    except BudgetExhausted as ex:
         raise BudgetExhausted(
-            f"group not certified finite within budget ({t.reason}, "
-            f"{t.cosets_used} cosets)"
-        )
-    return t
+            f"group not certified finite within budget ({ex.what}, {ex.cosets_used} cosets)"
+        ) from None
 
 
 def schur_multiplier(p: Presentation, budget: Budget | None = None) -> SchurReport:
@@ -93,8 +92,8 @@ def _coinvariant_rows(
     """The Schreier rewriter of the regular table t, its generators as
     ambient words, and the coinvariant rows g·s_i·g^-1 - s_i as sparse
     {Schreier generator: coefficient} maps, one per ambient generator g and
-    Schreier generator s_i, built lazily (the deadline is read once per
-    row)."""
+    Schreier generator s_i, built lazily as the signed label counts of the
+    walks (the deadline is read once per row)."""
     rw = SchreierRewriter(p, t)
     sgens = [rw.generator_word(i) for i in range(rw.rank)]
 
@@ -105,7 +104,7 @@ def _coinvariant_rows(
             c = t.action[col][0]
             for i, s in enumerate(sgens):
                 budget.check()
-                row = rw.rewrite(s, c).exponent_sums()
+                row = rw.exponent_sums(s, c)
                 e = row.pop(i, 0) - 1
                 if e:
                     row[i] = e
@@ -174,7 +173,7 @@ def _kernel_coinvariants(
     # when every normal generator reduces away, G/N is G and so is its table
     t = table if g_mod_n.relators == g.relators else _certified_table(g_mod_n, budget)
     rw, _, rows = _coinvariant_rows(g_mod_n, t, budget)
-    relator_rows = (rw.rewrite(r, 0).exponent_sums() for r in g.relators)
+    relator_rows = (rw.exponent_sums(r) for r in g.relators)
     return t.n, sparse_cokernel_invariants(
         chain(rows, relator_rows), rw.rank, budget, _entry_cap(g, budget)
     )

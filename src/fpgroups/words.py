@@ -12,7 +12,6 @@ both operands resolve against equal alphabets.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from operator import index as _as_int
 from typing import Iterable, Iterator
 
@@ -174,19 +173,11 @@ class Word:
         conj = Word(self.alphabet, ls[:i], _reduced=True)
         return core, conj
 
-    def exponent_sums(self) -> dict[int, int]:
-        """The nonzero exponent sums, keyed by 0-based generator index."""
-        sums: dict[int, int] = {}
-        for l, c in Counter(self.letters).items():
-            i = abs(l) - 1
-            sums[i] = sums.get(i, 0) + (c if l > 0 else -c)
-        return {i: e for i, e in sums.items() if e}
-
     def exponent_vector(self) -> list[int]:
         """Exponent sums for every generator, in alphabet order."""
         v = [0] * len(self.alphabet)
-        for i, e in self.exponent_sums().items():
-            v[i] = e
+        for l in self.letters:
+            v[abs(l) - 1] += 1 if l > 0 else -1
         return v
 
     def syllables(self) -> Iterator[tuple[str, int]]:

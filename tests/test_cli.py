@@ -108,6 +108,29 @@ def test_tc_exhausts_tiny_cap():
     assert rep["payload"]["max_cosets"] == 10
 
 
+def test_coset_exhaustion_payloads(tmp_path):
+    # the whole EXHAUSTED payload of each verb that enumerates cosets
+    code, rep = run("tc", "--max-cosets", "50", fx("free2"))
+    assert code == 2
+    assert rep["payload"] == {"reason": "coset cap", "cosets_used": 50, "max_cosets": 50}
+    code, rep = run("rs", "--max-cosets", "50", fx("free2"))
+    assert code == 2
+    assert rep["payload"] == {"reason": "coset cap", "cosets_used": 50}
+    code, rep = run("tc", "--time-limit", "0", fx("free2"))
+    assert code == 2
+    assert rep["payload"] == {"reason": "time limit", "cosets_used": 1, "max_cosets": 100_000}
+    code, rep = run("rs", "--time-limit", "0", fx("free2"))
+    assert code == 2
+    assert rep["payload"] == {"reason": "time limit", "cosets_used": 1}
+    triangle = tmp_path / "237.pres"
+    triangle.write_text("< a, b | a^2, b^3, (a b)^7 >\n")
+    code, rep = run("schur", "--max-cosets", "50", str(triangle))
+    assert code == 2
+    assert rep["payload"] == {
+        "error": "group not certified finite within budget (coset cap, 50 cosets)"
+    }
+
+
 def test_rs_subgroup_presentation():
     code, rep = run("rs", "--subgroup", "a", "--subgroup", "b a b^-1", fx("a5"))
     assert code == 0
@@ -405,6 +428,21 @@ def test_time_limit_must_be_finite(limit):
     assert "finite" in err
     code, rep = run("schur", "--time-limit", "0", fx("z5"))
     assert code == 2 and rep["outcome"] == "EXHAUSTED"
+
+
+@pytest.mark.parametrize("argv", [
+    ["low-index", "--bound", "3", "--max-cosets", "0", fx("z5")],
+    ["low-index", "--bound", "3", "--max-cosets", "-4", fx("z5")],
+    ["tc", "--max-cosets", "0", fx("z5")],
+    ["schur", "--max-cosets", "0", fx("z5")],
+    ["hom-search", "--transitive-degree", "3", "--max-elements", "-1", fx("z5")],
+    ["fibre-check", "sl25-a5", "--max-elements", "0"],
+])
+def test_cap_below_one_is_bad_input(argv):
+    # no run fits in a cap below 1, so the flag itself is refused
+    code, out, err = run_plain(*argv, "--json")
+    assert code == 3 and out == ""
+    assert "at least 1" in err
 
 
 def test_time_limit_bounds_uce():

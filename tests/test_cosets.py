@@ -16,10 +16,10 @@ from fpgroups.cosets import (
     _count_index,
     _cycle_fits,
     _power_orders,
+    _renumbered,
     _rotations,
     CosetError,
     CosetTable,
-    Exhausted,
     SchreierRewriter,
     fingerprint_compare,
     low_index,
@@ -54,6 +54,22 @@ F2 = parse_presentation("< a, b | >")
 _AB = Alphabet(["a", "b"])
 
 
+def _rows(t):
+    """t's action row by row: row c lists the images of coset c."""
+    return [list(row) for row in zip(*t.action)]
+
+
+def _is_standardized(t):
+    return _renumbered(_rows(t), 0, t.n) == t.action
+
+
+def _trace(t, c, w):
+    """The coset that w leads c to in t."""
+    for l in w.letters:
+        c = t.action[2 * (abs(l) - 1) + (l < 0)][c]
+    return c
+
+
 # -- Todd-Coxeter -----------------------------------------------------------
 
 
@@ -61,7 +77,7 @@ def test_tc_cyclic_five():
     t = todd_coxeter(Z5)
     assert isinstance(t, CosetTable)
     assert t.n == 5
-    assert t.standardized
+    assert _is_standardized(t)
     assert t.verify(Z5)
     # a acts as a 5-cycle; numbering follows BFS over (a, a^-1) columns
     perm = tuple(t.action[0])  # column 2i holds generator i's images
@@ -85,7 +101,7 @@ def test_tc_subgroup_index():
     a = A5.word("a")
     t = todd_coxeter(A5, (a,))
     assert t.n == 30
-    assert t.trace(0, a) == 0
+    assert _trace(t, 0, a) == 0
     # <b> has order 3, index 20; <ab> order 5, index 12
     assert todd_coxeter(A5, (A5.word("b"),)).n == 20
     assert todd_coxeter(A5, (A5.word("a b"),)).n == 12
@@ -103,19 +119,18 @@ def test_tc_deterministic():
 
 
 def test_tc_exhaustion_is_a_value():
-    # F2 is infinite: the cap must be reported, not raised
-    r = todd_coxeter(F2, budget=Budget.start(max_cosets=200))
-    assert isinstance(r, Exhausted)
-    assert not r
-    assert r.max_cosets == 200
-    assert r.cosets_used <= 200
-    assert r.reason == "coset cap"
+    # F2 is infinite: the cap is raised as BudgetExhausted, with what it spent
+    with pytest.raises(BudgetExhausted) as r:
+        todd_coxeter(F2, budget=Budget.start(max_cosets=200))
+    assert r.value.cosets_used <= 200
+    assert r.value.what == "coset cap"
 
 
 def test_tc_time_limit():
-    r = todd_coxeter(F2, budget=Budget.start(time_limit_s=0.0, max_cosets=10**9))
-    assert isinstance(r, Exhausted)
-    assert r.reason == "time limit"
+    with pytest.raises(BudgetExhausted) as r:
+        todd_coxeter(F2, budget=Budget.start(time_limit_s=0.0, max_cosets=10**9))
+    assert r.value.what == "time limit"
+    assert r.value.cosets_used == 1
 
 
 def test_tc_trivial_quotient():
@@ -136,17 +151,12 @@ def test_table_permutations():
     i = t.alphabet.index("a")
     assert 2 * i == 0  # generator a's images are column 0, 0-based
     assert sorted(t.action[2 * i]) == [0, 1, 2, 3, 4]
-    assert t.standardized is True
+    assert _is_standardized(t)
 
 
 def test_verify_catches_broken_table():
     t = todd_coxeter(Z5)
-    bad = CosetTable(
-        t.alphabet,
-        [list(t.action[0]), list(t.action[1])],
-        t.subgroup_gens,
-        standardized=True,
-    )
+    bad = CosetTable(t.alphabet, [list(t.action[0]), list(t.action[1])], t.subgroup_gens)
     bad.action[0][0] = 0  # a no longer a bijection consistent with a^-1
     with pytest.raises(CosetError):
         bad.verify(Z5)
@@ -155,25 +165,37 @@ def test_verify_catches_broken_table():
 def test_verify_checks_subgroup_generators():
     a = A5.word("a")
     t = todd_coxeter(A5, (a,))
-    lying = CosetTable(t.alphabet, t.action, (A5.word("b"),), standardized=True)
+    lying = CosetTable(t.alphabet, t.action, (A5.word("b"),))
     with pytest.raises(CosetError, match="moves coset 1"):
         lying.verify(A5)
 
 
+def test_verify_walks_every_relator_from_every_coset():
+    # a fixes coset 1 and swaps 2 and 3: a^2 closes everywhere, a^3 first
+    # fails at coset 2
+    swap = CosetTable(Z5.alphabet, [[0, 2, 1], [0, 2, 1]])
+    assert swap.verify(parse_presentation("< a | a^2 >"))
+    with pytest.raises(CosetError, match="'a\\^3' does not close at coset 2"):
+        swap.verify(parse_presentation("< a | a^2, a^3 >"))
+    # coset 1 reaches no other coset, so the walk renumbers no table
+    with pytest.raises(CosetError, match="not transitive"):
+        _renumbered(_rows(swap), 0, 3)
+
+
 def test_standardize_idempotent():
     t = todd_coxeter(A5, (A5.word("a b"),))
-    again = t.standardize()
-    assert again.action == t.action
+    assert _is_standardized(t)
 
 
 def test_tc_cap_counts_cosets_defined():
     # (2,3,7) is infinite and its enumeration merges cosets on the way, so
     # fewer are live than defined when the cap runs out
-    r = todd_coxeter(parse_presentation("< a, b | a^2, b^3, (a b)^7 >"),
-                     budget=Budget.start(max_cosets=2000))
-    assert isinstance(r, Exhausted)
-    assert r.reason == "coset cap"
-    assert r.cosets_used == r.max_cosets == 2000
+    with pytest.raises(BudgetExhausted) as r:
+        todd_coxeter(
+            parse_presentation("< a, b | a^2, b^3, (a b)^7 >"), budget=Budget.start(max_cosets=2000)
+        )
+    assert r.value.what == "coset cap"
+    assert r.value.cosets_used == 2000
 
 
 # -- HLT oracle ---------------------------------------------------------------
@@ -309,15 +331,16 @@ def _reference_todd_coxeter(p, subgroup=(), max_cosets=100_000):
         return ex.what, len(e.tab)
     live = [c for c in range(len(e.tab)) if e.find(c) == c]
     idx = {c: i for i, c in enumerate(live)}
-    action = [[idx[e.get(c, col)] for c in live] for col in range(ncols)]
-    return CosetTable(p.alphabet, action).standardize().action
+    rows = [[idx[e.get(c, col)] for col in range(ncols)] for c in live]
+    return _renumbered(rows, 0, len(rows))
 
 
 def _assert_matches_reference_tc(p, subgroup=(), max_cosets=100_000):
-    got = todd_coxeter(p, subgroup, Budget.start(max_cosets=max_cosets))
     want = _reference_todd_coxeter(p, subgroup, max_cosets)
-    if isinstance(got, Exhausted):
-        assert (got.reason, got.cosets_used) == want
+    try:
+        got = todd_coxeter(p, subgroup, Budget.start(max_cosets=max_cosets))
+    except BudgetExhausted as ex:
+        assert (ex.what, ex.cosets_used) == want
     else:
         assert got.action == want
 
@@ -379,7 +402,7 @@ def test_rs_integers_squared():
     # Z, subgroup <a^2>: index 2, rank 2*1 - 2 + 1 = 1, no relators
     z = parse_presentation("< a | >")
     t = todd_coxeter(z, (z.word("a^2"),), Budget.start(max_cosets=100))
-    assert isinstance(t, Exhausted) is False
+    assert isinstance(t, CosetTable)
     assert t.n == 2
     sub = reidemeister_schreier(z, t)
     assert len(sub.generators) == 1
@@ -427,7 +450,7 @@ def test_rs_schreier_generators_lie_in_subgroup():
     rw = SchreierRewriter(A5, t)
     for i in range(rw.rank):
         w = rw.generator_word(i)
-        assert t.trace(0, w) == 0
+        assert _trace(t, 0, w) == 0
 
 
 def test_rs_rewrite_is_homomorphism_on_subgroup_words():
@@ -457,22 +480,15 @@ def test_rs_reads_the_deadline():
         reidemeister_schreier(Z5, t, Budget.start(time_limit_s=0.0))
 
 
-def test_rs_requires_standardized():
-    t = todd_coxeter(Z5)
-    raw = CosetTable(t.alphabet, t.action, t.subgroup_gens, standardized=False)
-    with pytest.raises(CosetError, match="standardized"):
-        reidemeister_schreier(Z5, raw)
-
-
 def _swapped(t, i, j):
-    """t with cosets i and j (0-based) exchanged, still flagged standardized."""
+    """t with cosets i and j (0-based) exchanged."""
     pi = list(range(t.n))
     pi[i], pi[j] = j, i
     action = [[0] * t.n for _ in t.action]
     for new, old in zip(action, t.action):
         for c in range(t.n):
             new[pi[c]] = pi[old[c]]
-    return CosetTable(t.alphabet, action, t.subgroup_gens, standardized=True)
+    return CosetTable(t.alphabet, action, t.subgroup_gens)
 
 
 @pytest.mark.parametrize("i, j", [(1, 2), (0, 1), (5, 59), (30, 31), (57, 58)])
@@ -481,7 +497,7 @@ def test_rs_refuses_a_table_misflagged_standardized(i, j):
     # edge to an unseen coset that is not the next id gives it away
     t = todd_coxeter(A5)
     bad = _swapped(t, i, j)
-    assert bad.verify(A5) and bad.standardize().action != bad.action
+    assert bad.verify(A5) and not _is_standardized(bad)
     with pytest.raises(CosetError, match="not standardized"):
         SchreierRewriter(A5, bad)
 
@@ -619,8 +635,10 @@ def test_rewriter_matches_reference_random(relators, subgroup):
         warnings.simplefilter("ignore")  # relators that reduce away, duplicates
         p = Presentation(_AB, [Word(_AB, r) for r in relators])
     sub = tuple(Word(_AB, w) for w in subgroup)
-    t = todd_coxeter(p, sub, Budget.start(max_cosets=300))
-    assume(isinstance(t, CosetTable))
+    try:
+        t = todd_coxeter(p, sub, Budget.start(max_cosets=300))
+    except BudgetExhausted:
+        assume(False)
     _assert_rewriter_matches_reference(p, t, regular=not subgroup)
 
 
@@ -728,7 +746,7 @@ def _reference_count(p, k: int) -> tuple[int, int]:
         if slot is None:
             if len(tab) == k:
                 total += 1
-                keys.add(_class_key([[row[col] for row in tab] for col in range(ncols)]))
+                keys.add(_class_key(tab))
             return
         c, col = slot
         for d in [d for d in range(len(tab)) if tab[d][col ^ 1] is None] + (

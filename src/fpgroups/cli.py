@@ -110,7 +110,7 @@ def _cmd_parse(args, inputs, budget):
 
 
 def _cmd_abelianize(args, inputs, budget):
-    inv = abelianization(_load(args.file, inputs))
+    inv = abelianization(_load(args.file, inputs), budget)
     return "OK", {"h1": inv.to_json(), "pretty": str(inv)}
 
 
@@ -293,7 +293,7 @@ def _cmd_l0_check(args, inputs, budget):
 
 
 def _cmd_h2_rank(args, inputs, budget):
-    rank = aspherical_h2_rank(_load(args.file, inputs), args.aspherical)
+    rank = aspherical_h2_rank(_load(args.file, inputs), args.aspherical, budget)
     return "OK", {"rank": rank}
 
 

@@ -56,7 +56,6 @@ from .zlattice import (
     AbelianInvariants,
     abelianization,
     exponent_matrix,
-    is_perfect,
     lattice_solve,
 )
 
@@ -375,12 +374,12 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
     relation kernel they are shortened against.  The budget's deadline is
     checked after the commutators, at every pivot of that SNF, after the
     kernel's reduction and after each generator's certificate."""
-    h1 = abelianization(g)
+    budget = budget or Budget.start()
+    h1 = abelianization(g, budget)
     if not h1.is_trivial:
         raise ConstructionError(
             f"universal central extension needs a perfect group; abelianization is {h1}"
         )
-    budget = budget or Budget.start()
 
     gens = [g.alphabet.gen(name) for name in g.alphabet.names]
     commutators: list[Word] = []
@@ -482,7 +481,9 @@ def grothendieck_evidence(
     Exhaustion of any single item is recorded, never fatal; but when the
     deadline cut an item short and nothing seen fails, it is no pass."""
     budget = budget or Budget.start()
-    h1 = abelianization(q)
+    # H_1 is decided even with no time left, so that a run cut short still
+    # fails on a nontrivial H_1: its SNF alone runs outside the deadline
+    h1 = abelianization(q, replace(budget, deadline=math.inf))
     fp = low_index(q, index_bound, budget)
     try:
         h2: AbelianInvariants | None = schur_multiplier(q, budget).h2
@@ -546,11 +547,10 @@ def pipeline(
     the extension depend only on (|X|, |R|):
     2(|X|+2) generators and (|X|+2)^2 + 2(|X|+2)(1+|R|+4|X|) relators.
     """
-    if not is_perfect(q):
-        raise ConstructionError(
-            f"pipeline input must be perfect; abelianization is {abelianization(q)}"
-        )
     budget = budget or Budget.start()
+    h1 = abelianization(q, budget)
+    if not h1.is_trivial:
+        raise ConstructionError(f"pipeline input must be perfect; abelianization is {h1}")
     rr = rips(q, m, zero_exponent=True, budget=budget)
     ur = uce(rr.gamma, budget)
 

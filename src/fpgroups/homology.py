@@ -190,7 +190,7 @@ def lemma_l0_check(inst: L0Instance, budget: Budget | None = None) -> L0Report:
     presentation.  Hypothesis failures are reported, not raised."""
     budget = budget or Budget.start()
     g = inst.ambient
-    if not abelianization(g).is_trivial:
+    if not abelianization(g, budget).is_trivial:
         return L0Report(False, "ambient group has nontrivial H1", None, None, None, None)
     t = _certified_table(g, budget)
     ambient_report = _schur_from_table(g, t, budget)
@@ -221,13 +221,13 @@ def lemma_l0_check(inst: L0Instance, budget: Budget | None = None) -> L0Report:
 # ---------------------------------------------------------------------------
 
 
-def aspherical_h2_rank(p: Presentation, aspherical: bool) -> int:
+def aspherical_h2_rank(p: Presentation, aspherical: bool, budget: Budget | None = None) -> int:
     """Rank of the (free abelian) H2 for an aspherical presentation of a
     perfect group: relator count minus generator count.  The asphericity is
     the caller's assertion; the trivial-H1 hypothesis is checked."""
     if not aspherical:
         raise HomologyError("caller must assert asphericity; it is not decidable here")
-    if not abelianization(p).is_trivial:
+    if not abelianization(p, budget).is_trivial:
         raise HomologyError("rank formula needs trivial abelianization")
     return len(p.relators) - len(p.generators)
 

@@ -10,19 +10,23 @@ Text grammar (UTF-8, `#` starts a line comment):
     term         := atom ("^" INT)?
     atom         := NAME | "(" word ")" | "[" word "," word "]"
 
-`[u,v]` abbreviates u v u^-1 v^-1; INT may be negative (`t^-1`).  Brackets
-nest at most 100 deep; deeper input is a ParseError.  All words of one parse
-together expand to at most Budget.max_letters letters; a power, commutator or
-product past that cap raises BudgetExhausted before allocation.
+NAME is a letter followed by letters, digits or `_`; Alphabet further
+limits generator names to ASCII.  INT is an optional `-` followed by decimal
+digits (`t^-1`).  `[u,v]` abbreviates u v u^-1 v^-1.  Brackets nest at most
+100 deep; deeper input is a ParseError.  All words of one parse together
+expand to at most Budget.max_letters letters; a power, commutator or product
+past that cap raises BudgetExhausted before allocation.
 JSON alternative: {"generators": ["a", ...], "relators": ["a^2", ...]}.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .budget import Budget, BudgetExhausted
 from .words import Alphabet, Word, WordError, commutator
@@ -40,119 +44,115 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# tokens and parser
 
-_SYMBOLS = set("<>|,^()[]=*")
+# One scan of the whole text yields the token strings.  Whitespace and
+# comments match outside the group and drop out, `.` catches any other
+# character as a token of its own, and `\Z` gives the empty token that ends
+# the list (twice when the text ends in whitespace or a comment).  NAME's
+# first class also admits numeric characters that are not letters, such as
+# '½'; the parser reads those, like the catch-all's, as unexpected characters.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*([^\W\d_]\w*|-?\d+|[<>|,^()\[\]=*]|.|\Z)")
+_SYMBOLS = frozenset("<>|,^()[]=*")
+_OPENERS = frozenset("([")
 _MAX_NESTING = 100  # '(' and '[' levels; the parser recurses once per level
+_T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # 'name' | 'int' | one of _SYMBOLS | 'eof'
-    value: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c in _SYMBOLS:
-            toks.append(_Tok(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+def _kind(tok: str) -> str:
+    """A token's kind, read off its first character: 'name', 'int', 'eof'
+    (the empty token that ends every list), the symbol itself, or '' for an
+    unexpected character."""
+    if tok in _SYMBOLS:
+        return tok
+    if not tok:
+        return "eof"
+    c = tok[0]
+    if c.isalpha():
+        return "name"
+    if c.isdecimal() or (c == "-" and len(tok) > 1):
+        return "int"
+    return ""
 
 
 class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet | None = None):
-        self.toks = _tokenize(text)
-        self.pos = 0
+    """Recursive descent over the token strings of one text at a time; the
+    letter count `spent` runs on across the texts one parser reads."""
+
+    def __init__(self, alphabet: Alphabet | None = None):
         self.alphabet = alphabet
         self.spent = 0  # letters of the words finished so far
+
+    def parse(self, text: str, rule: Callable[[], _T]) -> _T:
+        """rule() over the whole of text."""
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        self.pos = 0
         self.depth = 0  # open '(' and '[' around the current token
+        result = rule()
+        self.expect("eof")
+        return result
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    # -- errors -------------------------------------------------------------
 
-    def next(self) -> _Tok:
+    def _position(self, i: int) -> tuple[int, int]:
+        """Line and column of token i, found by scanning the text again.  An
+        unexpected character anywhere in the text outranks every other error,
+        so it is raised here, at its own position."""
+        for j, t in enumerate(self.toks):
+            if not _kind(t):
+                raise ParseError(f"unexpected character {t[0]!r}", *self._locate(j))
+        return self._locate(i)
+
+    def _locate(self, i: int) -> tuple[int, int]:
+        text = self.text
+        o = next(islice(_TOKEN.finditer(text), i, None)).start(1)
+        start = text.rfind("\n", 0, o) + 1
+        if o == len(text) and "#" in text[start:]:
+            o = text.index("#", start)  # a comment takes no columns
+        return text.count("\n", 0, o) + 1, o - start + 1
+
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """A ParseError at token i, by default the current one."""
+        return ParseError(message, *self._position(self.pos if i is None else i))
+
+    def expect(self, kind: str) -> str:
         t = self.toks[self.pos]
+        if _kind(t) != kind:
+            raise self.error(f"expected {kind!r}, got {t or 'end of input'!r}")
         self.pos += 1
         return t
 
-    def expect(self, kind: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            got = t.value or "end of input"
-            raise ParseError(f"expected {kind!r}, got {got!r}", t.line, t.col)
-        return t
-
-    def fail(self, message: str) -> None:
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
-
     # -- words ------------------------------------------------------------
 
-    def _room(self, letters: int, t: _Tok) -> None:
+    def _room(self, letters: int, i: int) -> None:
         """Refuse a word past the default letter cap (no caller sets another)."""
         if self.spent + letters > Budget.max_letters:
+            line, col = self._position(i)
             raise BudgetExhausted(
-                f"line {t.line}, col {t.col}: expansion to {self.spent + letters} "
+                f"line {line}, col {col}: expansion to {self.spent + letters} "
                 f"letters exceeds the {Budget.max_letters}-letter cap"
             )
 
+    def _starts_atom(self) -> bool:
+        t = self.toks[self.pos]
+        return t in _OPENERS or t[:1].isalpha()
+
     def _letters_of_atom(self) -> list[int]:
-        t = self.peek()
-        if t.kind == "name":
-            self.next()
-            assert self.alphabet is not None
-            if t.value not in self.alphabet:
-                raise ParseError(f"unknown generator {t.value!r}", t.line, t.col)
-            return [self.alphabet.index(t.value) + 1]
-        if t.kind not in ("(", "["):
-            self.fail(f"expected a generator, '(' or '[', got {t.value or 'end of input'!r}")
+        """The atom at the current token, which _starts_atom has accepted."""
+        i = self.pos
+        t = self.toks[i]
+        self.pos += 1
+        if t not in _OPENERS:
+            try:
+                return [self.alphabet.index(t) + 1]
+            except WordError:
+                raise self.error(f"unknown generator {t!r}", i) from None
         if self.depth == _MAX_NESTING:
-            raise ParseError(f"brackets nested deeper than {_MAX_NESTING} levels", t.line, t.col)
-        self.next()
+            raise self.error(f"brackets nested deeper than {_MAX_NESTING} levels", i)
         self.depth += 1
         u = self._letters_of_word()
-        if t.kind == "(":
+        if t == "(":
             self.expect(")")
             self.depth -= 1
             return u
@@ -160,74 +160,69 @@ class _Parser:
         v = self._letters_of_word()
         self.expect("]")
         self.depth -= 1
-        self._room(2 * (len(u) + len(v)), t)
+        self._room(2 * (len(u) + len(v)), i)
         return u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
 
     def _letters_of_term(self) -> list[int]:
         base = self._letters_of_atom()
-        if self.peek().kind == "^":
-            self.next()
-            t = self.expect("int")
-            e = int(t.value)
-            self._room(len(base) * abs(e), t)
-            if e >= 0:
-                return base * e
-            return [-x for x in reversed(base)] * (-e)
-        return base
-
-    def _starts_atom(self) -> bool:
-        return self.peek().kind in ("name", "(", "[")
+        if self.toks[self.pos] != "^":
+            return base
+        self.pos += 1
+        i = self.pos
+        e = int(self.expect("int"))
+        self._room(len(base) * abs(e), i)
+        if e >= 0:
+            return base * e
+        return [-x for x in reversed(base)] * (-e)
 
     def _letters_of_word(self) -> list[int]:
         if not self._starts_atom():
-            self.fail("expected a word")
+            raise self.error("expected a word")
         letters = self._letters_of_term()
         while True:
-            if self.peek().kind == "*":
-                self.next()
+            if self.toks[self.pos] == "*":
+                self.pos += 1
                 if not self._starts_atom():
-                    self.fail("expected a term after '*'")
+                    raise self.error("expected a term after '*'")
             if not self._starts_atom():
                 return letters
-            t = self.peek()
+            i = self.pos
             term = self._letters_of_term()
-            self._room(len(letters) + len(term), t)
+            self._room(len(letters) + len(term), i)
             letters += term
 
     def word(self) -> Word:
-        assert self.alphabet is not None
         letters = self._letters_of_word()
         self.spent += len(letters)
         return Word(self.alphabet, letters)
 
     # -- presentations -----------------------------------------------------
 
-    def presentation(self) -> "Presentation":
+    def relators(self) -> list[Word]:
+        """`< gens | rels >`: sets the alphabet and returns the relators."""
         self.expect("<")
-        names = [self.expect("name").value]
-        while self.peek().kind == ",":
-            self.next()
-            names.append(self.expect("name").value)
-        t = self.peek()
+        names = [self.expect("name")]
+        while self.toks[self.pos] == ",":
+            self.pos += 1
+            names.append(self.expect("name"))
         try:
             self.alphabet = Alphabet(names)
         except WordError as e:
-            raise ParseError(str(e), t.line, t.col) from None
+            raise self.error(str(e)) from None
         self.expect("|")
         relators: list[Word] = []
-        if self.peek().kind != ">":
+        if self.toks[self.pos] != ">":
             relators.append(self._relator())
-            while self.peek().kind == ",":
-                self.next()
+            while self.toks[self.pos] == ",":
+                self.pos += 1
                 relators.append(self._relator())
         self.expect(">")
-        self.expect("eof")
-        return Presentation(self.alphabet, relators)
+        return relators
 
     def _relator(self) -> Word:
         u = self.word()
-        if self.peek().kind == "=":
-            self.next()
+        if self.toks[self.pos] == "=":
+            self.pos += 1
             v = self.word()
             return u * v.inverse()
         return u
@@ -235,15 +230,15 @@ class _Parser:
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse a single word (same grammar as relators) over a known alphabet."""
-    p = _Parser(text, alphabet)
-    w = p.word()
-    p.expect("eof")
-    return w
+    p = _Parser(alphabet)
+    return p.parse(text, p.word)
 
 
 def parse_presentation(text: str) -> "Presentation":
     """Parse `< gens | relators >` text; `#` comments allowed."""
-    return _Parser(text).presentation()
+    p = _Parser()
+    relators = p.parse(text, p.relators)
+    return Presentation(p.alphabet, relators)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +313,8 @@ class Presentation:
         if not d["generators"]:
             raise ValueError("a presentation needs at least one generator")
         alphabet = Alphabet(d["generators"])
-        p = _Parser("", alphabet)  # one letter cap for all the relators
-        relators = []
-        for text in d["relators"]:
-            p.toks, p.pos = _tokenize(text), 0
-            relators.append(p.word())
-            p.expect("eof")
-        return cls(alphabet, relators)
+        p = _Parser(alphabet)  # one letter count for all the relators
+        return cls(alphabet, [p.parse(text, p.word) for text in d["relators"]])
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -302,12 +302,8 @@ def exponent_matrix(p: "Presentation") -> IntMatrix:
     )
 
 
-def abelianization(p: "Presentation") -> AbelianInvariants:
-    return cokernel_invariants(exponent_matrix(p))
-
-
-def is_perfect(p: "Presentation") -> bool:
-    return abelianization(p).is_trivial
+def abelianization(p: "Presentation", budget: Budget | None = None) -> AbelianInvariants:
+    return cokernel_invariants(exponent_matrix(p), budget)
 
 
 def lattice_solve(

@@ -445,6 +445,14 @@ def test_cap_below_one_is_bad_input(argv):
     assert "at least 1" in err
 
 
+def test_time_limit_bounds_h1():
+    # H_1 ran under a fresh 60 s budget of its own: both exited 0
+    code, rep = run("abelianize", "--time-limit", "0", fx("a5"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    code, rep = run("h2-rank", "--aspherical", "--time-limit", "0", fx("bp2"))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+
+
 def test_time_limit_bounds_uce():
     # uce used to ignore the clock: this finished OK with exit 0
     code, rep = run("uce", "--time-limit", "0", fx("a5"))
@@ -581,3 +589,49 @@ def test_parse_fuzz_exits_ok_or_error(text):
     assert code in (0, 3), rep
     if text.startswith('{"generators": []'):
         assert code == 3, rep
+
+
+@st.composite
+def _small_presentations(draw):
+    """1-3 generators and up to three relators, each a product of up to four
+    powers (exponents -7..7) and commutators of generators."""
+    gens = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    g = st.sampled_from(gens)
+    term = st.one_of(
+        st.builds("{}^{}".format, g, st.integers(-7, 7)),
+        st.builds("[{}, {}]".format, g, g),
+    )
+    rels = draw(st.lists(st.lists(term, min_size=1, max_size=4).map(" ".join), max_size=3))
+    return f"< {', '.join(gens)} | {', '.join(rels)} >"
+
+
+def _ran_out(rep) -> bool:
+    """Whether a cap ran out: the outcome says so, or the payload records a
+    search that did not complete or an item not computed."""
+    text = json.dumps(rep["payload"])
+    return rep["outcome"] == "EXHAUSTED" or '"complete": false' in text or "not computed" in text
+
+
+# Every one-file verb on small random presentations under tight caps: one
+# report, an exit code of the contract, and reruns that ran out of no cap are
+# identical apart from the wall time.
+@pytest.mark.filterwarnings("ignore::fpgroups.presentations.PresentationWarning")
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(_ONE_FILE_VERBS),
+    _small_presentations(),
+    st.integers(1, 2000),
+    st.integers(1, 20000),
+)
+def test_verb_fuzz_keeps_the_contract(verb, text, max_cosets, max_elements):
+    caps = ("--time-limit", "1", "--max-cosets", str(max_cosets), "--max-elements", str(max_elements))
+    with tempfile.TemporaryDirectory() as d:
+        f = Path(d) / "fuzz.pres"
+        f.write_text(text)
+        first, second = (run(*verb, *caps, str(f)) for _ in range(2))  # one report line each
+    for code, rep in (first, second):
+        assert code in (0, 1, 2, 3), rep
+    if not (_ran_out(first[1]) or _ran_out(second[1])):
+        for _, rep in (first, second):
+            del rep["wall_time_s"]
+        assert first == second

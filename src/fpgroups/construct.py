@@ -43,7 +43,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from .budget import Budget, BudgetExhausted
@@ -260,53 +259,65 @@ def _commutator_relator(gens: list[Word], ai: int, r: Word) -> Word:
     return r
 
 
-def _gram_schmidt(basis: list[list[int]]) -> list[list[Fraction]]:
-    star: list[list[Fraction]] = []
-    for v in basis:
-        vi = [Fraction(x) for x in v]
-        for s in star:
-            den = sum(x * x for x in s)
-            mu = sum(x * y for x, y in zip(vi, s)) / den
-            vi = [x - mu * y for x, y in zip(vi, s)]
-        star.append(vi)
-    return star
+def _round_div(a: int, b: int) -> int:
+    """round(a / b) for b > 0, halves to even as round(Fraction(a, b))."""
+    q, r = divmod(2 * a + b, 2 * b)
+    return q - 1 if r == 0 and q % 2 else q
+
+
+def _integral_gram_schmidt(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Gram-Schmidt in integers (Cohen 1993, Algorithm 2.6.7, step 2).
+
+    d[j] is the Gram determinant of b[:j], so d[0] = 1 and |b_j*|^2 is
+    d[j+1] / d[j]; lam[k][j] = d[j+1] * mu_kj for j < k, where mu_kj is b_k's
+    coefficient on b_j*.  All are integers, and every division in the
+    recurrence is exact.  The last row may lie in the span of the others (its
+    d is then 0): nothing divides by it."""
+    d, lam = [1], []
+    for v in b:
+        row: list[int] = []
+        lam.append(row)
+        # j runs up to v's own row, whose last entry is its d
+        for bj, lj in zip(b, lam):
+            u = sum(x * y for x, y in zip(v, bj))
+            for i, (x, y) in enumerate(zip(row, lj)):
+                u = (d[i + 1] * u - x * y) // d[i]
+            row.append(u)
+        d.append(row.pop())
+    return d, lam
 
 
 def _lll(basis: list[list[int]]) -> list[list[int]]:
-    """Textbook LLL (delta = 3/4) with exact rational Gram-Schmidt; the
-    lattices here have rank < 10, so clarity beats asymptotics."""
+    """LLL with delta = 3/4 on the integral Gram-Schmidt data (Cohen 1993,
+    Algorithm 2.6.7).  Each step size-reduces b_k fully, from b_{k-1} down to
+    b_0, then tests Lovasz's condition |b_k*|^2 >= (3/4 - mu^2) |b_{k-1}*|^2,
+    times 4 d[k] d[k-1] to clear denominators, and swaps b_k with b_{k-1}
+    where it fails.  Zero rows are dropped; the others must be independent."""
     b = [list(v) for v in basis if any(v)]
-    n = len(b)
-    if n <= 1:
-        return b
-    delta = Fraction(3, 4)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    star = _gram_schmidt(b)
+    d, lam = _integral_gram_schmidt(b)
     k = 1
-    while k < n:
+    while k < len(b):
         for j in range(k - 1, -1, -1):
-            mu = sum(Fraction(x) * y for x, y in zip(b[k], star[j])) / dot(
-                star[j], star[j]
-            )
-            q = round(mu)
+            q = _round_div(lam[k][j], d[j + 1])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-        star = _gram_schmidt(b)
-        mu_prev = (
-            sum(Fraction(x) * y for x, y in zip(b[k], star[k - 1]))
-            / dot(star[k - 1], star[k - 1])
-        )
-        if dot(star[k], star[k]) >= (delta - mu_prev * mu_prev) * dot(
-            star[k - 1], star[k - 1]
-        ):
+                # lam_jj = d[j+1], as mu_jj = 1
+                lam[k][: j + 1] = [x - q * y for x, y in zip(lam[k], lam[j] + [d[j + 1]])]
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lk * lk:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            star = _gram_schmidt(b)
-            k = max(k - 1, 1)
+            continue
+        # lam_{k,k-1} and every d but d[k] stay; rows below k change only
+        # their coefficients on b_{k-1}* and b_k*
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lam[k - 1], lam[k] = lam[k][: k - 1], lam[k - 1] + [lk]
+        dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for row in lam[k + 1 :]:
+            t = row[k]
+            row[k] = (d[k + 1] * row[k - 1] - lk * t) // d[k]
+            row[k - 1] = (dk * t + lk * row[k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
     return b
 
 
@@ -323,18 +334,17 @@ def _shrink_certificate(
         return sum(abs(x) * w for x, w in zip(v, weights))
 
     def best_step(cur: list[int], v: Sequence[int]) -> int:
-        pts = sorted(
-            (Fraction(x, y), w * abs(y)) for x, y, w in zip(cur, v, weights) if y
-        )
+        # t = x/y zeroes a coordinate at weight w*|y|; summing the weights in
+        # order of floor(x/y) reaches half at the weighted median's floor
+        pts = sorted((x // y, w * abs(y)) for x, y, w in zip(cur, v, weights) if y)
         if not pts:
             return 0
         total = sum(w for _, w in pts)
         acc = 0
-        for ratio, w in pts:
+        for lo, w in pts:
             acc += w
             if 2 * acc >= total:
                 break
-        lo = math.floor(ratio)
         return min(
             (lo, lo + 1),
             key=lambda t: cost([x - t * y for x, y in zip(cur, v)]),
@@ -342,16 +352,16 @@ def _shrink_certificate(
 
     # Babai nearest-plane first: brings the solver's arbitrary representative
     # within basis-sized distance of the origin in one pass, whatever its
-    # magnitude; the weighted descent then polishes for letter count
+    # magnitude; the weighted descent then polishes for letter count.
+    # Subtracting q*b_i changes cur's coefficients on b_i* and below only
     cur = list(c)
-    if kernel:
-        star = _gram_schmidt(kernel)
-        for i in reversed(range(len(kernel))):
-            den = sum(x * x for x in star[i])
-            mu = sum(Fraction(x) * y for x, y in zip(cur, star[i])) / den
-            q = round(mu)
-            if q:
-                cur = [x - q * y for x, y in zip(cur, kernel[i])]
+    d, lam = _integral_gram_schmidt(kernel + [cur])
+    lc = lam.pop()
+    for i in reversed(range(len(kernel))):
+        q = _round_div(lc[i], d[i + 1])
+        if q:
+            cur = [x - q * y for x, y in zip(cur, kernel[i])]
+            lc[:i] = [x - q * y for x, y in zip(lc, lam[i])]
 
     for _sweep in range(100):
         moved = False
@@ -371,7 +381,10 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
     """Present the universal central extension of a perfect group on the same
     generators: relators {[a, r]} make R central, {w_a} force perfection.
     One Smith normal form of the exponent matrix gives every w_a and the
-    relation kernel they are shortened against.  The budget's deadline is
+    relation kernel they are shortened against: the kernel is LLL-reduced,
+    and each w_a's exponents are brought near the origin by Babai's nearest
+    plane, then polished for letter count; all of it in integers, on the
+    integral Gram-Schmidt data of Cohen's LLL.  The budget's deadline is
     checked after the commutators, at every pivot of that SNF, after the
     kernel's reduction and after each generator's certificate."""
     budget = budget or Budget.start()
@@ -390,9 +403,8 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
 
     units = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
     solutions, kernel = lattice_solve(units, exponent_matrix(g), budget)
-    # the raw kernel rows inherit the astronomical coefficients unimodular
-    # tracking accumulates (entries near 10^60 on the embedding
-    # presentations), so they are reduced before use
+    # the SNF's kernel rows are a basis, not a short one: the certificates
+    # are shortened against an LLL-reduced basis
     kernel = _lll(kernel)
     budget.check()
     weights = [len(r) for r in g.relators]

@@ -421,10 +421,11 @@ def _class_key(rows: list[list[int]]) -> tuple:
     return min(tuple(map(tuple, _renumbered(rows, b, k))) for b in range(k))
 
 
-def _rotations(p: Presentation) -> list[tuple]:
+def _rotations(p: Presentation, budget: Budget) -> list[tuple]:
     """Per column, every distinct rotation of every relator and of its
     inverse that starts with that column, as a pair: its columns and their
-    inverse columns."""
+    inverse columns.  The work is quadratic in relator length, so the
+    deadline is read after each relator."""
     by_col: list[dict[tuple[int, ...], None]] = [{} for _ in range(2 * len(p.alphabet))]
     for r in p.relators:
         for ls in (r.letters, tuple(-l for l in reversed(r.letters))):
@@ -432,6 +433,7 @@ def _rotations(p: Presentation) -> list[tuple]:
             for i in range(len(cols)):
                 w = cols[i:] + cols[:i]
                 by_col[w[0]][w] = None
+        budget.check()
     return [tuple((w, tuple(x ^ 1 for x in w)) for w in d) for d in by_col]
 
 
@@ -599,19 +601,16 @@ def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fing
     if bound < 1:
         raise CosetError("bound must be at least 1")
     budget = budget or Budget.start()
-    rots = _rotations(p)
     orders = _power_orders(p)
     totals: dict[int, int] = {}
     classes: dict[int, int] = {}
-    exhausted_at = None
-    for k in range(1, bound + 1):
-        try:
-            t, c = _count_index(rots, orders, k, budget)
-        except BudgetExhausted:
-            exhausted_at = k
-            break
-        totals[k] = t
-        classes[k] = c
+    exhausted_at, k = None, 1  # compiling the rotations counts towards index 1
+    try:
+        rots = _rotations(p, budget)
+        for k in range(1, bound + 1):
+            totals[k], classes[k] = _count_index(rots, orders, k, budget)
+    except BudgetExhausted:
+        exhausted_at = k
     return Fingerprint(
         bound=bound,
         totals=totals,

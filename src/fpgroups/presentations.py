@@ -12,10 +12,11 @@ Text grammar (UTF-8, `#` starts a line comment):
 
 NAME is a letter followed by letters, digits or `_`; Alphabet further
 limits generator names to ASCII.  INT is an optional `-` followed by decimal
-digits (`t^-1`).  `[u,v]` abbreviates u v u^-1 v^-1.  Brackets nest at most
-100 deep; deeper input is a ParseError.  All words of one parse together
-expand to at most Budget.max_letters letters; a power, commutator or product
-past that cap raises BudgetExhausted before allocation.
+digits (`t^-1`), at most 4,300 of them, the most int() reads by default;
+a longer one is a ParseError.  `[u,v]` abbreviates u v u^-1 v^-1.  Brackets
+nest at most 100 deep; deeper input is a ParseError.  All words of one parse
+together expand to at most Budget.max_letters letters; a power, commutator
+or product past that cap raises BudgetExhausted before allocation.
 JSON alternative: {"generators": ["a", ...], "relators": ["a^2", ...]}.
 """
 
@@ -56,6 +57,7 @@ _TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*([^\W\d_]\w*|-?\d+|[<>|,^()\[\]=*]|.
 _SYMBOLS = frozenset("<>|,^()[]=*")
 _OPENERS = frozenset("([")
 _MAX_NESTING = 100  # '(' and '[' levels; the parser recurses once per level
+_MAX_DIGITS = 4300  # int() refuses longer digit strings by default
 _T = TypeVar("_T")
 
 
@@ -169,7 +171,10 @@ class _Parser:
             return base
         self.pos += 1
         i = self.pos
-        e = int(self.expect("int"))
+        t = self.expect("int")
+        if len(t.lstrip("-")) > _MAX_DIGITS:
+            raise self.error(f"exponent has more than {_MAX_DIGITS} digits", i)
+        e = int(t)
         self._room(len(base) * abs(e), i)
         if e >= 0:
             return base * e

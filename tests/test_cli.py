@@ -500,6 +500,15 @@ def test_letter_cap_exits_exhausted(tmp_path):
     assert code == 2 and "letter cap" in rep["payload"]["error"]
 
 
+def test_exponent_past_the_digit_limit_is_bad_input(tmp_path):
+    # int() refuses digit strings past 4,300 digits with a bare ValueError
+    f = tmp_path / "digits.pres"
+    f.write_text("< a |\n  a^" + "1" * 5000 + " >")
+    code, rep = run("parse", str(f))
+    assert code == 3 and rep["outcome"] == "ERROR"
+    assert rep["payload"]["error"] == "line 2, col 5: exponent has more than 4300 digits"
+
+
 def test_letter_cap_covers_the_whole_file(tmp_path):
     # each term is under the cap; a thousand of them are about 1e9 letters
     f = tmp_path / "long.pres"

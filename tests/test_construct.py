@@ -1,10 +1,15 @@
 """Small-cancellation embeddings, universal central extensions, pipeline."""
 
+import math
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import Sequence
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fpgroups import construct, zlattice
 from fpgroups.budget import Budget, BudgetExhausted
@@ -23,7 +28,7 @@ from fpgroups.cosets import todd_coxeter
 from fpgroups.permrep import GroupHom, check_generation, cyclic_group, fibre_product_finite
 from fpgroups.presentations import catalog, direct_product, parse_presentation
 from fpgroups.words import Word
-from fpgroups.zlattice import abelianization, exponent_matrix
+from fpgroups.zlattice import abelianization, exponent_matrix, lattice_solve
 
 
 def quiet(text):
@@ -324,6 +329,222 @@ def test_uce_to_json():
     j = uce(A5).to_json()
     assert j["relator_count"] == 8
     assert set(j["witnesses"]) == {"a", "b"}
+
+
+# -- integral LLL and certificate shrinking, against the rational oracles ----
+#
+# The rational versions that construct used before its integral ones: the
+# integral code must make the same decisions, so it returns the same lists.
+
+
+def gram_schmidt_oracle(basis: list[list[int]]) -> list[list[Fraction]]:
+    star: list[list[Fraction]] = []
+    for v in basis:
+        vi = [Fraction(x) for x in v]
+        for s in star:
+            den = sum(x * x for x in s)
+            mu = sum(x * y for x, y in zip(vi, s)) / den
+            vi = [x - mu * y for x, y in zip(vi, s)]
+        star.append(vi)
+    return star
+
+
+def lll_oracle(basis: list[list[int]]) -> list[list[int]]:
+    """Textbook LLL (delta = 3/4) with exact rational Gram-Schmidt, which
+    recomputes every b_i* after each size reduction and swap."""
+    b = [list(v) for v in basis if any(v)]
+    n = len(b)
+    if n <= 1:
+        return b
+    delta = Fraction(3, 4)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    star = gram_schmidt_oracle(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            mu = sum(Fraction(x) * y for x, y in zip(b[k], star[j])) / dot(
+                star[j], star[j]
+            )
+            q = round(mu)
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+        star = gram_schmidt_oracle(b)
+        mu_prev = (
+            sum(Fraction(x) * y for x, y in zip(b[k], star[k - 1]))
+            / dot(star[k - 1], star[k - 1])
+        )
+        if dot(star[k], star[k]) >= (delta - mu_prev * mu_prev) * dot(
+            star[k - 1], star[k - 1]
+        ):
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            star = gram_schmidt_oracle(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def shrink_oracle(
+    c: Sequence[int], kernel: list[list[int]], weights: Sequence[int]
+) -> list[int]:
+    """Size-reduce c modulo the kernel lattice, minimizing sum |c_j|*w_j (the
+    letter count of the assembled word).  The cost is convex piecewise-linear
+    along each kernel direction, so the per-direction optimum is a weighted
+    median, reachable in one jump however far away; coordinate descent over
+    the directions then settles in a handful of sweeps."""
+
+    def cost(v: Sequence[int]) -> int:
+        return sum(abs(x) * w for x, w in zip(v, weights))
+
+    def best_step(cur: list[int], v: Sequence[int]) -> int:
+        pts = sorted(
+            (Fraction(x, y), w * abs(y)) for x, y, w in zip(cur, v, weights) if y
+        )
+        if not pts:
+            return 0
+        total = sum(w for _, w in pts)
+        acc = 0
+        for ratio, w in pts:
+            acc += w
+            if 2 * acc >= total:
+                break
+        lo = math.floor(ratio)
+        return min(
+            (lo, lo + 1),
+            key=lambda t: cost([x - t * y for x, y in zip(cur, v)]),
+        )
+
+    # Babai nearest-plane first: brings the solver's arbitrary representative
+    # within basis-sized distance of the origin in one pass, whatever its
+    # magnitude; the weighted descent then polishes for letter count
+    cur = list(c)
+    if kernel:
+        star = gram_schmidt_oracle(kernel)
+        for i in reversed(range(len(kernel))):
+            den = sum(x * x for x in star[i])
+            mu = sum(Fraction(x) * y for x, y in zip(cur, star[i])) / den
+            q = round(mu)
+            if q:
+                cur = [x - q * y for x, y in zip(cur, kernel[i])]
+
+    for _sweep in range(100):
+        moved = False
+        for v in kernel:
+            t = best_step(cur, v)
+            if t:
+                cand = [x - t * y for x, y in zip(cur, v)]
+                if cost(cand) < cost(cur):
+                    cur = cand
+                    moved = True
+        if not moved:
+            break
+    return cur
+
+
+def independent(rows):
+    """The nonzero rows are linearly independent: their Gram determinant is
+    not 0 (the oracles divide by zero otherwise)."""
+    b = [r for r in rows if any(r)]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b]
+    return zlattice.determinant(zlattice.IntMatrix(len(b), len(b), gram)) != 0
+
+
+def real_kernels():
+    """The raw relation kernels and certificates uce reduces on the embedding
+    presentations: uce(rips(A5, 7, zero_exponent=True).gamma) and
+    pipeline(T(2,3,7), 6)."""
+    t237 = quiet("< a, b | a^2, b^3, (a b)^7 >")
+    for g in (rips_a5(7, True).gamma, rips(t237, 6, zero_exponent=True).gamma):
+        n = len(g.alphabet)
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        solutions, kernel = lattice_solve(units, exponent_matrix(g))
+        yield solutions, kernel, [len(r) for r in g.relators]
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**30))
+def test_round_div_matches_fraction_rounding(a, b):
+    assert construct._round_div(a, b) == round(Fraction(a, b))
+    # exact halves, which round to the even neighbour
+    assert construct._round_div(2 * a + 1, 2) == round(Fraction(2 * a + 1, 2))
+
+
+def test_integral_gram_schmidt_matches_the_rational_one():
+    rows = [[3, 1, 4, 1], [5, -9, 2, 6], [5, 3, -5, 8], [9, 7, 9, 3]]
+    d, lam = construct._integral_gram_schmidt(rows)
+    star = gram_schmidt_oracle(rows)
+    for k, s in enumerate(star):
+        assert Fraction(d[k + 1], d[k]) == sum(x * x for x in s)
+        for j in range(k):
+            mu = sum(x * y for x, y in zip(rows[k], star[j])) / sum(x * x for x in star[j])
+            assert lam[k][j] == d[j + 1] * mu
+
+
+@st.composite
+def lattices(draw, bound):
+    """1 to 7 rows of one dimension, some of them zero, entries up to bound
+    in absolute value; small entries make ties, where mu is half an odd
+    integer, common."""
+    rank = draw(st.integers(1, 7))
+    dim = draw(st.integers(rank, rank + 3))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=rank, max_size=rank))
+    zeros = draw(st.integers(0, 2))
+    for _ in range(zeros):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * dim)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(lattices(10**30), lattices(10**6), lattices(3)))
+def test_lll_matches_the_rational_oracle(rows):
+    assume(independent(rows))
+    assert construct._lll(rows) == lll_oracle(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), max_size=6),
+    st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+)
+def test_lll_ties_match_the_rational_oracle(rest, odd):
+    # b_0 = 2 e_0 and b_i starts with an odd 2o + 1, so every mu_i0 starts
+    # as half an odd integer
+    rows = [[2] + [0] * 6] + [[2 * o + 1] + r for o, r in zip(odd, rest)]
+    assume(independent(rows))
+    assert construct._lll(rows) == lll_oracle(rows)
+    c = [2 * o + 1 for o in odd] + [0]
+    assert construct._shrink_certificate(c, rows, [1] * 7) == shrink_oracle(c, rows, [1] * 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(lattices(10**30), lattices(10**3), lattices(3)),
+    st.data(),
+)
+def test_shrink_certificate_matches_the_rational_oracle(rows, data):
+    assume(independent(rows))
+    kernel = [r for r in rows if any(r)]
+    if data.draw(st.booleans()):
+        kernel = lll_oracle(kernel)
+    dim = len(rows[0])
+    big = data.draw(st.sampled_from([9, 10**30, 10**60]))
+    c = data.draw(st.lists(st.integers(-big, big), min_size=dim, max_size=dim))
+    weights = data.draw(st.lists(st.integers(1, 40), min_size=dim, max_size=dim))
+    assert construct._shrink_certificate(c, kernel, weights) == shrink_oracle(c, kernel, weights)
+
+
+def test_lll_and_shrink_match_the_oracles_on_real_kernels():
+    for solutions, kernel, weights in real_kernels():
+        reduced = construct._lll(kernel)
+        assert reduced == lll_oracle(kernel)
+        assert len(reduced) == 7
+        for c in solutions:
+            assert construct._shrink_certificate(c, reduced, weights) == shrink_oracle(
+                c, reduced, weights
+            )
 
 
 # -- fibre generators --------------------------------------------------------

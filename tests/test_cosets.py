@@ -1,5 +1,7 @@
 """Coset enumeration, Reidemeister-Schreier, and low-index search."""
 
+import random
+import time
 import warnings
 from fractions import Fraction
 from math import factorial, gcd
@@ -854,9 +856,10 @@ def test_low_index_cycle_prune_node_count(monkeypatch):
         nodes += 1
         check(self, what)
 
-    monkeypatch.setattr(Budget, "check", counted)
     p = load_presentation((FIXTURES / "baumslag25_2.pres").read_text())
-    assert _count_index(_rotations(p), _power_orders(p), 8, Budget.start()) == (1, 1)
+    rots = _rotations(p, Budget.start())
+    monkeypatch.setattr(Budget, "check", counted)
+    assert _count_index(rots, _power_orders(p), 8, Budget.start()) == (1, 1)
     assert 0 < nodes <= 7319
 
 
@@ -894,6 +897,26 @@ def test_low_index_budget_flags_partial():
     assert not f.complete
     assert f.exhausted_at == 1
     assert f.totals == {}
+
+
+def test_low_index_deadline_covers_compiling_the_rotations():
+    # ten syllable relators of about 600 letters: compiling every rotation of
+    # every relator took 0.8 s before the deadline was first read
+    rng = random.Random(0)
+    gens = [f"x{i}" for i in range(10)]
+    relators = []
+    for _ in range(10):
+        syllables, prev = [], None
+        for _ in range(6):
+            prev = rng.choice([g for g in gens if g != prev])
+            syllables.append(f"{prev}^{rng.choice([e for e in range(-200, 201) if e])}")
+        relators.append(" ".join(syllables))
+    p = parse_presentation(f"< {', '.join(gens)} | {', '.join(relators)} >")
+    assert p.total_relator_length() > 5000
+    t0 = time.monotonic()
+    f = low_index(p, 1, Budget.start(time_limit_s=0.1))
+    assert time.monotonic() - t0 < 0.3
+    assert not f.complete and f.exhausted_at == 1 and f.totals == {}
 
 
 def test_low_index_partial_keeps_early_indices():

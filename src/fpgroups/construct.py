@@ -43,14 +43,15 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .budget import Budget, BudgetExhausted
 from .cancellation import PieceReport, check_metric
 from .cosets import Fingerprint, low_index
 from .homology import schur_multiplier
 from .presentations import Presentation, PresentationWarning
-from .words import Alphabet, Word, commutator
+from .words import Alphabet, Word
 from .zlattice import (
     AbelianInvariants,
     abelianization,
@@ -243,19 +244,37 @@ class UceResult:
         }
 
 
-def _commutator_relator(gens: list[Word], ai: int, r: Word) -> Word:
-    """[a, r], falling back to [a, g r g^-1] over the other generators and
-    their inverses when r is a power of a (so the plain commutator is freely
-    trivial), and to r itself in the rank-one case."""
-    a = gens[ai]
-    w = commutator(a, r).reduce()
-    if w:
-        return w
-    others = [g for j, g in enumerate(gens) if j != ai]
-    for g in others + [g.inverse() for g in others]:
-        w = commutator(a, g * r * g.inverse()).reduce()
+def _inverse(letters: Sequence[int]) -> list[int]:
+    return [-l for l in reversed(letters)]
+
+
+def _reduced_product(parts: Iterable[Sequence[int]]) -> list[int]:
+    """The letters of the freely reduced product of freely reduced words:
+    only the junctions can cancel, so each part is cancelled against the
+    end of the product so far and appended."""
+    out: list[int] = []
+    for part in parts:
+        k, n = 0, min(len(out), len(part))
+        while k < n and out[-1 - k] == -part[k]:
+            k += 1
+        if k:
+            del out[-k:]
+        out.extend(part[k:])
+    return out
+
+
+def _commutator_relator(rank: int, ai: int, r: Word) -> Word:
+    """[a, r] for the ai-th generator a, falling back to [a, g r g^-1] over
+    the other generators g and then their inverses when r is a power of a
+    (so the plain commutator is freely trivial), and to r itself in the
+    rank-one case."""
+    a = ai + 1
+    others = [g for g in range(1, rank + 1) if g != a]
+    conjugates = (_reduced_product([(g,), r.letters, (-g,)]) for g in others + [-g for g in others])
+    for u in chain([r.letters], conjugates):
+        w = _reduced_product([(a,), u, (-a,), _inverse(u)])
         if w:
-            return w
+            return Word(r.alphabet, w, _reduced=True)
     return r
 
 
@@ -394,14 +413,11 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
             f"universal central extension needs a perfect group; abelianization is {h1}"
         )
 
-    gens = [g.alphabet.gen(name) for name in g.alphabet.names]
-    commutators: list[Word] = []
-    for ai in range(len(gens)):
-        for r in g.relators:
-            commutators.append(_commutator_relator(gens, ai, r))
+    rank = len(g.alphabet)
+    commutators = [_commutator_relator(rank, ai, r) for ai in range(rank) for r in g.relators]
     budget.check()
 
-    units = [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+    units = [[int(i == j) for j in range(rank)] for i in range(rank)]
     solutions, kernel = lattice_solve(units, exponent_matrix(g), budget)
     # the SNF's kernel rows are a basis, not a short one: the certificates
     # are shortened against an LLL-reduced basis
@@ -413,12 +429,11 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
     for c in solutions:
         assert c is not None, "a perfect presentation spans every unit vector"
         c = _shrink_certificate(c, kernel, weights)
-        w = Word.identity(g.alphabet)
+        parts: list[Sequence[int]] = []
         for cj, r in zip(c, g.relators):
-            if cj:
-                w = w * r**cj
+            parts += [r.letters if cj > 0 else _inverse(r.letters)] * abs(cj)
         # ab(w) = ab(a) != 0, so w cannot freely reduce away
-        expressions.append(w.reduce())
+        expressions.append(Word(g.alphabet, _reduced_product(parts), _reduced=True))
         witnesses.append(tuple(c))
         budget.check()
 
@@ -544,13 +559,11 @@ class PipelineResult:
         }
 
 
-def pipeline(
-    q: Presentation,
-    m: int,
-    *,
-    budget: Budget | None = None,
-    evidence_index: int = 3,
-) -> PipelineResult:
+# the subgroup index bound of pipeline's evidence report
+_EVIDENCE_INDEX = 3
+
+
+def pipeline(q: Presentation, m: int, *, budget: Budget | None = None) -> PipelineResult:
     """rips (zero-exponent) -> uce -> direct square, with the fibre-product
     generating pairs {(x,x)} u {(a_1,1), (a_2,1)} u {(r,1) : r in R}.
 
@@ -586,7 +599,7 @@ def pipeline(
     # the evidence is a side report: narrow it to at most 10 s and 20k cosets
     deadline = min(budget.deadline, time.monotonic() + 10.0)
     sub_budget = replace(budget, deadline=deadline, max_cosets=min(budget.max_cosets, 20_000))
-    evidence = grothendieck_evidence(q, evidence_index, sub_budget)
+    evidence = grothendieck_evidence(q, _EVIDENCE_INDEX, sub_budget)
     budget.check()  # the evidence keeps its own exhaustion; an overrun run is exhausted
 
     return PipelineResult(

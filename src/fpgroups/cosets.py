@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from .budget import Budget, BudgetExhausted
 from .presentations import Presentation, proper_power_root
@@ -287,21 +288,23 @@ class SchreierRewriter:
     that first reaches the next unseen id is that coset's tree edge.
     Schreier generators are indexed by the (coset, generator) pairs that are
     not tree edges, in lex order; their count is
-    index·(#generators) − index + 1.  `label[col][c]` is the signed 1-based
-    Schreier generator on the edge c --col-->, 0 on tree edges.
+    index·(#generators) − index + 1.  `generators[i]` holds the ambient
+    letters of the i-th, and `label[col][c]` is the signed 1-based Schreier
+    generator on the edge c --col-->, 0 on tree edges.
     """
 
     def __init__(self, p: Presentation, t: CosetTable):
         if t.alphabet != p.alphabet:
             raise CosetError("table alphabet does not match the presentation")
-        self.p = p
         self.t = t
         action = t.action
         g = len(p.alphabet)
         # fwd[i] becomes label[2i]: None until the pair (c, i+1) is met
         fwd: list[list[int | None]] = [[None] * t.n for _ in range(g)]
         pairs: list[tuple[int, int]] = []
-        rep_letters: list[tuple[int, ...]] = [()] * t.n
+        # the letters of each coset's tree representative and of its inverse
+        rep: list[tuple[int, ...]] = [()] * t.n
+        rep_inv: list[tuple[int, ...]] = [()] * t.n
         nxt = 1  # the next unseen coset
         for c in range(t.n):
             if c == nxt:  # no edge so far reached c
@@ -311,7 +314,9 @@ class SchreierRewriter:
                 i, inverse = divmod(col, 2)
                 if d == nxt:  # tree edge: the pair (c, x), or (d, x) for x^-1
                     fwd[i][d if inverse else c] = 0
-                    rep_letters[d] = rep_letters[c] + (-(i + 1) if inverse else i + 1,)
+                    letter = -(i + 1) if inverse else i + 1
+                    rep[d] = rep[c] + (letter,)
+                    rep_inv[d] = (-letter,) + rep_inv[c]
                     nxt += 1
                 elif d > nxt:
                     raise CosetError("table is not standardized")
@@ -321,20 +326,14 @@ class SchreierRewriter:
         self.label: list[list[int]] = []
         for i, lab in enumerate(fwd):
             self.label += [lab, [-lab[d] for d in action[2 * i + 1]]]
-        self.pairs = pairs
         self.sub_alphabet = Alphabet([f"s{i + 1}" for i in range(len(pairs))])
-        self.representatives = [Word(p.alphabet, ls) for ls in rep_letters]
+        # the letters of rep(c) x rep(c·x)^-1, freely reduced as they stand:
+        # (c, x) is not a tree edge, so neither junction cancels
+        self.generators = [rep[c] + (x,) + rep_inv[action[2 * x - 2][c]] for c, x in pairs]
 
     @property
     def rank(self) -> int:
-        return len(self.pairs)
-
-    def generator_word(self, i: int) -> Word:
-        """The i-th Schreier generator as an ambient word: rep(c) x rep(c·x)⁻¹."""
-        c, x = self.pairs[i]
-        rep_c = self.representatives[c]
-        rep_d = self.representatives[self.t.action[_col(x)][c]]
-        return (rep_c * Word(self.p.alphabet, (x,)) * rep_d.inverse()).reduce()
+        return len(self.generators)
 
     def rewrite(self, w: Word, start: int = 0) -> Word:
         """The subgroup word for rep(start) · w · rep(start·w)⁻¹.
@@ -352,14 +351,15 @@ class SchreierRewriter:
             c = action[col][c]
         return Word(self.sub_alphabet, out).reduce()
 
-    def exponent_sums(self, w: Word, start: int = 0) -> dict[int, int]:
-        """The nonzero exponent sums of rewrite(w, start), keyed by 0-based
-        Schreier generator: the signed count of the labels along the walk,
-        as free reduction leaves exponent sums unchanged."""
+    def exponent_sums(self, letters: Sequence[int], start: int = 0) -> dict[int, int]:
+        """The nonzero exponent sums of the rewrite of the ambient word with
+        these letters, started at coset start, keyed by 0-based Schreier
+        generator: the signed count of the labels along the walk, as free
+        reduction leaves exponent sums unchanged."""
         label, action = self.label, self.t.action
         sums: dict[int, int] = {}
         c = start
-        for col in map(_col, w.letters):
+        for col in map(_col, letters):
             if s := label[col][c]:
                 i = abs(s) - 1
                 sums[i] = sums.get(i, 0) + (1 if s > 0 else -1)

@@ -3,18 +3,19 @@
 schur_multiplier computes H2 of a finite group by Hopf's formula, routed
 through exact integer linear algebra: enumerate the group, present the
 kernel N of F -> Q on Schreier generators (N is free, so N_ab is a lattice),
-impose the conjugation coinvariants N/[F,N], and take the kernel of the
-induced map to F_ab.  The identifications are
+and impose the conjugation coinvariants N/[F,N].  The identifications are
 
     H2(Q) = (N \\cap [F,F]) / [F,N] = ker( N/[F,N] -> F_ab ).
 
-The image of that map is free, so the kernel splits off: H2(Q) is the
-torsion of the coinvariant cokernel N/[F,N], and its free rank less the rank
-of the map (zero for finite Q).  The coinvariant rows are built lazily as
-sparse maps and reduced by unit-pivot elimination (zlattice's sparse stage);
-only the small residue that has no +-1 entry left reaches a Smith diagonal.
-The live entries are capped at a coset table's entry count at the coset
-cap, max_cosets · 2·|X|, so a matrix too large for the budget exhausts it.
+The image of that map is free, so the kernel splits off.  For finite Q the
+image has finite index, as its cokernel is Q_ab, so it is free of rank |X|
+and N/[F,N] = H2(Q) + Z^|X|: H2(Q) is the torsion of the coinvariant
+cokernel, and its free rank must be |X|, which every run checks.  The
+coinvariant rows are built lazily as sparse maps and reduced by unit-pivot
+elimination (zlattice's sparse stage); only the small residue that has no
++-1 entry left reaches a Smith diagonal.  The live entries are capped at a
+coset table's entry count at the coset cap, max_cosets · 2·|X|, so a matrix
+too large for the budget exhausts it.
 
 lemma_l0_check compares H2(G/N) with N/[G,N] for N normal in a finite
 superperfect G.  With M = ker(F -> G/N) and R the relators of G, N/[G,N] =
@@ -36,12 +37,7 @@ from .budget import Budget, BudgetExhausted
 from .cosets import CosetTable, SchreierRewriter, todd_coxeter
 from .presentations import Presentation, PresentationWarning
 from .words import Word
-from .zlattice import (
-    AbelianInvariants,
-    abelianization,
-    kernel_invariants,
-    sparse_cokernel_invariants,
-)
+from .zlattice import AbelianInvariants, abelianization, sparse_cokernel_invariants
 
 
 class HomologyError(ValueError):
@@ -88,21 +84,19 @@ def _entry_cap(p: Presentation, budget: Budget) -> int:
 
 def _coinvariant_rows(
     p: Presentation, t: CosetTable, budget: Budget
-) -> tuple[SchreierRewriter, list[Word], Iterator[dict[int, int]]]:
-    """The Schreier rewriter of the regular table t, its generators as
-    ambient words, and the coinvariant rows g·s_i·g^-1 - s_i as sparse
-    {Schreier generator: coefficient} maps, one per ambient generator g and
-    Schreier generator s_i, built lazily as the signed label counts of the
-    walks (the deadline is read once per row)."""
+) -> tuple[SchreierRewriter, Iterator[dict[int, int]]]:
+    """The Schreier rewriter of the regular table t and the coinvariant rows
+    g·s_i·g^-1 - s_i as sparse {Schreier generator: coefficient} maps, one
+    per ambient generator g and Schreier generator s_i, built lazily as the
+    signed label counts of the walks (the deadline is read once per row)."""
     rw = SchreierRewriter(p, t)
-    sgens = [rw.generator_word(i) for i in range(rw.rank)]
 
     def rows() -> Iterator[dict[int, int]]:
         for col in range(0, 2 * len(p.alphabet), 2):
             # t is regular, so s_i fixes every coset: the g edge out of coset
             # 1 and the g^-1 edge back into it cancel in the abelianized rewrite
             c = t.action[col][0]
-            for i, s in enumerate(sgens):
+            for i, s in enumerate(rw.generators):
                 budget.check()
                 row = rw.exponent_sums(s, c)
                 e = row.pop(i, 0) - 1
@@ -110,17 +104,21 @@ def _coinvariant_rows(
                     row[i] = e
                 yield row
 
-    return rw, sgens, rows()
+    return rw, rows()
 
 
 def _schur_from_table(p: Presentation, t: CosetTable, budget: Budget) -> SchurReport:
-    """The coinvariant rows, then the kernel of their map to F_ab."""
-    rw, sgens, rows = _coinvariant_rows(p, t, budget)
-    expo = [w.exponent_vector() for w in sgens]
-    h2 = kernel_invariants(rows, rw.rank, expo, budget, _entry_cap(p, budget))
+    """H2 of the finite group whose regular table is t: the torsion of the
+    coinvariant cokernel N/[F,N], whose free rank |X| certifies the split."""
+    rw, rows = _coinvariant_rows(p, t, budget)
+    coinv = sparse_cokernel_invariants(rows, rw.rank, budget, _entry_cap(p, budget))
+    if coinv.free_rank != len(p.alphabet):
+        raise HomologyError(
+            f"internal: coinvariant free rank {coinv.free_rank}, not {len(p.alphabet)}"
+        )
     return SchurReport(
         group_order=t.n,
-        h2=h2,
+        h2=AbelianInvariants(0, coinv.torsion),
         schreier_rank=rw.rank,
         coinvariant_rows=len(p.alphabet) * rw.rank,
     )
@@ -172,8 +170,8 @@ def _kernel_coinvariants(
         g_mod_n = Presentation(g.alphabet, (*g.relators, *normal_gens))
     # when every normal generator reduces away, G/N is G and so is its table
     t = table if g_mod_n.relators == g.relators else _certified_table(g_mod_n, budget)
-    rw, _, rows = _coinvariant_rows(g_mod_n, t, budget)
-    relator_rows = (rw.exponent_sums(r) for r in g.relators)
+    rw, rows = _coinvariant_rows(g_mod_n, t, budget)
+    relator_rows = (rw.exponent_sums(r.letters) for r in g.relators)
     return t.n, sparse_cokernel_invariants(
         chain(rows, relator_rows), rw.rank, budget, _entry_cap(g, budget)
     )

@@ -7,9 +7,8 @@ left kernels follow.  Large sparse relation matrices, such as the Schreier
 coinvariant rows behind H2, never become dense: sparse_cokernel_invariants
 eliminates their +-1 pivots as Tietze moves and hands only the small dense
 residue to the diagonal-only SNF, charging live nonzeros against a cap.
-Kernels of induced maps on cokernels need no transform at all: the image is
-free, so the kernel splits off (see kernel_invariants).  Every elimination
-reads the run budget's deadline once per pivot.
+Every elimination reads the run budget's deadline: the sparse stage once per
+pivot, the SNF once per round of clearing its pivot's row and column.
 
 Convention: group presentations contribute a relation matrix with one row per
 relation and one column per generator; the group presented is the cokernel
@@ -155,7 +154,8 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool, budget: Budget):
     """In-place SNF; returns (U, V) as row lists or Nones.
 
     Row ops on A are mirrored on U, column ops on V.  The budget's deadline
-    is read once per pivot.
+    is read once per round of clearing the pivot's column and row, since
+    nothing bounds the entries and one pivot can take many rounds.
     """
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
@@ -223,6 +223,7 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool, budget: Budget):
         swap_cols(t, piv[1])
 
         while True:
+            budget.check()
             # clear column t
             dirty = False
             for i in range(t + 1, m):
@@ -441,39 +442,3 @@ def sparse_cokernel_invariants(
     )
     untouched = cols - pivots - len(used)
     return AbelianInvariants(residue.free_rank + untouched, residue.torsion)
-
-
-def kernel_invariants(
-    relations: Iterable[Mapping[int, int]],
-    cols: int,
-    m: Sequence[Sequence[int]],
-    budget: Budget | None = None,
-    max_entries: int | None = None,
-) -> AbelianInvariants:
-    """Invariants of the kernel of D = Z^cols / span(relations) -> Z^k, the
-    map sending generator i to row i of m; the relations are sparse rows as
-    in sparse_cokernel_invariants.  Requires R * m = 0, so that the map is
-    well defined on D; each row is checked as it is read.
-
-    The image is a subgroup of Z^k, hence free, so 0 -> ker -> D -> im -> 0
-    splits and D = ker + im.  The kernel thus has the torsion of D and the
-    free rank of D less rank(m), which is k less the free rank of m's own
-    cokernel; no transform of either matrix is needed."""
-    if len(m) != cols:
-        raise LatticeError("m needs one row per domain generator")
-    k = len(m[0]) if m else 0
-
-    def checked() -> Iterable[Mapping[int, int]]:
-        for row in relations:
-            image = [0] * k
-            for j, x in row.items():
-                for t, y in enumerate(m[j]):
-                    image[t] += x * y
-            if any(image):
-                raise LatticeError("map does not kill the relation lattice")
-            yield row
-
-    whole = sparse_cokernel_invariants(checked(), cols, budget, max_entries)
-    images = [{t: y for t, y in enumerate(r) if y} for r in m]
-    rank = k - sparse_cokernel_invariants(images, k, budget).free_rank
-    return AbelianInvariants(whole.free_rank - rank, whole.torsion)

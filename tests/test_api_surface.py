@@ -77,8 +77,6 @@ def test_readme_library_example_runs():
 
 
 MEMBERS_ALLOWED = {
-    # re-multiplies Smith certificates in acceptance criterion 11
-    "IntMatrix.row_mul",
     # the Dehn certificate that the tests replay step by step
     "DehnStep.rotation",
     "DehnStep.matched",

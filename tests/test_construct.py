@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpgroups import construct, zlattice
@@ -27,7 +27,7 @@ from fpgroups.construct import (
 from fpgroups.cosets import todd_coxeter
 from fpgroups.permrep import GroupHom, check_generation, cyclic_group, fibre_product_finite
 from fpgroups.presentations import catalog, direct_product, parse_presentation
-from fpgroups.words import Word
+from fpgroups.words import Alphabet, Word, commutator
 from fpgroups.zlattice import abelianization, exponent_matrix, lattice_solve
 
 
@@ -329,6 +329,64 @@ def test_uce_to_json():
     j = uce(A5).to_json()
     assert j["relator_count"] == 8
     assert set(j["witnesses"]) == {"a", "b"}
+
+
+# -- commutator assembly, against the Word-product oracle -------------------
+
+
+def reference_commutator_relator(gens, ai, r):
+    """_commutator_relator as it stood before it joined letter tuples: four
+    Words per candidate, each product freely reduced whole."""
+    a = gens[ai]
+    w = commutator(a, r).reduce()
+    if w:
+        return w
+    others = [g for j, g in enumerate(gens) if j != ai]
+    for g in others + [g.inverse() for g in others]:
+        w = commutator(a, g * r * g.inverse()).reduce()
+        if w:
+            return w
+    return r
+
+
+@st.composite
+def commutator_problems(draw):
+    """A generator index and a relator over 1 to 4 generators: a power of
+    that generator, which takes the fallback, or any reduced word, conjugated
+    by a short word so that it is often not cyclically reduced."""
+    rank = draw(st.integers(1, 4))
+    ai = draw(st.integers(0, rank - 1))
+    letter = st.integers(1, rank).flatmap(lambda g: st.sampled_from([g, -g]))
+    if draw(st.booleans()):
+        body = [draw(st.sampled_from([ai + 1, -(ai + 1)]))] * draw(st.integers(1, 5))
+    else:
+        body = draw(st.lists(letter, min_size=1, max_size=8))
+    conj = draw(st.lists(letter, max_size=3))
+    alphabet = Alphabet([f"x{i}" for i in range(1, rank + 1)])
+    r = Word(alphabet, conj + body + [-l for l in reversed(conj)]).reduce()
+    assume(r)
+    return rank, ai, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(commutator_problems())
+@example((2, 0, A5.word("a^2")))  # [a, a^2] is freely trivial: [a, b a^2 b^-1]
+@example((1, 0, quiet("< a | a^5 >").relators[0]))  # rank one: r itself
+@example((2, 1, A5.word("b^-1 a b")))  # cancels at every junction of [b, r]
+def test_commutator_relator_matches_the_word_product_oracle(problem):
+    rank, ai, r = problem
+    gens = [r.alphabet.gen(name) for name in r.alphabet.names]
+    got = construct._commutator_relator(rank, ai, r)
+    want = reference_commutator_relator(gens, ai, r)
+    assert got == want and got.is_reduced
+
+
+@given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6), max_size=6))
+def test_reduced_product_matches_a_whole_reduction(parts):
+    alphabet = Alphabet(["a", "b"])
+    words = [Word(alphabet, part).reduce() for part in parts]
+    want = Word(alphabet, [l for w in words for l in w.letters]).reduce()
+    assert construct._reduced_product([w.letters for w in words]) == list(want.letters)
 
 
 # -- integral LLL and certificate shrinking, against the rational oracles ----

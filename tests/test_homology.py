@@ -197,6 +197,23 @@ def test_entry_cap_stops_the_coinvariant_matrix():
     assert schur_multiplier(klein, Budget.start(max_cosets=8)).h2 == AbelianInvariants(0, (2,))
 
 
+@pytest.mark.parametrize("corrupt", ["dropped", "extra"])
+def test_free_rank_certifies_the_coinvariant_rows(corrupt, monkeypatch):
+    # N/[F,N] = H2 + Z^|X| for finite Q: rows that leave every Schreier
+    # generator free, or kill them all, break the split
+    real = homology._coinvariant_rows
+
+    def corrupted(p, t, budget):
+        rw, rows = real(p, t, budget)
+        if corrupt == "dropped":
+            return rw, iter(())
+        return rw, itertools.chain(rows, ({i: 1} for i in range(rw.rank)))
+
+    monkeypatch.setattr(homology, "_coinvariant_rows", corrupted)
+    with pytest.raises(HomologyError, match="internal: coinvariant free rank"):
+        schur_multiplier(catalog("A5").presentation)
+
+
 # -- kernel-coinvariants comparison ------------------------------------------
 
 

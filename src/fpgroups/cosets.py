@@ -18,27 +18,39 @@ a complete standardized table.  Its spanning tree is read off the scan order
 them), and each column keeps one list of edge labels, so a rewrite costs one
 label and one action lookup per letter.
 
-low_index enumerates standardized coset tables directly by Sims' search:
+low_index enumerates coset tables directly by Sims' search:
 first-undefined-slot branching on one flat table with an undo log, closed
 after each branch by deductions through the edges just defined, against
-relator rotations compiled once per presentation.  It visits every subgroup
-of each index exactly once; conjugacy classes are counted by rebasing each
-table at every coset (one breadth-first renumbering each, the one
-todd_coxeter uses) and keeping the least serialization.  Power relators
-prune the search by cycle type (Sims 1994, ch. 5): when relators whose
-cyclic core is x^±n exist, with n's gcd g, every x-cycle of a complete table
-on k cosets has a length dividing g and at most k, so at most D, the largest
-divisor of g that is at most k.  An edge that puts more than D cosets on an
-open x-path, or closes an x-cycle whose length does not divide g, has no
-complete table below it and is refused when it is defined.  The search
-never starts an index above the budget's coset cap, since a table of index
-k has k cosets.
+relator rotations compiled once per presentation.
+
+The search branches only on the columns of a generating set.  A generator g
+is defined by a relator r when g occurs in r exactly once (as g or g^-1), r
+has another letter, and every other letter of r is of a branched generator.
+The relators are walked in order, the generators of one relator in alphabet
+order, and g is marked only if no earlier definition reads g; so
+definitions are one level deep and the branched generators generate the
+group.  Deduction alone fills the columns of defined generators (in B(2),
+beta is defined by a and b).  Each subgroup of each index is visited exactly
+once, as its table standardized over the branched columns; conjugacy classes
+are counted by rebasing each full table at every coset (one breadth-first
+renumbering each, the one todd_coxeter uses) and keeping the least
+serialization.
+
+Power relators prune the search by cycle type (Sims 1994, ch. 5): when
+relators whose cyclic core is x^±n exist, with n's gcd g, every x-cycle of a
+complete table on k cosets has a length dividing g and at most k, so at most
+D, the largest divisor of g that is at most k.  An edge that puts more than
+D cosets on an open x-path, or closes an x-cycle whose length does not
+divide g, has no complete table below it and is refused when it is defined.
+The search never starts an index above the budget's coset cap, since a table
+of index k has k cosets.
 
 Cosets are numbered 1..n in messages; internal arrays are 0-based.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -449,6 +461,25 @@ def _power_orders(p: Presentation) -> list[int]:
     return [n for n in orders for _ in (0, 1)]
 
 
+def _branched_columns(p: Presentation) -> list[bool]:
+    """Per column, whether the low-index search branches on it: False for
+    both columns of each generator a relator defines (see the module
+    docstring).  A definition reads only generators that stay branched, so
+    the branched generators generate the group."""
+    defined = [False] * len(p.alphabet)
+    read = [False] * len(p.alphabet)  # generators some definition reads
+    for r in p.relators:
+        counts = Counter(abs(l) - 1 for l in r.letters)
+        if len(counts) < 2 or any(defined[h] for h in counts):
+            continue  # no other letter, or one that is not branched
+        g = next((g for g in sorted(counts) if counts[g] == 1 and not read[g]), None)
+        if g is not None:
+            defined[g] = True
+            for h in counts.keys() - {g}:
+                read[h] = True
+    return [not d for d in defined for _ in (0, 1)]
+
+
 def _cycle_fits(tab: list[int], c: int, col: int, lim: int, n: int) -> bool:
     """Whether the defined edge c --col--> (a row offset, col of generator x
     or its inverse) lies on an open x-path through at most lim cosets or on
@@ -474,19 +505,26 @@ def _cycle_fits(tab: list[int], c: int, col: int, lim: int, n: int) -> bool:
     return True
 
 
-def _count_index(rots: list[tuple], orders: list[int], k: int, budget: Budget) -> tuple[int, int]:
+def _count_index(
+    rots: list[tuple], orders: list[int], branched: list[bool], k: int, budget: Budget
+) -> tuple[int, int]:
     """(total subgroups, conjugacy classes) of index exactly k, for the
-    relator rotations `_rotations` compiled and the power orders
-    `_power_orders` read.
+    relator rotations `_rotations` compiled, the power orders `_power_orders`
+    read and the columns `_branched_columns` marks.
 
-    Sims' search: branch on the first undefined slot in row-major order,
-    trying each coset whose inverse slot is free in increasing order and then
-    a new coset, so each standardized table appears once.  The table is one
-    flat list of k rows with an undo log; after each branch, a deduction queue
-    scans only the relator rotations through each newly defined edge, fills
-    single gaps and prunes on a trace that closes off its start or a clash.
-    The last edge defined on any trace triggers its scan, so a complete table
-    has every relator closing at every coset.
+    Sims' search: branch on the first undefined branched slot in row-major
+    order, trying each coset whose inverse slot is free in increasing order
+    and then a new coset, so each table standardized over the branched
+    columns appears once; the branched generators generate the group, so
+    every subgroup of index k has one such table.  The table is one flat list
+    of k rows with an undo log; after each branch, a deduction queue scans
+    only the relator rotations through each newly defined edge, fills single
+    gaps and prunes on a trace that closes off its start or a clash.  The
+    last edge defined on any trace triggers its scan, so a complete table has
+    every relator closing at every coset.  The same holds for the trace of a
+    defining relator, whose one gap is its defined generator: once every
+    branched slot is set, so is every slot, and a table with a slot still
+    undefined raises CosetError("internal: ...").
 
     Every edge popped from the queue, branch or forced, of a generator x
     whose power order g is nonzero also has its x-path walked (_cycle_fits):
@@ -559,8 +597,12 @@ def _count_index(rots: list[tuple], orders: list[int], k: int, budget: Budget) -
         end = n * ncols
         try:
             slot = tab.index(-1, slot, end)
-        except ValueError:  # no undefined slot: a complete table on n cosets
+            while not branched[slot % ncols]:
+                slot = tab.index(-1, slot + 1, end)
+        except ValueError:  # no undefined branched slot: a complete table on n cosets
             if n == k:
+                if -1 in tab:
+                    raise CosetError("internal: deduction left a defined generator's slot open")
                 total += 1
                 rows = [[d // ncols for d in tab[c : c + ncols]] for c in range(0, end, ncols)]
                 class_keys.add(_class_key(rows))
@@ -602,13 +644,14 @@ def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fing
         raise CosetError("bound must be at least 1")
     budget = budget or Budget.start()
     orders = _power_orders(p)
+    branched = _branched_columns(p)
     totals: dict[int, int] = {}
     classes: dict[int, int] = {}
     exhausted_at, k = None, 1  # compiling the rotations counts towards index 1
     try:
         rots = _rotations(p, budget)
         for k in range(1, bound + 1):
-            totals[k], classes[k] = _count_index(rots, orders, k, budget)
+            totals[k], classes[k] = _count_index(rots, orders, branched, k, budget)
     except BudgetExhausted:
         exhausted_at = k
     return Fingerprint(

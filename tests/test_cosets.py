@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.construct import uce
 from fpgroups.cosets import (
+    _branched_columns,
     _class_key,
     _count_index,
     _cycle_fits,
@@ -788,6 +789,64 @@ def test_low_index_matches_reference_search_random(relators):
     _assert_matches_reference(p, 4)
 
 
+_ABC = Alphabet(["a", "b", "c"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, -1]),
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5),
+    st.integers(0, 5),
+    st.booleans(),
+    st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=5),
+             max_size=2),
+)
+# a defined with its own power relator: _cycle_fits runs on forced a-edges
+@example(1, 1, [1, 2, 1], 0, True, [[1, 1, 1]])
+@example(3, -1, [1, 2, -1, -2], 0, True, [])  # c^-1 a b a^-1 b^-1
+@example(3, -1, [1, 2, -1, -2], 4, False, [])  # a b a^-1 b^-1 c^-1
+def test_low_index_defined_generator_matches_reference_random(g, sign, u, at, first, relators):
+    # one relator holds g once, between the letters u of the other two
+    # generators, so the search leaves some generator's columns to deduction;
+    # the reference search branches on every column and rescans every relator
+    others = [h for h in (1, 2, 3) if h != g]
+    u = [others[abs(l) - 1] * (1 if l > 0 else -1) for l in u]
+    at %= len(u) + 1
+    defining = u[:at] + [sign * g] + u[at:]
+    rels = [defining] + relators if first else relators + [defining]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = Presentation(_ABC, [Word(_ABC, r) for r in rels])
+    assume(not all(_branched_columns(p)))  # u may reduce away
+    _assert_matches_reference(p, 4)
+
+
+def test_low_index_defined_commutator():
+    # c is defined as [a, b], so the group is free on a and b: F_2 has 71
+    # subgroups of index 4
+    p = parse_presentation("< a, b, c | a b a^-1 b^-1 c^-1 >")
+    assert _branched_columns(p) == [True] * 4 + [False] * 2
+    totals = low_index(p, 4).totals
+    assert totals == low_index(F2, 4).totals
+    assert totals[4] == 71
+
+
+def test_branched_columns():
+    assert _branched_columns(parse_presentation("< a | a >")) == [True, True]  # no other letter
+    # a is defined by b, so b stays branched and c is defined by b
+    assert _branched_columns(parse_presentation("< a, b, c | a b, b c >")) == [
+        False, False, True, True, False, False
+    ]
+    bp2 = load_presentation((FIXTURES / "bp2.pres").read_text())
+    assert bp2.generators[3] == "beta"
+    assert _branched_columns(bp2) == [True] * 6 + [False] * 2
+    for name in ("baumslag25_1", "baumslag25_2", "a5"):
+        p = load_presentation((FIXTURES / f"{name}.pres").read_text())
+        assert all(_branched_columns(p)), name
+    assert all(_branched_columns(quiet("< a, b | a^2, b^3, (a b)^7 >")))
+
+
 def _cycle_limit(n: int, k: int) -> int:
     """The largest divisor of n that is at most k."""
     return max(d for d in range(1, k + 1) if n % d == 0)
@@ -844,9 +903,9 @@ def test_cycle_fits():
         assert not _cycle_fits(path, c, col, 2, 2)
 
 
-def test_low_index_cycle_prune_node_count(monkeypatch):
-    # Budget.check runs once per search node; the prune cut baumslag25_2 at
-    # index 8 from 38,723 nodes to 7,319
+def _search_nodes(monkeypatch, name: str, k: int) -> tuple[tuple[int, int], int]:
+    """_count_index's answer for a fixture at index k, and its node count:
+    Budget.check runs once per search node."""
     nodes = 0
     check = Budget.check
 
@@ -855,11 +914,35 @@ def test_low_index_cycle_prune_node_count(monkeypatch):
         nodes += 1
         check(self, what)
 
-    p = load_presentation((FIXTURES / "baumslag25_2.pres").read_text())
+    p = load_presentation((FIXTURES / f"{name}.pres").read_text())
     rots = _rotations(p, Budget.start())
     monkeypatch.setattr(Budget, "check", counted)
-    assert _count_index(rots, _power_orders(p), 8, Budget.start()) == (1, 1)
+    answer = _count_index(rots, _power_orders(p), _branched_columns(p), k, Budget.start())
+    return answer, nodes
+
+
+def test_low_index_cycle_prune_node_count(monkeypatch):
+    # the prune cut baumslag25_2 at index 8 from 38,723 nodes to 7,319
+    answer, nodes = _search_nodes(monkeypatch, "baumslag25_2", 8)
+    assert answer == (1, 1)
     assert 0 < nodes <= 7319
+
+
+def test_low_index_defined_column_node_count(monkeypatch):
+    # branching only on a, b and alpha cut bp2 at index 5 from 46,533 nodes
+    # to 5,957
+    answer, nodes = _search_nodes(monkeypatch, "bp2", 5)
+    assert answer == (0, 0)
+    assert 0 < nodes <= 6000
+
+
+def test_low_index_bp2_index_six():
+    # B(2) has no proper subgroup of index at most 6; branching on every
+    # column, this search took 11-14 s on a 2-core Xeon, and about 0.7 s
+    # branching on a, b and alpha
+    f = low_index(load_presentation((FIXTURES / "bp2.pres").read_text()), 6)
+    assert f.complete
+    assert f.totals == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
 
 
 def _hall_totals(h: dict[int, int], bound: int) -> dict[int, int]:
@@ -876,7 +959,8 @@ def _hall_totals(h: dict[int, int], bound: int) -> dict[int, int]:
 
 
 @pytest.mark.parametrize(
-    "name", ["a5", "q8", "klein", "z5", "baumslag25_1", "baumslag25_2", "trivial", "free2"]
+    "name",
+    ["a5", "q8", "klein", "z5", "baumslag25_1", "baumslag25_2", "trivial", "free2", "bp2"],
 )
 def test_low_index_totals_match_hall_formula(name):
     p = load_presentation((FIXTURES / f"{name}.pres").read_text())

@@ -6,20 +6,26 @@ cyclic words, or the same cyclic word at two different offsets.  The metric
 condition C'(1/m) demands |piece| < |r|/m strictly for every piece inside
 every symmetrized relator r.
 
-Each relator core and its inverse is canonicalised once (Booth's least
-rotation) into deduplicated rotation classes; the checker and the Dehn
-solver share that one pass.  Piece search runs on a generalized suffix array
-over the doubled cyclic words (so every rotation's subwords are visible) with
-per-word unique separators.  A match between two positions is capped at the
-length of the shorter participating cyclic word: a longer overlap wraps
-around that word and is not a subword of any single rotation of it.
+Every relator core and its inverse is one word of a single generalized
+suffix array: the word written twice (so every rotation's subwords are
+visible), then a separator of its own.  The rotation classes are read off
+that sort: a word's least first-copy suffix starts its least rotation, so
+words of one length whose least suffixes share that many letters are one
+class, and a word whose two least suffixes do is a proper power.  The
+checker and the Dehn solver share the classes.  The piece search runs on
+the same sort with every word but each class's first left out.  A match
+between two positions is capped at the length of the shorter participating
+cyclic word: a longer overlap wraps around that word and is not a subword
+of any single rotation of it.
 
-The sort, the LCP and the match scan run in numpy.  Prefix doubling sorts
-the first-copy suffixes and keeps the rank array of each round; the LCP of
-neighbouring first-copy suffixes comes from binary lifting over those
-ranks, exactly.  Where neither neighbour's LCP exceeds its cap, the longer
-of the two is the position's best match; the few positions where a cap
-binds walk outward through the suffix order in Python.
+The sort, the LCP and the match scan run in numpy.  The first round sorts
+q letters packed into one int64 (qsufsort's transform); prefix doubling
+then keeps the rank array of each round, so level j ranks q·2^j letters.
+The LCP of two first-copy suffixes comes from binary lifting over those
+ranks and a direct comparison of the last fewer than q letters, exactly.
+Where neither neighbour's LCP exceeds its cap, the longer of the two is the
+position's best match; the few positions where a cap binds walk outward
+through the suffix order in Python.
 
 Words of the presented group can be tested for triviality by Dehn's
 algorithm once the presentation is verified C'(1/6): Greendlinger's lemma
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import Budget
-from .presentations import Presentation, proper_power_root
+from .presentations import Presentation
 from .words import Word
 
 
@@ -54,35 +60,6 @@ class SmallCancellationError(ValueError):
 # rotation classes of the symmetrized set
 
 
-def _least_rotation_start(s: tuple[int, ...]) -> int:
-    """Booth's algorithm: index of the lexicographically least rotation."""
-    d = s + s
-    n = len(d)
-    f = [-1] * n
-    k = 0
-    for j in range(1, n):
-        sj = d[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != d[k + i + 1]:
-            if sj < d[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != d[k + i + 1]:
-            if sj < d[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
-
-
-def _canon(ls: tuple[int, ...]) -> tuple[int, ...]:
-    if not ls:
-        return ls
-    k = _least_rotation_start(ls)
-    return ls[k:] + ls[:k]
-
-
 @dataclass(frozen=True)
 class _CyclicWord:
     """One rotation class of the symmetrized set."""
@@ -92,26 +69,87 @@ class _CyclicWord:
     inverse: bool  # representative is the inverse of that relator's core
 
 
-def _cyclic_words(
-    p: Presentation, budget: Budget
-) -> tuple[list[_CyclicWord], list[tuple[int, int]]]:
-    """Deduplicated rotation classes of relator cores and their inverses, and
-    per relator the class indices of its core and of its core's inverse.  The
-    budget's deadline is checked once per relator."""
-    out: list[_CyclicWord] = []
-    index: dict[tuple[int, ...], int] = {}
-    classes: list[tuple[int, int]] = []
-    for idx, r in enumerate(p.relators):
-        budget.check()
-        core, _ = r.cyclic_reduce()
-        pair = []
-        for inv, ls in ((False, core.letters), (True, tuple(-x for x in reversed(core.letters)))):
-            wi = index.setdefault(_canon(ls), len(out))
-            if wi == len(out):
-                out.append(_CyclicWord(ls, idx, inv))
-            pair.append(wi)
-        classes.append(tuple(pair))
-    return out, classes
+def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
+    list[_CyclicWord], list[tuple[int, int]], tuple[int, ...], tuple[np.ndarray, ...]
+]:
+    """Deduplicated rotation classes of relator cores and their inverses, per
+    relator the class indices of its core and of its core's inverse, the
+    relators whose cores are proper powers, and the suffix order the match
+    scan reads, all from one suffix sort.
+
+    Each core and each inverse is a word of the sort: the word written
+    twice, then a separator of its own, so the suffix at first-copy offset
+    t starts with the rotation at t.  A word's least first-copy suffix
+    starts its least rotation, so two words of length n are one class
+    exactly when their least suffixes share n letters, and a word is a
+    proper power exactly when its two least suffixes do.  A class is
+    numbered and represented by its first word in relator order, core
+    before inverse.
+
+    The suffix order is (class, offset, lcp): the first-copy suffixes of
+    the classes' first words in suffix order, and the lcp of each adjacent
+    pair.  Separators rise with the word order, so leaving the other words
+    out keeps the order the classes' words alone would sort to."""
+    cores = [r.cyclic_reduce()[0].letters for r in p.relators]
+    if not cores:
+        empty = np.zeros(0, dtype=np.int64)
+        return [], [], (), (empty, empty, empty)
+    lengths = np.repeat([len(c) for c in cores], 2)  # core, inverse, core, ...
+    g = len(p.alphabet)
+    parts = []
+    for i, c in enumerate(cores):
+        a = np.asarray(c, dtype=np.int64)
+        parts += [a, a, [g + 1 + 2 * i], -a[::-1], -a[::-1], [g + 2 + 2 * i]]
+    # letters -g..g, then one separator per word, as dense ranks
+    seq = np.concatenate(parts) + g
+    present = np.zeros(seq.max() + 1, dtype=bool)
+    present[seq] = True
+    seq = (np.cumsum(present) - 1)[seq]
+    block = 2 * lengths + 1
+    word_of = np.repeat(np.arange(lengths.size), block)
+    offset = np.arange(seq.size) - (np.cumsum(block) - block)[word_of]
+    first_copy = offset < lengths[word_of]
+    kept, levels, q = _suffix_array(seq, first_copy, budget)
+
+    # the kept rank of every first-copy suffix, word by word, and each
+    # word's least and second least
+    at = np.empty(seq.size, dtype=np.int64)
+    at[kept] = np.arange(kept.size)
+    at = at[first_copy]
+    starts = np.cumsum(lengths) - lengths
+    least = np.minimum.reduceat(at, starts)
+    at[at == np.repeat(least, lengths)] = kept.size
+    second = np.minimum.reduceat(at, starts)
+    core = 2 * np.flatnonzero(lengths[::2] > 1)
+    shared = _lcp(seq, levels, q, kept[least[core]], kept[second[core]])
+    proper = tuple((core[shared >= lengths[core]] // 2).tolist())
+
+    # words by (length, least suffix); a class is a run of words whose
+    # neighbours' least suffixes share the whole length
+    by = np.lexsort((least, lengths))
+    pos, n = kept[least[by]], lengths[by]
+    joined = (n[1:] == n[:-1]) & (_lcp(seq, levels, q, pos[:-1], pos[1:]) >= n[1:])
+    run = np.concatenate(([0], np.cumsum(~joined)))
+    first = np.full(run[-1] + 1, lengths.size)
+    np.minimum.at(first, run, by)
+    rep = np.empty_like(by)
+    rep[by] = first[run]  # each word's class's first word
+    is_first = rep == np.arange(lengths.size)
+    cls = (np.cumsum(is_first) - 1)[rep]
+
+    words = []
+    for wi in np.flatnonzero(is_first).tolist():
+        i, inverse = divmod(wi, 2)
+        c = cores[i]
+        letters = tuple((-np.asarray(c)[::-1]).tolist()) if inverse else c
+        words.append(_CyclicWord(letters, i, bool(inverse)))
+    classes = [tuple(pair) for pair in cls.reshape(-1, 2).tolist()]
+
+    kept = kept[is_first[word_of[kept]]]
+    lcp = _lcp(seq, levels, q, kept[:-1], kept[1:])
+    del levels
+    budget.check()
+    return words, classes, proper, (cls[word_of[kept]], offset[kept], lcp)
 
 
 # ---------------------------------------------------------------------------
@@ -188,56 +226,81 @@ class PieceReport:
 
 def _suffix_array(
     a: np.ndarray, keep: np.ndarray, budget: Budget
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The positions where keep is set, in the order of their suffixes, by
-    prefix doubling (Manber & Myers) over integer content, and the int32 rank
-    array of every round before the last: levels[j][p] ranks the 2^j-letter
-    prefix of suffix p.  The content must end in a letter that occurs nowhere
-    else, so equal ranks at two positions mean 2^j equal letters.  Rounds
-    stop once the kept suffixes have distinct ranks, so no two kept suffixes
-    share 2^len(levels) letters; the deadline is checked after every round."""
+) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """The positions where keep is set, in the order of their suffixes, the
+    int32 rank array of every round before the last, and q, the letters of
+    the first round: levels[j][p] ranks the q·2^j-letter prefix of suffix p.
+
+    The content a holds letter ranks, 0 up to a.max(), which takes b bits;
+    dense ranks take the fewest.  The first round sorts packed keys,
+    qsufsort's transform (Larsson & Sadakane, Faster suffix sorting, 2007):
+    the q = 62 // b letters from each position in one int64, 0 past the
+    end.  Each later round doubles the prefix (Manber & Myers).  The
+    content must end in a letter that occurs nowhere else, so equal ranks
+    at two positions mean q·2^j equal letters, and a key reaching past the
+    end equals no other.  Rounds stop once the kept suffixes have distinct
+    ranks, so no two kept suffixes share q·2^len(levels) letters; the
+    deadline is checked after every round, the packed first round
+    included."""
     n = a.size
-    _, rank = np.unique(a, return_inverse=True)
-    rank = rank.astype(np.int32)
+    bits = max(1, int(a.max()).bit_length())
+    q = 62 // bits
+    padded = np.concatenate((a, np.zeros(q - 1, dtype=np.int64)))
+    key = np.zeros(n, dtype=np.int64)
+    for i in range(q):
+        key <<= bits
+        key |= padded[i : i + n]
+    del padded
     levels = []
-    k = 1
+    k = q
     while True:
-        levels.append(rank)
-        # sort on (rank of the first half, 1 + rank of the second half or 0
-        # past the end) as one int64 key; rank < n, so the key cannot overflow
-        key = rank.astype(np.int64) * (n + 1)
-        key[: n - k] += rank[k:] + 1
         order = np.argsort(key)
         key = key[order]
         new = np.empty(n, dtype=np.int32)
         new[0] = 0
         np.cumsum(key[1:] != key[:-1], out=new[1:])
+        budget.check()
+        sorted_keep = keep[order]
+        r = new[sorted_keep]
+        if (r[1:] != r[:-1]).all():
+            return order[sorted_keep], levels, q
         rank = np.empty(n, dtype=np.int32)
         rank[order] = new
-        budget.check()
-        kept = order[keep[order]]
-        r = rank[kept]
-        if (r[1:] != r[:-1]).all():
-            return kept, levels
+        levels.append(rank)
+        # sort on (rank of the first half, 1 + rank of the second half or 0
+        # past the end) as one int64 key; rank < n, so the key cannot overflow
+        key = rank.astype(np.int64) * (n + 1)
+        key[: n - k] += rank[k:] + 1
         k *= 2
 
 
-def _lcp(levels: list[np.ndarray], p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Longest common prefix of the suffixes at p and at q, pairwise, by
-    binary lifting over the doubling ranks; each pair must share fewer than
-    2^len(levels) letters, as two kept suffixes do, so its lcp is a sum of
-    distinct powers of two below that."""
+def _lcp(
+    a: np.ndarray, levels: list[np.ndarray], q: int, p: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Longest common prefix of the suffixes of a at p and at r, pairwise:
+    binary lifting over the doubling ranks in steps of q·2^j letters, then
+    a direct comparison of the fewer than q letters left.  Each pair must
+    share fewer than q·2^len(levels) letters, as two kept suffixes do.  The
+    content's last letter occurs once, so no equal run reaches it and no
+    index passes the end."""
     h = np.zeros(p.size, dtype=np.int64)
     for j in range(len(levels) - 1, -1, -1):
         lv = levels[j]
-        h[lv[p + h] == lv[q + h]] += 1 << j
+        h[lv[p + h] == lv[r + h]] += q << j
+    run = np.ones(p.size, dtype=bool)
+    for _ in range(q - 1):
+        run &= a[p + h] == a[r + h]
+        h += run
     return h
 
 
-def _max_matches(words: list[_CyclicWord], budget: Budget) -> list[tuple[int, int, int, int]]:
+def _max_matches(
+    words: list[_CyclicWord], order: tuple[np.ndarray, ...], budget: Budget
+) -> list[tuple[int, int, int, int]]:
     """For every rotation class w, the longest subword starting at a position
     (w, t), t < |w|, that also occurs at some other position, each match
-    capped at the shorter participating word's length.
+    capped at the shorter participating word's length.  order is the
+    suffix order of _cyclic_words.
 
     Returns per class (length, t, partner class, partner offset), length 0
     when w has no piece.  Among the positions of w attaining the length, t
@@ -247,29 +310,17 @@ def _max_matches(words: list[_CyclicWord], budget: Budget) -> list[tuple[int, in
     if not words:
         return []
     lengths = np.array([len(w.letters) for w in words], dtype=np.int64)
-    parts = []
-    for wi, w in enumerate(words):
-        ls = np.asarray(w.letters, dtype=np.int64)
-        parts += [ls, ls, [10**9 + 1 + wi]]  # a unique separator past the letters
-    seq = np.concatenate(parts)
-    block = 2 * lengths + 1
-    word_of = np.repeat(np.arange(len(words)), block)
-    offset = np.arange(seq.size) - np.repeat(np.cumsum(block) - block, block)
-    # first-copy positions in suffix order and the lcp of each adjacent pair
-    kept, levels = _suffix_array(seq, offset < lengths[word_of], budget)
-    lcp = _lcp(levels, kept[:-1], kept[1:])
-    del levels
-    budget.check()
+    word, offset, lcp = order
 
     # where no cap binds, matches only shrink away from a position, so the
     # nearer neighbour on each side attains its best match
-    cap = lengths[word_of[kept]]
+    cap = lengths[word]
     left = np.concatenate(([0], lcp))
     right = np.concatenate((lcp, [0]))
     cap_l = np.concatenate(([0], cap[:-1]))
     cap_r = np.concatenate((cap[1:], [0]))
     best = np.maximum(left, right)
-    idx = np.arange(kept.size)
+    idx = np.arange(word.size)
     partner = np.where(left >= right, idx - 1, idx + 1)
     walk = np.flatnonzero(
         (left > np.minimum(cap, cap_l)) | (right > np.minimum(cap, cap_r))
@@ -280,15 +331,15 @@ def _max_matches(words: list[_CyclicWord], budget: Budget) -> list[tuple[int, in
 
     # group by class (stable, so suffix order holds within a class); the
     # first maximum of each group is the class's representative
-    by_word = np.argsort(word_of[kept], kind="stable")
+    by_word = np.argsort(word, kind="stable")
     out = []
     for group in np.split(by_word, np.cumsum(lengths)[:-1]):
         i = group[np.argmax(best[group])]
         if not best[i]:
             out.append((0, 0, 0, 0))
             continue
-        j = kept[partner[i]]
-        out.append((int(best[i]), int(offset[kept[i]]), int(word_of[j]), int(offset[j])))
+        j = partner[i]
+        out.append((int(best[i]), int(offset[i]), int(word[j]), int(offset[j])))
     return out
 
 
@@ -344,12 +395,13 @@ def _piece_report(
     m: int,
     words: list[_CyclicWord],
     classes: list[tuple[int, int]],
+    proper: tuple[int, ...],
+    order: tuple[np.ndarray, ...],
     budget: Budget,
 ) -> PieceReport:
     budget.check()
-    matches = _max_matches(words, budget)
+    matches = _max_matches(words, order, budget)
 
-    proper = tuple(i for i, r in enumerate(p.relators) if proper_power_root(r)[1] > 1)
     if proper:
         warnings.warn(
             f"relators {list(proper)} are proper powers; each is a piece of "
@@ -447,8 +499,8 @@ class DehnSolver:
             )
         self.presentation = p
         budget = budget or Budget.start()
-        self.words, classes = _cyclic_words(p, budget)
-        report = _piece_report(p, 6, self.words, classes, budget)
+        self.words, classes, proper, order = _cyclic_words(p, budget)
+        report = _piece_report(p, 6, self.words, classes, proper, order, budget)
         if not report.verdict:
             raise SmallCancellationError(
                 f"presentation is not C'(1/6): relators {list(report.failing)} "

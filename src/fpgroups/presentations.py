@@ -255,9 +255,11 @@ class Presentation:
 
     Relators reducing to the empty word are dropped with a warning; duplicate
     relators are kept but flagged (counts matter to the constructions).
+    The relators' texts are built on first use and kept, so a presentation
+    written to a file and to a report spells each relator once.
     """
 
-    __slots__ = ("alphabet", "relators")
+    __slots__ = ("alphabet", "relators", "_texts")
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word] = ()):
         kept: list[Word] = []
@@ -277,6 +279,7 @@ class Presentation:
             kept.append(r)
         self.alphabet = alphabet
         self.relators = tuple(kept)
+        self._texts: tuple[str, ...] | None = None
 
     @classmethod
     def free(cls, names: Sequence[str]) -> "Presentation":
@@ -302,15 +305,20 @@ class Presentation:
 
     # -- serialization ------------------------------------------------------
 
+    def _relator_texts(self) -> tuple[str, ...]:
+        if self._texts is None:
+            self._texts = tuple(r.text() for r in self.relators)
+        return self._texts
+
     def to_text(self) -> str:
         gens = ", ".join(self.alphabet.names)
-        rels = ", ".join(r.text() for r in self.relators)
+        rels = ", ".join(self._relator_texts())
         return f"< {gens} | {rels} >" if rels else f"< {gens} | >"
 
     def to_json(self) -> dict:
         return {
             "generators": list(self.alphabet.names),
-            "relators": [r.text() for r in self.relators],
+            "relators": list(self._relator_texts()),
         }
 
     @classmethod

@@ -18,7 +18,7 @@ from fpgroups.cancellation import (
     check_metric,
 )
 from fpgroups.construct import rips
-from fpgroups.presentations import Presentation, parse_presentation
+from fpgroups.presentations import Presentation, parse_presentation, proper_power_root
 from fpgroups.words import Alphabet, Word
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.pres"))
@@ -79,69 +79,144 @@ def quiet_presentation(names, relator_letters):
         return Presentation(ab, [Word(ab, ls) for ls in relator_letters])
 
 
-# --- the pure-Python piece scan, kept as an oracle for _max_matches ---------
+# --- oracles: Booth's rotation classes, unpacked doubling, a plain sort --
 
 
-def lcp_kasai(s: list[int], sa: list[int]) -> list[int]:
-    """lcp[i] = longest common prefix of suffixes sa[i] and sa[i+1]."""
-    n = len(s)
-    if n < 2:
-        return []
-    rank = [0] * n
-    for i, p in enumerate(sa):
-        rank[p] = i
-    lcp = [0] * (n - 1)
-    h = 0
-    for p in range(n):
-        r = rank[p]
-        if r == n - 1:
-            h = 0
-            continue
-        q = sa[r + 1]
-        limit = n - max(p, q)
-        while h < limit and s[p + h] == s[q + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
+def least_rotation_start(s: tuple[int, ...]) -> int:
+    """Booth's algorithm: index of the lexicographically least rotation."""
+    d = s + s
+    n = len(d)
+    f = [-1] * n
+    k = 0
+    for j in range(1, n):
+        sj = d[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != d[k + i + 1]:
+            if sj < d[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != d[k + i + 1]:
+            if sj < d[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
 
 
-def oracle_max_matches(words, budget):
-    """Kasai's LCP and a per-position walk over the kept suffix order, with
-    the per-class aggregation of the report: the same contract as
-    cancellation._max_matches."""
-    seq: list[int] = []
-    meta: list[tuple[int, int] | None] = []  # (word_idx, offset) for first-copy cells
-    sep = 10**9
+def booth_cyclic_words(p: Presentation):
+    """(words, classes, proper powers): every core and inverse canonicalised
+    by Booth's least rotation and deduplicated in relator order, core before
+    inverse; proper powers by presentations.proper_power_root."""
+    words: list[cancellation._CyclicWord] = []
+    index: dict[tuple[int, ...], int] = {}
+    classes = []
+    for idx, r in enumerate(p.relators):
+        core, _ = r.cyclic_reduce()
+        pair = []
+        for inv, ls in ((False, core.letters), (True, tuple(-x for x in reversed(core.letters)))):
+            k = least_rotation_start(ls)
+            wi = index.setdefault(ls[k:] + ls[:k], len(words))
+            if wi == len(words):
+                words.append(cancellation._CyclicWord(ls, idx, inv))
+            pair.append(wi)
+        classes.append(tuple(pair))
+    proper = tuple(i for i, r in enumerate(p.relators) if proper_power_root(r)[1] > 1)
+    return words, classes, proper
+
+
+def doubling_suffix_array(a: np.ndarray, keep: np.ndarray):
+    """Prefix doubling from single letters (Manber & Myers): the positions
+    where keep is set in suffix order, and the rank array of every round
+    before the last, level j ranking 2^j letters."""
+    n = a.size
+    _, rank = np.unique(a, return_inverse=True)
+    rank = rank.astype(np.int32)
+    levels = []
+    k = 1
+    while True:
+        levels.append(rank)
+        key = rank.astype(np.int64) * (n + 1)
+        key[: n - k] += rank[k:] + 1
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(n, dtype=np.int32)
+        new[0] = 0
+        np.cumsum(key[1:] != key[:-1], out=new[1:])
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = new
+        kept = order[keep[order]]
+        r = rank[kept]
+        if (r[1:] != r[:-1]).all():
+            return kept, levels
+        k *= 2
+
+
+def doubling_lcp(levels, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Binary lifting over the doubling ranks in steps of 2^j letters."""
+    h = np.zeros(p.size, dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        lv = levels[j]
+        h[lv[p + h] == lv[r + h]] += 1 << j
+    return h
+
+
+def class_sequence(words):
+    """Only the classes' words, each doubled and followed by a separator
+    10^9 + 1 + class: the sequence, and each cell's class and offset."""
+    parts = []
     for wi, w in enumerate(words):
-        for copy in range(2):
-            for t, l in enumerate(w.letters):
-                seq.append(l)
-                meta.append((wi, t) if copy == 0 else None)
-        sep += 1
-        seq.append(sep)
-        meta.append(None)
-    if not seq:
-        return []
-    a = np.asarray(seq, dtype=np.int64)
-    sa = cancellation._suffix_array(a, np.ones(a.size, dtype=bool), budget)[0].tolist()
-    lcp = lcp_kasai(seq, sa)
-    lcp.append(0)
+        ls = np.asarray(w.letters, dtype=np.int64)
+        parts += [ls, ls, [10**9 + 1 + wi]]
+    seq = np.concatenate(parts)
+    lengths = np.array([len(w.letters) for w in words], dtype=np.int64)
+    block = 2 * lengths + 1
+    word_of = np.repeat(np.arange(len(words)), block)
+    offset = np.arange(seq.size) - np.repeat(np.cumsum(block) - block, block)
+    return seq, word_of, offset, offset < lengths[word_of]
 
-    kept_pos: list[tuple[int, int]] = []
-    kept_lcp: list[int] = []  # between consecutive kept entries
-    run = None
-    for i, p in enumerate(sa):
-        mp = meta[p]
-        if mp is not None:
-            kept_pos.append(mp)
-            if run is not None:
-                kept_lcp.append(run)
-            run = lcp[i]
-        elif run is not None:
-            if lcp[i] < run:
-                run = lcp[i]
+
+def doubling_suffix_order(words):
+    """The classes' first-copy suffixes in suffix order as (class, offset,
+    lcp), sorted by unpacked doubling over the classes' words alone."""
+    seq, word_of, offset, first_copy = class_sequence(words)
+    kept, levels = doubling_suffix_array(seq, first_copy)
+    return word_of[kept], offset[kept], doubling_lcp(levels, kept[:-1], kept[1:])
+
+
+def plain_suffix_order(seq: list[int], positions: list[int]):
+    """The positions in the order of their suffixes, by Python's sort on
+    strings, and the lcp of each adjacent pair.  Suffixes are cut to a length
+    that leaves them distinct, doubled until it does: cut suffixes that differ
+    sort as the whole ones do, and share fewer letters than the cut."""
+    code = {v: chr(i) for i, v in enumerate(sorted(set(seq)))}
+    s = "".join(code[v] for v in seq)
+    cut = 64
+    while len({s[i : i + cut] for i in positions}) < len(positions):
+        cut *= 2
+    order = sorted(positions, key=lambda i: s[i : i + cut])
+    lcp = []
+    for i, j in zip(order, order[1:]):
+        lo, hi = 0, cut  # the longest equal prefix, by bisection
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if s[i : i + mid] == s[j : j + mid]:
+                lo = mid
+            else:
+                hi = mid - 1
+        lcp.append(lo)
+    return order, lcp
+
+
+def oracle_max_matches(words, order, budget):
+    """A plain sort of the classes' suffixes and a per-position walk over
+    it, with the per-class aggregation of the report: the same contract as
+    cancellation._max_matches, with none of its suffix order."""
+    if not words:
+        return []
+    seq, word_of, offset, first_copy = class_sequence(words)
+    sa, kept_lcp = plain_suffix_order(seq.tolist(), np.flatnonzero(first_copy).tolist())
+    kept_pos = [(int(word_of[i]), int(offset[i])) for i in sa]
 
     lengths = [len(w.letters) for w in words]
     k = len(kept_pos)
@@ -182,14 +257,30 @@ def oracle_max_matches(words, budget):
     return out
 
 
+def oracle_cyclic_words(p, budget):
+    return (*booth_cyclic_words(p), None)
+
+
 def assert_matches_oracle(p: Presentation, m: int) -> None:
-    """check_metric's report is byte-identical to the oracle scan's."""
+    """check_metric's report is byte-identical to the one the oracles make:
+    Booth's classes and the plain sort's piece scan."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = json.dumps(check_metric(p, m).to_json(p.alphabet))
-        with mock.patch.object(cancellation, "_max_matches", oracle_max_matches):
+        with mock.patch.object(cancellation, "_cyclic_words", oracle_cyclic_words), \
+                mock.patch.object(cancellation, "_max_matches", oracle_max_matches):
             want = json.dumps(check_metric(p, m).to_json(p.alphabet))
     assert got == want, p.to_text()[:200]
+
+
+def assert_sort_matches_oracles(p: Presentation) -> None:
+    """The rotation classes are Booth's, and the suffix order is the one
+    unpacked doubling gives over the classes' words alone."""
+    words, classes, proper, (word, offset, lcp) = cancellation._cyclic_words(p, Budget.start())
+    assert (words, classes, proper) == booth_cyclic_words(p), p.to_text()[:200]
+    want = doubling_suffix_order(words) if words else (word, offset, lcp)
+    for got, exp in zip((word, offset, lcp), want):
+        assert got.tolist() == exp.tolist(), p.to_text()[:200]
 
 
 # --- check_metric -----------------------------------------------------------
@@ -326,8 +417,11 @@ def test_brute_cross_check_random():
 def test_piece_reports_match_the_oracle_on_fixtures(path):
     q = quiet_presentation_text(path.read_text())
     assert_matches_oracle(q, 6)
+    assert_sort_matches_oracles(q)
     for m, zero in ((6, True), (7, True), (12, True), (12, False)):
-        assert_matches_oracle(rips(q, m, zero_exponent=zero).gamma, m)
+        gamma = rips(q, m, zero_exponent=zero).gamma
+        assert_matches_oracle(gamma, m)
+        assert_sort_matches_oracles(gamma)
 
 
 def test_capped_positions_take_the_exact_walk():
@@ -342,24 +436,101 @@ def test_capped_positions_take_the_exact_walk():
 @st.composite
 def small_presentations(draw):
     """Up to four relators over one to three generators: short words,
-    proper powers of them, one-letter relators, and optionally every
-    relator's inverse beside it."""
+    proper powers of them and one-letter relators.  Beside them, as drawn:
+    every relator's inverse, rotations and duplicates of drawn relators,
+    and [a, b] with [b, a], its inverse up to rotation.  With no relator
+    drawn the presentation is free."""
     n_gen = draw(st.integers(1, 3))
     letter = st.integers(1, n_gen).flatmap(lambda g: st.sampled_from((g, -g)))
     drawn = draw(st.lists(
         st.tuples(st.lists(letter, min_size=1, max_size=6), st.integers(1, 3)),
-        min_size=1, max_size=4,
+        max_size=4,
     ))
     rels = [tuple(ls) * k for ls, k in drawn]
     if draw(st.booleans()):
         rels += [tuple(-x for x in reversed(r)) for r in rels]
-    return quiet_presentation(["a", "b", "c"][:n_gen], rels)
+    if rels:
+        for r in draw(st.lists(st.sampled_from(rels), max_size=2)):
+            k = draw(st.integers(0, len(r) - 1))  # k = 0 duplicates r
+            rels.append(r[k:] + r[:k])
+    if n_gen > 1 and draw(st.booleans()):
+        rels += [(1, 2, -1, -2), (2, 1, -2, -1)]
+    return quiet_presentation(["a", "b", "c"][:n_gen], draw(st.permutations(rels)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(small_presentations(), st.integers(2, 7))
 def test_piece_reports_match_the_oracle_on_small_presentations(p, m):
     assert_matches_oracle(p, m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_presentations())
+def test_classes_and_suffix_order_match_the_oracles_on_small_presentations(p):
+    assert_sort_matches_oracles(p)
+
+
+@st.composite
+def sort_inputs(draw):
+    """Content for the sort: letters below `top` with long repeats, then
+    `top` once at the end; `top` runs from 1 to past 2^61, so q, the letters
+    per packed key, runs from 62 down to 1.  Any cell may be kept."""
+    top = draw(st.one_of(st.integers(1, 4), st.integers(0, 61).map(lambda e: 4 + 2**e)))
+    unit = draw(st.lists(st.integers(0, min(top, 4) - 1), min_size=1, max_size=4))
+    body = draw(st.lists(
+        st.one_of(st.lists(st.integers(0, min(top, 4) - 1), max_size=5), st.just(unit * 7)),
+        max_size=8,
+    ))
+    a = np.array([x for part in body for x in part] + [top], dtype=np.int64)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=a.size, max_size=a.size)))
+    return a, keep
+
+
+@settings(max_examples=400, deadline=None)
+@given(sort_inputs())
+def test_packed_sort_and_lcp_match_the_unpacked_doubling(data):
+    a, keep = data
+    kept, levels, q = cancellation._suffix_array(a, keep, Budget.start())
+    assert q == 62 // int(a.max()).bit_length()
+    want, old_levels = doubling_suffix_array(a, keep)
+    assert kept.tolist() == want.tolist()
+    # every pair of kept suffixes, adjacent or not
+    p, r = np.triu_indices(kept.size, 1)
+    p, r = kept[p], kept[r]
+    assert (cancellation._lcp(a, levels, q, p, r) == doubling_lcp(old_levels, p, r)).all()
+
+
+def test_packed_sort_at_two_letters_per_key():
+    # over a million distinct letters take 21 bits, so two fit in a key;
+    # a stretch over three letters gives the suffixes common prefixes
+    rng = np.random.default_rng(21)
+    a = np.concatenate((rng.permutation(1 << 20), rng.integers(0, 3, 20_000), [1 << 20]))
+    keep = rng.random(a.size) < 0.5
+    kept, levels, q = cancellation._suffix_array(a, keep, Budget.start())
+    want, old_levels = doubling_suffix_array(a, keep)
+    assert q == 2 and kept.tolist() == want.tolist()
+    p, r = kept[:-1], kept[1:]
+    assert (cancellation._lcp(a, levels, q, p, r) == doubling_lcp(old_levels, p, r)).all()
+
+
+def test_large_alphabet_packs_three_letters_per_key():
+    # 12,000 one-letter relators and their inverses: 24,000 letters and
+    # 24,006 separators take 16 bits, so three fit in a key
+    n = 12_000
+    rels = [(g,) for g in range(1, n + 1)]
+    rels += [(1, 2, -1, -2), (2, 1, -2, -1), tuple(range(3, 40)) * 2]
+    p = quiet_presentation([f"g{i}" for i in range(1, n + 1)], rels)
+    real, widths = cancellation._suffix_array, []
+
+    def sort(*args):
+        kept, levels, q = real(*args)
+        widths.append(q)
+        return kept, levels, q
+
+    with mock.patch.object(cancellation, "_suffix_array", sort):
+        assert_sort_matches_oracles(p)
+    assert widths == [3]
+    assert_matches_oracle(p, 6)
 
 
 # --- Dehn's algorithm -------------------------------------------------------
@@ -574,12 +745,32 @@ def test_dehn_word_search_reads_the_deadline():
         solver.is_trivial(SURFACE.relators[0], Budget.start(time_limit_s=0.0))
 
 
-def test_piece_check_reads_the_deadline_while_canonicalising():
-    # the rotation classes are the first stage; a spent deadline must stop
-    # the check there, before any later stage runs
+def test_piece_check_reads_the_deadline_before_the_match_scan():
+    # the suffix sort is the first stage; a spent deadline must stop the
+    # check there, before the match scan runs
     with pytest.raises(BudgetExhausted) as info:
         check_metric(SURFACE, 6, Budget.start(time_limit_s=0.0))
-    assert "_cyclic_words" in [entry.name for entry in info.traceback]
+    names = [entry.name for entry in info.traceback]
+    assert "_suffix_array" in names and "_max_matches" not in names
+
+
+def test_packed_first_round_reads_the_deadline():
+    # the surface relator's first-copy suffixes differ within one packed
+    # key, so its sort ends with the packed first round and never doubles;
+    # a spent deadline still stops the sort in that round
+    real, levels = cancellation._suffix_array, []
+
+    def sort(*args):
+        out = real(*args)
+        levels.append(out[1])
+        return out
+
+    with mock.patch.object(cancellation, "_suffix_array", sort):
+        check_metric(SURFACE, 6)
+        assert levels == [[]]
+        with pytest.raises(BudgetExhausted) as info:
+            check_metric(SURFACE, 6, Budget.start(time_limit_s=0.0))
+    assert info.traceback[-2].name == "_suffix_array"
 
 
 def test_dehn_alphabet_guard():

@@ -195,6 +195,15 @@ def test_sc_check_exit_codes(tmp_path):
     assert run("sc-check", "--m", "1", str(gamma))[0] == 3
 
 
+def test_out_files_spell_the_reported_presentation(tmp_path):
+    for verb, key, flags in (("rips", "gamma", ("--m", "7", "--zero-exponent")), ("uce", "tilde", ())):
+        out = tmp_path / f"{verb}.pres"
+        code, rep = run(verb, *flags, "--out", str(out), fx("a5"))
+        pres = rep["payload"][key]
+        assert code == 0
+        assert out.read_text() == f"< {', '.join(pres['generators'])} | {', '.join(pres['relators'])} >\n"
+
+
 def test_dehn_exit_codes(tmp_path):
     gamma = tmp_path / "gamma.pres"
     run("rips", "--m", "6", "--out", str(gamma), fx("trivial"))

@@ -1,6 +1,7 @@
 import json
 import warnings
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -134,10 +135,21 @@ def test_serialize_roundtrip():
         assert load_presentation(p.to_text()) == p
 
 
+def test_relator_texts_are_built_once_per_presentation():
+    # the file and the report of a written presentation share the texts
+    p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
+    real = Word.text
+    with mock.patch.object(Word, "text", autospec=True, side_effect=real) as text:
+        assert p.to_text() == "< a, b | a^2, b^3, a b a b a b a b a b >"
+        assert p.to_json()["relators"] == ["a^2", "b^3", "a b a b a b a b a b"]
+        assert p.to_text() == "< a, b | a^2, b^3, a b a b a b a b a b >"
+    assert text.call_count == 3
+
+
 def symmetrize(p: Presentation) -> dict[Word, int]:
     """The symmetrized set as the piece checker builds it: every rotation of
     every rotation class, mapped to the class's source relator."""
-    words, _ = _cyclic_words(p, Budget.start())
+    words = _cyclic_words(p, Budget.start())[0]
     return {
         Word(p.alphabet, w.letters[k:] + w.letters[:k], _reduced=True): w.source
         for w in words

@@ -90,7 +90,14 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
     the classes' first words in suffix order, and the lcp of each adjacent
     pair.  Separators rise with the word order, so leaving the other words
     out keeps the order the classes' words alone would sort to."""
-    cores = [r.cyclic_reduce()[0].letters for r in p.relators]
+    cores = []
+    for r in p.relators:  # freely reduced: peel inverse pairs off both ends
+        ls = r.letters
+        i, j = 0, len(ls)
+        while j - i >= 2 and ls[i] == -ls[j - 1]:
+            i += 1
+            j -= 1
+        cores.append(ls[i:j])
     if not cores:
         empty = np.zeros(0, dtype=np.int64)
         return [], [], (), (empty, empty, empty)

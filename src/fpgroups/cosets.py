@@ -30,11 +30,20 @@ The relators are walked in order, the generators of one relator in alphabet
 order, and g is marked only if no earlier definition reads g; so
 definitions are one level deep and the branched generators generate the
 group.  Deduction alone fills the columns of defined generators (in B(2),
-beta is defined by a and b).  Each subgroup of each index is visited exactly
-once, as its table standardized over the branched columns; conjugacy classes
-are counted by rebasing each full table at every coset (one breadth-first
-renumbering each, the one todd_coxeter uses) and keeping the least
-serialization.
+beta is defined by a and b).  A table is standardized over the branched
+columns, and those columns fix its subgroup.
+
+The search visits one table per conjugacy class (Sims 1994, ch. 5).  The
+rebasings of a complete table at its k cosets, each renumbered breadth-first
+from its basepoint over the branched columns, are the tables of the
+subgroup's conjugates, and the class is counted at the least of them.  After
+each deduction the partial table is compared with its rebasing at every
+other coset, slot by slot in row-major order over the branched columns, up
+to the first slot undefined on either side; a rebasing smaller there is
+smaller in every completion, and the node is dropped.  A complete table that
+survives counts one class of k/s subgroups, where s, the number of
+basepoints whose rebasing equals the table, is the index of the subgroup in
+its normalizer.
 
 Power relators prune the search by cycle type (Sims 1994, ch. 5): when
 relators whose cyclic core is x^±n exist, with n's gcd g, every x-cycle of a
@@ -426,13 +435,6 @@ class Fingerprint:
         }
 
 
-def _class_key(rows: list[list[int]]) -> tuple:
-    """Least serialization over all basepoints of the complete table whose
-    row c lists the images of coset c."""
-    k = len(rows)
-    return min(tuple(map(tuple, _renumbered(rows, b, k))) for b in range(k))
-
-
 def _rotations(p: Presentation, budget: Budget) -> list[tuple]:
     """Per column, every distinct rotation of every relator and of its
     inverse that starts with that column, as a pair: its columns and their
@@ -505,6 +507,66 @@ def _cycle_fits(tab: list[int], c: int, col: int, lim: int, n: int) -> bool:
     return True
 
 
+def _canonicity(
+    tab: list[int], end: int, ncols: int, bcols: list[int], newidx: list[int], order: list[int]
+) -> int:
+    """0 when some rebasing of the table (flat rows up to offset end,
+    standardized over the branched columns bcols) is smaller; otherwise the
+    number of basepoints, coset 1 included, whose rebasing equals the table.
+
+    The rebasing at b renumbers the cosets breadth-first from b over the
+    branched columns and is compared with the table slot by slot, in
+    row-major order over those columns, up to the first slot undefined on
+    either side, which decides nothing.  Both are read along the same prefix
+    in every completion, so a rebasing smaller there is smaller in each.
+    newidx (by row offset: the rebased offset, -1 while unreached) and order
+    (by rebased offset: the row offset) are scratch arrays; each basepoint
+    resets only the entries it set."""
+    s = 1
+    c0 = bcols[0]
+    t0 = tab[c0]
+    for b in range(ncols, end, ncols):
+        # the first slot needs no renumbering: the rebasing reads 0 there
+        # when b is fixed and ncols, a new coset, when it is not
+        e = tab[b + c0]
+        if e < 0:
+            continue
+        f = 0 if e == b else ncols
+        if f != t0:
+            if f < t0:
+                return 0
+            continue
+        newidx[b] = 0
+        order[0] = b
+        m = ncols  # the next rebased offset
+        sign = 1  # 1 while equal, 0 once undecided or larger, -1 if smaller
+        for r in range(0, end, ncols):
+            x = order[r]  # rows before r agree, so the rebasing has reached r
+            for col in bcols:
+                t = tab[r + col]
+                e = tab[x + col]
+                if t < 0 or e < 0:
+                    sign = 0
+                    break
+                f = newidx[e]
+                if f < 0:
+                    newidx[e] = f = m
+                    order[m] = e
+                    m += ncols
+                if f != t:
+                    sign = -1 if f < t else 0
+                    break
+            else:
+                continue
+            break
+        for j in range(0, m, ncols):
+            newidx[order[j]] = -1
+        if sign < 0:
+            return 0
+        s += sign
+    return s
+
+
 def _count_index(
     rots: list[tuple], orders: list[int], branched: list[bool], k: int, budget: Budget
 ) -> tuple[int, int]:
@@ -515,16 +577,17 @@ def _count_index(
     Sims' search: branch on the first undefined branched slot in row-major
     order, trying each coset whose inverse slot is free in increasing order
     and then a new coset, so each table standardized over the branched
-    columns appears once; the branched generators generate the group, so
-    every subgroup of index k has one such table.  The table is one flat list
-    of k rows with an undo log; after each branch, a deduction queue scans
-    only the relator rotations through each newly defined edge, fills single
-    gaps and prunes on a trace that closes off its start or a clash.  The
-    last edge defined on any trace triggers its scan, so a complete table has
-    every relator closing at every coset.  The same holds for the trace of a
-    defining relator, whose one gap is its defined generator: once every
-    branched slot is set, so is every slot, and a table with a slot still
-    undefined raises CosetError("internal: ...").
+    columns appears at most once; the branched generators generate the group,
+    so every subgroup of index k has one such table, and its branched columns
+    fix the subgroup.  The table is one flat list of k rows with an undo log;
+    after each branch, a deduction queue scans only the relator rotations
+    through each newly defined edge, fills single gaps and prunes on a trace
+    that closes off its start or a clash.  The last edge defined on any trace
+    triggers its scan, so a complete table has every relator closing at every
+    coset.  The same holds for the trace of a defining relator, whose one gap
+    is its defined generator: once every branched slot is set, so is every
+    slot, and a table with a slot still undefined raises
+    CosetError("internal: ...").
 
     Every edge popped from the queue, branch or forced, of a generator x
     whose power order g is nonzero also has its x-path walked (_cycle_fits):
@@ -532,20 +595,30 @@ def _count_index(
     divide g, so none longer than D, the largest divisor of g that is at
     most k.  A node with a longer open x-path, or a closed x-cycle of a
     length not dividing g, has no complete table below it and is dropped.
-    Raises BudgetExhausted("coset cap") when k exceeds the budget's cap.
+
+    The rebasings of a complete table at its k cosets are the tables of the
+    subgroup's conjugates, and the search keeps only the least of them, the
+    class's representative: after each deduction, a node with a smaller
+    rebasing over the slots defined so far (_canonicity) is dropped.  So each
+    complete table reached is one class; its s basepoints with an equal
+    rebasing are the index of the subgroup in its normalizer, and the class
+    holds k // s subgroups.  Raises BudgetExhausted("coset cap") when k
+    exceeds the budget's cap.
     """
     if k > budget.max_cosets:
         raise BudgetExhausted("coset cap")
     ncols = len(rots)
+    bcols = [col for col in range(ncols) if branched[col]]
     # lims[col] is D for the generator of col, 0 when it has no power relator
     lims = [max(d for d in range(1, min(n, k) + 1) if n % d == 0) if n else 0 for n in orders]
     # A coset is held as its row offset c·ncols, so a trace step is one
     # index: tab[c·ncols + col] is the offset of c's image under col, or -1
     # while undefined.
     tab = [-1] * (k * ncols)
+    newidx = [-1] * (k * ncols)  # _canonicity's scratch arrays
+    order = [0] * (k * ncols)
     log: list[int] = []  # slots defined along the current branch, in order
-    total = 0
-    class_keys: set[tuple] = set()
+    total = classes = 0
 
     def deduce(c: int, col: int) -> bool:
         """Close the table under deductions through the defined edge
@@ -591,8 +664,10 @@ def _count_index(
                     queue.append((f, w[i]))
         return True
 
-    def rec(n: int, slot: int) -> None:
-        nonlocal total
+    def rec(n: int, slot: int, s: int) -> None:
+        """Search below a node on n cosets whose table has s basepoints with
+        an equal rebasing (meaningful once the table is complete)."""
+        nonlocal total, classes
         budget.check()
         end = n * ncols
         try:
@@ -603,9 +678,8 @@ def _count_index(
             if n == k:
                 if -1 in tab:
                     raise CosetError("internal: deduction left a defined generator's slot open")
-                total += 1
-                rows = [[d // ncols for d in tab[c : c + ncols]] for c in range(0, end, ncols)]
-                class_keys.add(_class_key(rows))
+                classes += 1
+                total += k // s
             return
         col = slot % ncols
         c = slot - col
@@ -620,26 +694,28 @@ def _count_index(
             log.append(slot)
             log.append(d + inv)
             if deduce(c, col):
-                rec(n + (d == end), slot + 1)
-            for s in log[mark:]:
-                tab[s] = -1
+                m = n + (d == end)
+                if eq := _canonicity(tab, m * ncols, ncols, bcols, newidx, order):
+                    rec(m, slot + 1, eq)
+            for t in log[mark:]:
+                tab[t] = -1
             del log[mark:]
 
     try:
-        rec(1, 0)
+        rec(1, 0, 1)
     finally:
         # rec holds itself through its closure cell; emptying the cell frees
         # the search state now, not at the next cyclic collection
         del rec
-    return total, len(class_keys)
+    return total, classes
 
 
 def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fingerprint:
-    """Count all subgroups of index ≤ bound, exactly, by enumerating
-    standardized coset tables: one search per index, smallest first (see
-    _count_index).  Budget exhaustion flags the first index left unfinished,
-    the deadline's or the first index above the coset cap; earlier indices
-    stay exact."""
+    """Count all subgroups of index ≤ bound, exactly, by enumerating one
+    standardized coset table per conjugacy class: one search per index,
+    smallest first (see _count_index).  Budget exhaustion flags the first
+    index left unfinished, the deadline's or the first index above the coset
+    cap; earlier indices stay exact."""
     if bound < 1:
         raise CosetError("bound must be at least 1")
     budget = budget or Budget.start()

@@ -15,7 +15,7 @@ from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.construct import uce
 from fpgroups.cosets import (
     _branched_columns,
-    _class_key,
+    _canonicity,
     _count_index,
     _cycle_fits,
     _power_orders,
@@ -708,6 +708,119 @@ def test_low_index_symmetric_three():
     assert f.classes == {1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 1}
 
 
+def _class_key(rows: list[list[int]]) -> tuple:
+    """Least serialization over all basepoints of the complete table whose
+    row c lists the images of coset c."""
+    k = len(rows)
+    return min(tuple(map(tuple, _renumbered(rows, b, k))) for b in range(k))
+
+
+def _unpruned_count_index(
+    rots: list[tuple], orders: list[int], branched: list[bool], k: int, budget: Budget
+) -> tuple[int, int]:
+    """_count_index without the canonicity prune, the oracle of its counts:
+    it visits every subgroup's table and counts classes by the least
+    serialization over all basepoints of each complete table (_class_key)."""
+    if k > budget.max_cosets:
+        raise BudgetExhausted("coset cap")
+    ncols = len(rots)
+    # lims[col] is D for the generator of col, 0 when it has no power relator
+    lims = [max(d for d in range(1, min(n, k) + 1) if n % d == 0) if n else 0 for n in orders]
+    # A coset is held as its row offset c·ncols, so a trace step is one
+    # index: tab[c·ncols + col] is the offset of c's image under col, or -1
+    # while undefined.
+    tab = [-1] * (k * ncols)
+    log: list[int] = []  # slots defined along the current branch, in order
+    total = 0
+    class_keys: set[tuple] = set()
+
+    def deduce(c: int, col: int) -> bool:
+        """Close the table under deductions through the defined edge
+        c --col-->.  Returns False on a dead end; defined slots are logged."""
+        queue = [(c, col)]
+        while queue:
+            c, col = queue.pop()
+            first = tab[c + col]
+            lim = lims[col]
+            if lim and not _cycle_fits(tab, c, col, lim, orders[col]):
+                return False
+            for w, winv in rots[col]:
+                L = len(w)
+                f = first
+                i = 1
+                while i < L:
+                    d = tab[f + w[i]]
+                    if d < 0:
+                        break
+                    f = d
+                    i += 1
+                else:
+                    if f != c:
+                        return False
+                    continue
+                b = c
+                j = L - 1
+                while j > i:
+                    d = tab[b + winv[j]]
+                    if d < 0:
+                        break
+                    b = d
+                    j -= 1
+                if j == i:  # single gap: forced edge f --w[i]--> b
+                    back = b + winv[i]
+                    if tab[back] >= 0:
+                        return False
+                    fwd = f + w[i]
+                    tab[fwd] = b
+                    tab[back] = f
+                    log.append(fwd)
+                    log.append(back)
+                    queue.append((f, w[i]))
+        return True
+
+    def rec(n: int, slot: int) -> None:
+        nonlocal total
+        budget.check()
+        end = n * ncols
+        try:
+            slot = tab.index(-1, slot, end)
+            while not branched[slot % ncols]:
+                slot = tab.index(-1, slot + 1, end)
+        except ValueError:  # no undefined branched slot: a complete table on n cosets
+            if n == k:
+                if -1 in tab:
+                    raise CosetError("internal: deduction left a defined generator's slot open")
+                total += 1
+                rows = [[d // ncols for d in tab[c : c + ncols]] for c in range(0, end, ncols)]
+                class_keys.add(_class_key(rows))
+            return
+        col = slot % ncols
+        c = slot - col
+        inv = col ^ 1
+        targets = [d for d in range(0, end, ncols) if tab[d + inv] < 0]
+        if n < k:
+            targets.append(end)
+        for d in targets:
+            mark = len(log)
+            tab[slot] = d
+            tab[d + inv] = c
+            log.append(slot)
+            log.append(d + inv)
+            if deduce(c, col):
+                rec(n + (d == end), slot + 1)
+            for s in log[mark:]:
+                tab[s] = -1
+            del log[mark:]
+
+    try:
+        rec(1, 0)
+    finally:
+        # rec holds itself through its closure cell; emptying the cell frees
+        # the search state now, not at the next cyclic collection
+        del rec
+    return total, len(class_keys)
+
+
 def _reference_count(p, k: int) -> tuple[int, int]:
     """(total, classes) at index exactly k by a plain reference search: the
     same branching as low_index, but the table is copied on every branch and
@@ -779,21 +892,29 @@ def test_low_index_matches_reference_search(name, bound):
     _assert_matches_reference(load_presentation((FIXTURES / f"{name}.pres").read_text()), bound)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
-                min_size=1, max_size=3))
-def test_low_index_matches_reference_search_random(relators):
+_TWO_GENERATOR_RELATORS = st.lists(
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6), min_size=1, max_size=3
+)
+
+
+def _presentation(alphabet: Alphabet, relators) -> Presentation:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # relators that reduce away, duplicates
-        p = Presentation(_AB, [Word(_AB, r) for r in relators])
-    _assert_matches_reference(p, 4)
+        return Presentation(alphabet, [Word(alphabet, r) for r in relators])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TWO_GENERATOR_RELATORS)
+def test_low_index_matches_reference_search_random(relators):
+    _assert_matches_reference(_presentation(_AB, relators), 4)
 
 
 _ABC = Alphabet(["a", "b", "c"])
 
-
-@settings(max_examples=200, deadline=None)
-@given(
+# a generator g, the sign it has in its defining relator, the letters u of the
+# other two generators around it, where it stands in u, whether the defining
+# relator comes first, and the other relators
+_DEFINED_GENERATOR_ARGS = (
     st.sampled_from([1, 2, 3]),
     st.sampled_from([1, -1]),
     st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5),
@@ -802,24 +923,126 @@ _ABC = Alphabet(["a", "b", "c"])
     st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=5),
              max_size=2),
 )
+
+
+def _defined_generator_relators(g, sign, u, at, first, relators) -> list[list[int]]:
+    """relators with one more that holds g once, between the letters u of the
+    other two generators, so the search may leave g's columns to deduction."""
+    others = [h for h in (1, 2, 3) if h != g]
+    u = [others[abs(l) - 1] * (1 if l > 0 else -1) for l in u]
+    at %= len(u) + 1
+    defining = u[:at] + [sign * g] + u[at:]
+    return [defining] + relators if first else relators + [defining]
+
+
+@settings(max_examples=200, deadline=None)
+@given(*_DEFINED_GENERATOR_ARGS)
 # a defined with its own power relator: _cycle_fits runs on forced a-edges
 @example(1, 1, [1, 2, 1], 0, True, [[1, 1, 1]])
 @example(3, -1, [1, 2, -1, -2], 0, True, [])  # c^-1 a b a^-1 b^-1
 @example(3, -1, [1, 2, -1, -2], 4, False, [])  # a b a^-1 b^-1 c^-1
 def test_low_index_defined_generator_matches_reference_random(g, sign, u, at, first, relators):
-    # one relator holds g once, between the letters u of the other two
-    # generators, so the search leaves some generator's columns to deduction;
     # the reference search branches on every column and rescans every relator
-    others = [h for h in (1, 2, 3) if h != g]
-    u = [others[abs(l) - 1] * (1 if l > 0 else -1) for l in u]
-    at %= len(u) + 1
-    defining = u[:at] + [sign * g] + u[at:]
-    rels = [defining] + relators if first else relators + [defining]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = Presentation(_ABC, [Word(_ABC, r) for r in rels])
+    p = _presentation(_ABC, _defined_generator_relators(g, sign, u, at, first, relators))
     assume(not all(_branched_columns(p)))  # u may reduce away
     _assert_matches_reference(p, 4)
+
+
+def _assert_matches_unpruned(p, bound: int) -> None:
+    budget = Budget.start()
+    args = (_rotations(p, budget), _power_orders(p), _branched_columns(p))
+    for k in range(1, bound + 1):
+        assert _count_index(*args, k, budget) == _unpruned_count_index(*args, k, budget), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TWO_GENERATOR_RELATORS, st.sampled_from([1, -1, 2, -2]), st.integers(0, 8))
+@example([[1, 2, -1, -2]], 1, 0)  # Z^2: every subgroup is normal
+@example([[1, 1], [2, 2, 2], [1, 2, 1, 2, 1, 2, 1, 2, 1, 2]], 1, 0)  # A5
+def test_count_index_matches_the_unpruned_search_random(relators, x, n):
+    # from n = 2 on, the power relator x^n also prunes by cycle type
+    p = _presentation(_AB, relators + ([[x] * n] if n > 1 else []))
+    _assert_matches_unpruned(p, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_DEFINED_GENERATOR_ARGS, st.integers(0, 6))
+@example(3, -1, [1, 2, -1, -2], 4, False, [], 0)  # c = [a, b]: F_2
+@example(1, 1, [1, 2, 1], 0, True, [], 3)  # a = b^-1 c^-1 b^-1 and a^3
+def test_count_index_matches_the_unpruned_search_defined_random(
+    g, sign, u, at, first, relators, n
+):
+    # from n = 2 on, a^n also prunes by cycle type, a defined generator's too
+    rels = _defined_generator_relators(g, sign, u, at, first, relators)
+    p = _presentation(_ABC, rels + ([[1] * n] if n > 1 else []))
+    assume(not all(_branched_columns(p)))
+    _assert_matches_unpruned(p, 5)
+
+
+def _permutation_rows(perms: list[list[int]]) -> list[list[int]]:
+    """Row c lists the images of point c under each generator and its
+    inverse, for generators given as 0-based image lists."""
+    invs = []
+    for g in perms:
+        inv = [0] * len(g)
+        for c, d in enumerate(g):
+            inv[d] = c
+        invs.append(inv)
+    return [[h[c] for g, inv in zip(perms, invs) for h in (g, inv)] for c in range(len(perms[0]))]
+
+
+@pytest.mark.parametrize(
+    "text, perms, answer, s",
+    [
+        # Klein: the kernel of a is one of three normal subgroups of index 2
+        ("< a, b | a^2, b^2, a b a^-1 b^-1 >", [[0, 1], [1, 0]], (3, 3), 2),
+        # Z5: the trivial subgroup is normal, the one subgroup of index 5
+        ("< a | a^5 >", [[1, 2, 3, 4, 0]], (1, 1), 5),
+        # A5 on five points: the stabilizer A4 is its own normalizer, and its
+        # five conjugates are one class
+        (
+            "< a, b | a^2, b^3, (a b)^5 >",
+            [[1, 0, 3, 2, 4], [2, 1, 4, 3, 0]],
+            (5, 1),
+            1,
+        ),
+    ],
+)
+def test_canonicity_reads_the_normalizer_index(text, perms, answer, s):
+    p = parse_presentation(text)
+    rows = _permutation_rows(perms)
+    k, ncols = len(rows), 2 * len(perms)
+    CosetTable(p.alphabet, _renumbered(rows, 0, k)).verify(p)
+    f = low_index(p, k)
+    assert (f.totals[k], f.classes[k]) == answer
+    # the table rebased at every coset, flat and row-major, offsets for cosets
+    rebased = []
+    for b in range(k):
+        cols = _renumbered(rows, b, k)
+        rebased.append([cols[col][c] * ncols for c in range(k) for col in range(ncols)])
+    least = min(rebased)
+    newidx, order = [-1] * (k * ncols), [0] * (k * ncols)
+    for tab in rebased:
+        got = _canonicity(tab, k * ncols, ncols, list(range(ncols)), newidx, order)
+        assert got == (s if tab == least else 0)
+        assert newidx == [-1] * (k * ncols)  # each basepoint resets what it set
+    assert sum(t == least for t in rebased) == s
+
+
+def test_canonicity_decides_nothing_past_an_undefined_slot():
+    # one generator on cosets 1, 2, 3 with only 1 -> 2 -> 3 defined: rebased
+    # at 2 the first slot is equal (2 -> 3, a new coset) and the table's
+    # second, 1's image under a^-1, is undefined; rebased at 3 the first slot
+    # is undefined
+    tab = [2, -1, 4, 0, -1, 2]
+    assert _canonicity(tab, 6, 2, [0, 1], [-1] * 6, [0] * 6) == 1
+    # closing the path into the 3-cycle 1 -> 2 -> 3 -> 1 makes every rebasing equal
+    tab = [2, 4, 4, 0, 0, 2]
+    assert _canonicity(tab, 6, 2, [0, 1], [-1] * 6, [0] * 6) == 3
+    # a fixed point at 3 beside 1 -> 2 is smaller rebased at 3 (a 1-cycle
+    # first) and decided there, though 2's image is undefined
+    tab = [2, -1, -1, 0, 4, 4]
+    assert _canonicity(tab, 6, 2, [0, 1], [-1] * 6, [0] * 6) == 0
 
 
 def test_low_index_defined_commutator():
@@ -922,18 +1145,19 @@ def _search_nodes(monkeypatch, name: str, k: int) -> tuple[tuple[int, int], int]
 
 
 def test_low_index_cycle_prune_node_count(monkeypatch):
-    # the prune cut baumslag25_2 at index 8 from 38,723 nodes to 7,319
+    # the prune cut baumslag25_2 at index 8 from 38,723 nodes to 7,319, and
+    # dropping non-canonical tables to 1,733
     answer, nodes = _search_nodes(monkeypatch, "baumslag25_2", 8)
     assert answer == (1, 1)
-    assert 0 < nodes <= 7319
+    assert 0 < nodes <= 1733
 
 
 def test_low_index_defined_column_node_count(monkeypatch):
     # branching only on a, b and alpha cut bp2 at index 5 from 46,533 nodes
-    # to 5,957
+    # to 5,957, and dropping non-canonical tables to 3,998
     answer, nodes = _search_nodes(monkeypatch, "bp2", 5)
     assert answer == (0, 0)
-    assert 0 < nodes <= 6000
+    assert 0 < nodes <= 3998
 
 
 def test_low_index_bp2_index_six():

@@ -18,6 +18,12 @@ nest at most 100 deep; deeper input is a ParseError.  All words of one parse
 together expand to at most Budget.max_letters letters; a power, commutator
 or product past that cap raises BudgetExhausted before allocation.
 JSON alternative: {"generators": ["a", ...], "relators": ["a^2", ...]}.
+
+The lexer reads a run of syllables `x` or `x^k` joined by single spaces, the
+form to_text writes, as one token, which the parser expands in one step from
+a memo of syllable letters.  A run means what its terms mean one by one.  A
+text that fails to parse with run tokens is parsed again without them, so
+errors, lines and columns are those of the token-by-token reading.
 """
 
 from __future__ import annotations
@@ -26,11 +32,11 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .budget import Budget, BudgetExhausted
-from .words import Alphabet, Word, WordError, commutator
+from .words import Alphabet, Memo, Word, WordError, commutator, spell, syllable_texts
 
 
 class PresentationWarning(UserWarning):
@@ -53,7 +59,26 @@ class ParseError(ValueError):
 # the list (twice when the text ends in whitespace or a comment).  NAME's
 # first class also admits numeric characters that are not letters, such as
 # '½'; the parser reads those, like the catch-all's, as unexpected characters.
-_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*([^\W\d_]\w*|-?\d+|[<>|,^()\[\]=*]|.|\Z)")
+#
+# _TOKEN also reads a run of syllables `NAME(^INT)?` joined by single spaces,
+# the form Word.text writes, as one token, and the parser expands it as one
+# atom.  A run ends where neither a word character nor a `^` follows, a `^`
+# after whitespace and comments included; where one would, the match backs
+# off to a shorter run or to the plain tokens, so `a b c ^2` gives `a b`,
+# `c`, `^`, `2`, and `b^2^3` gives five tokens.  A run stands for its plain
+# tokens read as juxtaposed terms, so a text that parses with runs gives the
+# letters it gives without them.  A text that fails, and that _PLAIN (the
+# same scan without runs) splits differently, is read again with _PLAIN from
+# the letter count it started at; that reading's error, line and column are
+# the ones raised.  A syllable matches possessively: a shorter one would be
+# followed by a word character or by `^`, so backing off inside it is useless.
+_GAP = r"(?:[ \t\r\n]|#[^\n]*)*"
+_NAME = r"[^\W\d_]\w*"
+_SYLLABLE = r"[^\W\d_]\w*+(?:\^-?\d++)?+"
+_RUN = rf"{_SYLLABLE}(?: {_SYLLABLE})*(?!\w|{_GAP}\^)"
+_OTHER = r"-?\d+|[<>|,^()\[\]=*]|.|\Z"
+_PLAIN = re.compile(rf"{_GAP}({_NAME}|{_OTHER})")
+_TOKEN = re.compile(rf"{_GAP}({_RUN}|{_NAME}|{_OTHER})")
 _SYMBOLS = frozenset("<>|,^()[]=*")
 _OPENERS = frozenset("([")
 _MAX_NESTING = 100  # '(' and '[' levels; the parser recurses once per level
@@ -84,11 +109,24 @@ class _Parser:
     def __init__(self, alphabet: Alphabet | None = None):
         self.alphabet = alphabet
         self.spent = 0  # letters of the words finished so far
+        self.expansions = Memo(self._syllable)  # syllable text -> its letters
 
     def parse(self, text: str, rule: Callable[[], _T]) -> _T:
-        """rule() over the whole of text."""
+        """rule() over the whole of text, read with run tokens and, should
+        that fail, again without them (see _TOKEN)."""
+        spent = self.spent
+        try:
+            return self._read(text, rule, _TOKEN)
+        except (ParseError, BudgetExhausted):
+            if _PLAIN.findall(text) == self.toks:
+                raise
+        self.spent = spent
+        return self._read(text, rule, _PLAIN)
+
+    def _read(self, text: str, rule: Callable[[], _T], lexer: re.Pattern) -> _T:
         self.text = text
-        self.toks = _TOKEN.findall(text)
+        self.lexer = lexer
+        self.toks = lexer.findall(text)
         self.pos = 0
         self.depth = 0  # open '(' and '[' around the current token
         result = rule()
@@ -108,7 +146,7 @@ class _Parser:
 
     def _locate(self, i: int) -> tuple[int, int]:
         text = self.text
-        o = next(islice(_TOKEN.finditer(text), i, None)).start(1)
+        o = next(islice(self.lexer.finditer(text), i, None)).start(1)
         start = text.rfind("\n", 0, o) + 1
         if o == len(text) and "#" in text[start:]:
             o = text.index("#", start)  # a comment takes no columns
@@ -140,6 +178,20 @@ class _Parser:
         t = self.toks[self.pos]
         return t in _OPENERS or t[:1].isalpha()
 
+    def _syllable(self, syllable: str) -> tuple[int, ...]:
+        """The letters of `name` or `name^int`, a syllable of the token just
+        read; the digit and letter caps are checked before allocation."""
+        name, _, exponent = syllable.partition("^")
+        letter = self.alphabet.index(name) + 1
+        if not exponent:
+            return (letter,)
+        i = self.pos - 1
+        if len(exponent.lstrip("-")) > _MAX_DIGITS:
+            raise self.error(f"exponent has more than {_MAX_DIGITS} digits", i)
+        e = int(exponent)
+        self._room(abs(e), i)
+        return (letter,) * e if e >= 0 else (-letter,) * -e
+
     def _letters_of_atom(self) -> list[int]:
         """The atom at the current token, which _starts_atom has accepted."""
         i = self.pos
@@ -147,9 +199,12 @@ class _Parser:
         self.pos += 1
         if t not in _OPENERS:
             try:
-                return [self.alphabet.index(t) + 1]
+                syllables = list(map(self.expansions.__getitem__, t.split()))
             except WordError:
                 raise self.error(f"unknown generator {t!r}", i) from None
+            if " " in t or "^" in t:  # a run: one check for all its letters
+                self._room(sum(map(len, syllables)), i)
+            return list(chain.from_iterable(syllables))
         if self.depth == _MAX_NESTING:
             raise self.error(f"brackets nested deeper than {_MAX_NESTING} levels", i)
         self.depth += 1
@@ -307,7 +362,8 @@ class Presentation:
 
     def _relator_texts(self) -> tuple[str, ...]:
         if self._texts is None:
-            self._texts = tuple(r.text() for r in self.relators)
+            syllables = syllable_texts(self.alphabet)  # shared by the relators
+            self._texts = tuple(spell(r.letters, syllables) for r in self.relators)
         return self._texts
 
     def to_text(self) -> str:

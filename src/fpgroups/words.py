@@ -12,14 +12,29 @@ both operands resolve against equal alphabets.
 from __future__ import annotations
 
 import re
+from operator import eq, neg
 from operator import index as _as_int
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
+
+import numpy as np
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
 class WordError(ValueError):
     """Alphabet mismatch or malformed letter data."""
+
+
+class Memo(dict):
+    """A dict that makes a missing value as make(key) and keeps it."""
+
+    def __init__(self, make: Callable[[Hashable], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class Alphabet:
@@ -140,17 +155,15 @@ class Word:
 
     @property
     def is_reduced(self) -> bool:
-        if self._reduced:
-            return True
-        ls = self.letters
-        ok = all(ls[i] != -ls[i + 1] for i in range(len(ls) - 1))
-        if ok:
-            self._reduced = True
-        return ok
+        if not self._reduced:
+            ls = self.letters
+            self._reduced = not any(map(eq, ls[1:], map(neg, ls)))
+        return self._reduced
 
     def reduce(self) -> "Word":
-        """Freely reduced form (cancel adjacent x x^-1 pairs)."""
-        if self._reduced:
+        """Freely reduced form (cancel adjacent x x^-1 pairs).  A reduced
+        word, found with one C-speed pass, comes back as it is."""
+        if self.is_reduced:
             return self
         out: list[int] = []
         for l in self.letters:
@@ -180,27 +193,39 @@ class Word:
             v[abs(l) - 1] += 1 if l > 0 else -1
         return v
 
-    def syllables(self) -> Iterator[tuple[str, int]]:
-        """Runs of equal letters as (generator name, signed exponent)."""
-        ls = self.letters
-        i = 0
-        while i < len(ls):
-            j = i
-            while j < len(ls) and ls[j] == ls[i]:
-                j += 1
-            name = self.alphabet.names[abs(ls[i]) - 1]
-            yield name, (j - i) * (1 if ls[i] > 0 else -1)
-            i = j
-
     def text(self) -> str:
-        """Canonical text form: space-joined syllables, '^' powers."""
-        parts = []
-        for name, e in self.syllables():
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return " ".join(parts)
+        """Canonical text form: one syllable per run of equal letters, `x`
+        or `x^e` with e the run's signed length, joined by single spaces."""
+        return spell(self.letters, syllable_texts(self.alphabet))
 
     def __repr__(self) -> str:
         return f"<word {self.text() or '1'}>"
+
+
+def syllable_texts(alphabet: Alphabet) -> Memo:
+    """The texts of syllables over alphabet, keyed by (letter, run length)
+    and made on first use; one memo serves any number of words."""
+    names = alphabet.names
+
+    def syllable(key: tuple[int, int]) -> str:
+        letter, run = key
+        name = names[abs(letter) - 1]
+        if letter < 0:
+            return f"{name}^{-run}"
+        return name if run == 1 else f"{name}^{run}"
+
+    return Memo(syllable)
+
+
+def spell(letters: tuple[int, ...], syllables: Memo) -> str:
+    """The text of Word.text for letters, its syllables spelled by a memo of
+    syllable_texts.  numpy finds the runs of equal letters: padded with the
+    non-letter 0, the word changes letter at the start of each run and once
+    past its end."""
+    ls = np.array((0, *letters, 0))
+    edges = np.flatnonzero(ls[1:] != ls[:-1])
+    heads = ls[edges[:-1] + 1].tolist()
+    return " ".join(map(syllables.__getitem__, zip(heads, np.diff(edges).tolist())))
 
 
 def commutator(u: Word, v: Word) -> Word:

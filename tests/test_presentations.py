@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpgroups.budget import Budget, BudgetExhausted
+from fpgroups import presentations
 from fpgroups.cancellation import _cyclic_words
+from fpgroups.construct import rips, uce
 from fpgroups.presentations import (
     CatalogError,
     ParseError,
@@ -21,7 +23,7 @@ from fpgroups.presentations import (
     parse_word,
     proper_power_root,
 )
-from fpgroups.words import Alphabet, Word, WordError
+from fpgroups.words import Alphabet, Word, WordError, spell
 from fpgroups.zlattice import AbelianInvariants, abelianization
 
 
@@ -138,8 +140,7 @@ def test_serialize_roundtrip():
 def test_relator_texts_are_built_once_per_presentation():
     # the file and the report of a written presentation share the texts
     p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
-    real = Word.text
-    with mock.patch.object(Word, "text", autospec=True, side_effect=real) as text:
+    with mock.patch.object(presentations, "spell", side_effect=spell) as text:
         assert p.to_text() == "< a, b | a^2, b^3, a b a b a b a b a b >"
         assert p.to_json()["relators"] == ["a^2", "b^3", "a b a b a b a b a b"]
         assert p.to_text() == "< a, b | a^2, b^3, a b a b a b a b a b >"
@@ -595,3 +596,154 @@ def test_parse_word_matches_the_reference(text):
 def test_json_form_matches_the_reference(relators):
     d = {"generators": _GENS, "relators": relators}
     assert _outcome(Presentation.from_json, d) == _outcome(_reference_from_json, d)
+
+
+# ---------------------------------------------------------------------------
+# Run tokens: a run of syllables `x` or `x^k` joined by single spaces, the
+# form Word.text writes, is one token.  A text with runs parses as it does
+# without them, errors included: every outcome is compared with the parse
+# whose scan has no runs (_PLAIN in place of _TOKEN) and, where the reference
+# can read the text at all, with the reference.  The reference hands an
+# exponent of more than 4,300 digits or with a non-decimal digit to int(),
+# which raises a bare ValueError; the run-free parse reports both.
+
+_LONG_EXPONENT = "9" * 4301
+_SYLLABLES = st.one_of(
+    st.sampled_from(_GENS),
+    st.tuples(
+        st.sampled_from(_GENS),
+        st.sampled_from(["2", "-1", "-3", "0", "12", "-999", "999999", "-999999"]),
+    ).map("^".join),
+)
+# Faults spliced into a run: an unknown generator, a long exponent, a
+# non-decimal digit, a double power, a `^` with no exponent, and a detached
+# `^` after a space, a newline or a comment.
+_RUN_FAULTS = [
+    "c", "é", f"a^{_LONG_EXPONENT}", f"b^-{_LONG_EXPONENT}", "a^2²", "b^2^3", "a^", "a^-",
+    "a ^2", "b\n^-1", "a # c\n^3", "ab^٣",
+]
+
+
+def _spliced(args):
+    syllables, faults = args
+    for at, fault in faults:
+        syllables.insert(at % (len(syllables) + 1), fault)
+    return " ".join(syllables)
+
+
+_runs = st.tuples(
+    st.lists(_SYLLABLES, min_size=1, max_size=40),
+    st.lists(st.tuples(st.integers(0, 99), st.sampled_from(_RUN_FAULTS)), max_size=2),
+).map(_spliced)
+_run_words = st.tuples(
+    _runs, st.sampled_from(["", " ^2", " # c\n^-2", "\n^3", "^2", " * a", " = b a"])
+).map("".join)
+_run_texts = st.builds(
+    lambda head, body, tail: head + body + tail,
+    st.sampled_from(["< a, b, a_1, ab | ", "< a b, a_1 | ", "< a, b a_1 ab | ", "<a,b,a_1,ab|"]),
+    st.lists(st.one_of(_run_words, _words), max_size=4).map(", ".join),
+    st.sampled_from([" >", ">", " > # end", ""]),
+)
+
+
+def _without_runs(parse, *args):
+    """The outcome of parse when the scan reads no runs."""
+    with mock.patch.object(presentations, "_TOKEN", presentations._PLAIN):
+        return _outcome(parse, *args)
+
+
+def _matches_without_runs_and_the_reference(texts, parse, reference, *args):
+    """parse(*args), which reads texts, gives what it gives without runs and,
+    unless a text holds a non-decimal digit (the reference's tokenizer reads
+    those into exponents) or int() refuses an exponent, what the reference
+    gives."""
+    got = _outcome(parse, *args)
+    assert got == _without_runs(parse, *args)
+    if any(c.isdigit() and not c.isdecimal() for text in texts for c in text):
+        return
+    try:
+        expected = _outcome(reference, *args)
+    except ValueError:  # int() refused a 4,301-digit exponent
+        return
+    assert got == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(_run_texts)
+@example("< a, b | a b c ^2 >")
+@example("< a, b | a b # c\n^2 >")
+@example("< a, b | b^2^3 >")
+@example("< a b | a >")
+@example(f"< a, b | a b c a^{_LONG_EXPONENT} b >")
+@example(f"< a, b | a b a^{_LONG_EXPONENT} b >")
+@example("< a, b | a b^2² a >")
+@example("< a, b | a^999999 b^999999 a^999999 b >")
+@example("< a, b | (a^999)^999, a^999 b^999 a^9 b^-9 a^99999 b >")
+def test_runs_parse_as_without_them(text):
+    _matches_without_runs_and_the_reference(
+        [text], parse_presentation, _reference_parse_presentation, text
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_run_words)
+@example("a b^2² a")
+@example(f"a b^{_LONG_EXPONENT}")
+def test_run_words_parse_as_without_them(text):
+    ab = Alphabet(_GENS)
+    _matches_without_runs_and_the_reference([text], parse_word, _reference_parse_word, text, ab)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_run_words, max_size=3))
+@example(["(a^999)^999", "a^999 b^999 a^999"])
+@example(["a^999999 b^999999", "a b^2 a"])
+@example(["(a^1000)^2000", "a"])  # a lone generator is not checked against the cap
+def test_run_json_form_parses_as_without_them(relators):
+    d = {"generators": _GENS, "relators": relators}
+    _matches_without_runs_and_the_reference(relators, Presentation.from_json, _reference_from_json, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_run_texts, _texts))
+@example("< a | a^2² a >")
+def test_a_run_token_stands_for_its_plain_tokens(text):
+    plain = []
+    for t in presentations._TOKEN.findall(text):
+        plain += presentations._PLAIN.findall(t)[:-1] if t else [t]
+    assert plain == presentations._PLAIN.findall(text)
+
+
+def test_run_tokens_and_their_errors():
+    lex = presentations._TOKEN.findall
+    assert lex("a b c ^2") == ["a b", "c", "^", "2", ""]
+    assert lex("a b # c\n^2") == ["a", "b", "^", "2", ""]
+    assert lex("b^2^3") == ["b", "^", "2", "^", "3", ""]
+    assert lex("a^2²") == ["a", "^", "2", "²", ""]
+    assert lex("x^-3 ab^12 c, d") == ["x^-3 ab^12 c", ",", "d", ""]
+    # a detached `^` powers the last syllable alone, as it does without runs
+    assert parse_presentation("< a, b, c | a b c ^2 >").relators[0].letters == (1, 2, 3, 3)
+    assert parse_presentation("< a, b | a b # c\n^-2 >").relators[0].letters == (1, -2, -2)
+    for text, error in (
+        ("< a, b | b^2^3 >", "line 1, col 13: expected '>', got '^'"),
+        ("< a b | a >", "line 1, col 5: expected '|', got 'b'"),
+        (f"< a, b | a b a^{_LONG_EXPONENT} b >", "line 1, col 16: exponent has more than 4300 digits"),
+        ("< a, b | a b^2² a >", "line 1, col 15: unexpected character '²'"),
+        ("< a, b | a b c a >", "line 1, col 14: unknown generator 'c'"),
+    ):
+        with pytest.raises(ParseError) as ei:
+            parse_presentation(text)
+        assert str(ei.value) == error
+    with pytest.raises(BudgetExhausted) as ei:
+        parse_presentation("< a, b | a^999999 b^999999 a^999999 b >")
+    assert str(ei.value) == (
+        "line 1, col 28: expansion to 2999997 letters exceeds the 2000000-letter cap"
+    )
+
+
+def test_written_constructions_read_back():
+    gamma = rips(catalog("Bp", [2]).presentation, 7, zero_exponent=True).gamma
+    tilde = uce(catalog("A5", []).presentation).tilde
+    for p in (gamma, tilde):
+        assert parse_presentation(p.to_text()) == p
+        assert load_presentation(json.dumps(p.to_json())) == p

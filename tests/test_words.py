@@ -1,7 +1,11 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fpgroups.presentations import Presentation, PresentationWarning, parse_presentation
 from fpgroups.words import (
     Alphabet,
     Word,
@@ -82,11 +86,101 @@ def test_exponent_vector_and_sum():
     assert w.exponent_vector() == [0, 3]
 
 
+# The writer before numpy, kept unchanged as an oracle: it walked the
+# letters one at a time into (name, signed exponent) syllables.
+
+
+def _syllables(w: Word):
+    """Runs of equal letters as (generator name, signed exponent)."""
+    ls = w.letters
+    i = 0
+    while i < len(ls):
+        j = i
+        while j < len(ls) and ls[j] == ls[i]:
+            j += 1
+        name = w.alphabet.names[abs(ls[i]) - 1]
+        yield name, (j - i) * (1 if ls[i] > 0 else -1)
+        i = j
+
+
+def _reference_text(w: Word) -> str:
+    """Canonical text form: space-joined syllables, '^' powers."""
+    parts = []
+    for name, e in _syllables(w):
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return " ".join(parts)
+
+
+def _reference_reduce(letters) -> tuple[int, ...]:
+    """The stack pass of Word.reduce."""
+    out: list[int] = []
+    for l in letters:
+        if out and out[-1] == -l:
+            out.pop()
+        else:
+            out.append(l)
+    return tuple(out)
+
+
 def test_syllables_and_text():
     w = Word(AB, [1, 1, -2, -2, -2, 1])
-    assert list(w.syllables()) == [("a", 2), ("b", -3), ("a", 1)]
-    assert w.text() == "a^2 b^-3 a"
-    assert Word.identity(AB).text() == ""
+    assert list(_syllables(w)) == [("a", 2), ("b", -3), ("a", 1)]
+    assert w.text() == _reference_text(w) == "a^2 b^-3 a"
+    assert Word.identity(AB).text() == _reference_text(Word.identity(AB)) == ""
+
+
+# Words drawn as runs of equal letters over names of one to five characters:
+# runs of one letter, short runs and very long ones, and the empty word.
+LONG = Alphabet(["a", "b1", "alpha", "x_2_y", "Z"])
+_RUN_LENGTHS = st.one_of(st.just(1), st.integers(1, 4), st.integers(1, 20_000))
+_runs = st.lists(
+    st.tuples(st.integers(1, len(LONG)), st.sampled_from([1, -1]), _RUN_LENGTHS), max_size=12
+)
+
+
+def _word(runs) -> Word:
+    return Word(LONG, [sign * g for g, sign, k in runs for _ in range(k)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs)
+@example([])
+@example([(3, -1, 1)])
+@example([(1, 1, 20_000), (1, 1, 1), (5, -1, 1), (5, 1, 1)])
+def test_text_matches_the_reference_writer(runs):
+    w = _word(runs)
+    assert w.text() == _reference_text(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_runs, max_size=4))
+@example([[], [(2, 1, 1)]])
+def test_to_text_matches_the_reference_writer(relators):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PresentationWarning)  # empty or repeated relators
+        p = Presentation(LONG, [_word(runs) for runs in relators])
+        assert parse_presentation(p.to_text()) == p
+    texts = [_reference_text(r) for r in p.relators]
+    head = "< a, b1, alpha, x_2_y, Z |"
+    assert p.to_text() == (f"{head} {', '.join(texts)} >" if texts else f"{head} >")
+    assert p.to_json()["relators"] == texts
+
+
+_letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_letters, _letters.map(_reference_reduce)))
+@example([])
+@example([1, -1])
+@example([1, 2, -2, 2, 1])
+def test_reduce_matches_the_stack_pass(letters):
+    reduced = _reference_reduce(letters)
+    assert Word(AB, letters).is_reduced == (reduced == tuple(letters))
+    w = Word(AB, letters)
+    r = w.reduce()
+    assert r.letters == reduced and r.is_reduced
+    assert (r is w) == (reduced == tuple(letters))
 
 
 def test_commutator():

@@ -28,6 +28,7 @@ errors, lines and columns are those of the token-by-token reading.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import warnings
@@ -36,7 +37,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .budget import Budget, BudgetExhausted
-from .words import Alphabet, Memo, Word, WordError, commutator, spell, syllable_texts
+from .words import Alphabet, Word, WordError, commutator
 
 
 class PresentationWarning(UserWarning):
@@ -70,12 +71,15 @@ class ParseError(ValueError):
 # letters it gives without them.  A text that fails, and that _PLAIN (the
 # same scan without runs) splits differently, is read again with _PLAIN from
 # the letter count it started at; that reading's error, line and column are
-# the ones raised.  A syllable matches possessively: a shorter one would be
-# followed by a word character or by `^`, so backing off inside it is useless.
+# the ones raised.  Backing off inside a syllable costs one step a place,
+# since a shorter syllable is followed by a word character or by `^`.  In the
+# lookahead a comment runs to the end of its line, so the gap splits into
+# pieces one way only and a failed look for `^` is linear in the gap.
 _GAP = r"(?:[ \t\r\n]|#[^\n]*)*"
+_AHEAD_GAP = r"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*"
 _NAME = r"[^\W\d_]\w*"
-_SYLLABLE = r"[^\W\d_]\w*+(?:\^-?\d++)?+"
-_RUN = rf"{_SYLLABLE}(?: {_SYLLABLE})*(?!\w|{_GAP}\^)"
+_SYLLABLE = r"[^\W\d_]\w*(?:\^-?\d+)?"
+_RUN = rf"{_SYLLABLE}(?: {_SYLLABLE})*(?!\w|{_AHEAD_GAP}\^)"
 _OTHER = r"-?\d+|[<>|,^()\[\]=*]|.|\Z"
 _PLAIN = re.compile(rf"{_GAP}({_NAME}|{_OTHER})")
 _TOKEN = re.compile(rf"{_GAP}({_RUN}|{_NAME}|{_OTHER})")
@@ -109,7 +113,7 @@ class _Parser:
     def __init__(self, alphabet: Alphabet | None = None):
         self.alphabet = alphabet
         self.spent = 0  # letters of the words finished so far
-        self.expansions = Memo(self._syllable)  # syllable text -> its letters
+        self.expansions = functools.cache(self._syllable)  # syllable text -> its letters
 
     def parse(self, text: str, rule: Callable[[], _T]) -> _T:
         """rule() over the whole of text, read with run tokens and, should
@@ -199,7 +203,7 @@ class _Parser:
         self.pos += 1
         if t not in _OPENERS:
             try:
-                syllables = list(map(self.expansions.__getitem__, t.split()))
+                syllables = list(map(self.expansions, t.split()))
             except WordError:
                 raise self.error(f"unknown generator {t!r}", i) from None
             if " " in t or "^" in t:  # a run: one check for all its letters
@@ -362,8 +366,7 @@ class Presentation:
 
     def _relator_texts(self) -> tuple[str, ...]:
         if self._texts is None:
-            syllables = syllable_texts(self.alphabet)  # shared by the relators
-            self._texts = tuple(spell(r.letters, syllables) for r in self.relators)
+            self._texts = tuple(r.text() for r in self.relators)
         return self._texts
 
     def to_text(self) -> str:

@@ -11,10 +11,11 @@ both operands resolve against equal alphabets.
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import eq, neg
 from operator import index as _as_int
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,18 +24,6 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 class WordError(ValueError):
     """Alphabet mismatch or malformed letter data."""
-
-
-class Memo(dict):
-    """A dict that makes a missing value as make(key) and keeps it."""
-
-    def __init__(self, make: Callable[[Hashable], object]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 class Alphabet:
@@ -195,37 +184,26 @@ class Word:
 
     def text(self) -> str:
         """Canonical text form: one syllable per run of equal letters, `x`
-        or `x^e` with e the run's signed length, joined by single spaces."""
-        return spell(self.letters, syllable_texts(self.alphabet))
+        or `x^e` with e the run's signed length, joined by single spaces.
+        numpy finds the runs: padded with the non-letter 0, the word changes
+        letter at the start of each run and once past its end.  Each distinct
+        (letter, run length) is spelled once."""
+        names = self.alphabet.names
+
+        @functools.cache
+        def syllable(letter: int, run: int) -> str:
+            name = names[abs(letter) - 1]
+            if letter < 0:
+                return f"{name}^{-run}"
+            return name if run == 1 else f"{name}^{run}"
+
+        ls = np.array((0, *self.letters, 0))
+        edges = np.flatnonzero(ls[1:] != ls[:-1])
+        heads = ls[edges[:-1] + 1].tolist()
+        return " ".join(map(syllable, heads, np.diff(edges).tolist()))
 
     def __repr__(self) -> str:
         return f"<word {self.text() or '1'}>"
-
-
-def syllable_texts(alphabet: Alphabet) -> Memo:
-    """The texts of syllables over alphabet, keyed by (letter, run length)
-    and made on first use; one memo serves any number of words."""
-    names = alphabet.names
-
-    def syllable(key: tuple[int, int]) -> str:
-        letter, run = key
-        name = names[abs(letter) - 1]
-        if letter < 0:
-            return f"{name}^{-run}"
-        return name if run == 1 else f"{name}^{run}"
-
-    return Memo(syllable)
-
-
-def spell(letters: tuple[int, ...], syllables: Memo) -> str:
-    """The text of Word.text for letters, its syllables spelled by a memo of
-    syllable_texts.  numpy finds the runs of equal letters: padded with the
-    non-letter 0, the word changes letter at the start of each run and once
-    past its end."""
-    ls = np.array((0, *letters, 0))
-    edges = np.flatnonzero(ls[1:] != ls[:-1])
-    heads = ls[edges[:-1] + 1].tolist()
-    return " ".join(map(syllables.__getitem__, zip(heads, np.diff(edges).tolist())))
 
 
 def commutator(u: Word, v: Word) -> Word:

@@ -1,5 +1,7 @@
 import json
+import signal
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from unittest import mock
 
@@ -23,7 +25,7 @@ from fpgroups.presentations import (
     parse_word,
     proper_power_root,
 )
-from fpgroups.words import Alphabet, Word, WordError, spell
+from fpgroups.words import Alphabet, Word, WordError
 from fpgroups.zlattice import AbelianInvariants, abelianization
 
 
@@ -140,7 +142,8 @@ def test_serialize_roundtrip():
 def test_relator_texts_are_built_once_per_presentation():
     # the file and the report of a written presentation share the texts
     p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
-    with mock.patch.object(presentations, "spell", side_effect=spell) as text:
+    real = Word.text
+    with mock.patch.object(Word, "text", autospec=True, side_effect=real) as text:
         assert p.to_text() == "< a, b | a^2, b^3, a b a b a b a b a b >"
         assert p.to_json()["relators"] == ["a^2", "b^3", "a b a b a b a b a b"]
         assert p.to_text() == "< a, b | a^2, b^3, a b a b a b a b a b >"
@@ -739,6 +742,43 @@ def test_run_tokens_and_their_errors():
     assert str(ei.value) == (
         "line 1, col 28: expansion to 2999997 letters exceeds the 2000000-letter cap"
     )
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError inside the block once seconds have passed, so a
+    lexer that backtracks without end fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("comment", [
+    "#" * 400,
+    "# " * 200,
+    "#" * 200 + " x^2 " + "#" * 200,
+    "# x^2",
+], ids=["banner", "spaced", "power-inside", "short"])
+def test_a_run_before_a_comment_lexes_in_linear_time(comment):
+    # the look past a run for `^` reads each comment one way only: a comment
+    # of k `#` must not be tried in 2^k splits, nor end before a `^` in it
+    for text in (f"< a, b | a b   {comment}\n>", f"< a, b | a b {comment}\n^2 >"):
+        with _deadline(2.0):
+            toks = presentations._TOKEN.findall(text)
+            got = _outcome(parse_presentation, text)
+        assert _without_runs(parse_presentation, text) == got
+        plain = []
+        for t in toks:
+            plain += presentations._PLAIN.findall(t)[:-1] if t else [t]
+        assert plain == presentations._PLAIN.findall(text)
+        assert ("a b" in toks) == text.endswith("\n>")  # a run only where no `^` follows
 
 
 def test_written_constructions_read_back():

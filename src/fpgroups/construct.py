@@ -403,22 +403,24 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
     relation kernel they are shortened against: the kernel is LLL-reduced,
     and each w_a's exponents are brought near the origin by Babai's nearest
     plane, then polished for letter count; all of it in integers, on the
-    integral Gram-Schmidt data of Cohen's LLL.  The budget's deadline is
-    checked after the commutators, at every pivot of that SNF, after the
-    kernel's reduction and after each generator's certificate."""
+    integral Gram-Schmidt data of Cohen's LLL.  The group is perfect exactly
+    when every unit vector lies in the relation lattice, so the same SNF
+    decides that.  The budget's deadline is checked at every pivot of that
+    SNF, after the commutators, after the kernel's reduction and after each
+    generator's certificate."""
     budget = budget or Budget.start()
-    h1 = abelianization(g, budget)
-    if not h1.is_trivial:
+    rank = len(g.alphabet)
+    units = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    solutions, kernel = lattice_solve(units, exponent_matrix(g), budget)
+    if None in solutions:
         raise ConstructionError(
-            f"universal central extension needs a perfect group; abelianization is {h1}"
+            "universal central extension needs a perfect group; "
+            f"abelianization is {abelianization(g, budget)}"
         )
 
-    rank = len(g.alphabet)
     commutators = [_commutator_relator(rank, ai, r) for ai in range(rank) for r in g.relators]
     budget.check()
 
-    units = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    solutions, kernel = lattice_solve(units, exponent_matrix(g), budget)
     # the SNF's kernel rows are a basis, not a short one: the certificates
     # are shortened against an LLL-reduced basis
     kernel = _lll(kernel)
@@ -427,7 +429,6 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
     expressions: list[Word] = []
     witnesses: list[tuple[int, ...]] = []
     for c in solutions:
-        assert c is not None, "a perfect presentation spans every unit vector"
         c = _shrink_certificate(c, kernel, weights)
         parts: list[Sequence[int]] = []
         for cj, r in zip(c, g.relators):

@@ -12,10 +12,10 @@ image has finite index, as its cokernel is Q_ab, so it is free of rank |X|
 and N/[F,N] = H2(Q) + Z^|X|: H2(Q) is the torsion of the coinvariant
 cokernel, and its free rank must be |X|, which every run checks.  The
 coinvariant rows are built lazily as sparse maps and reduced by unit-pivot
-elimination (zlattice's sparse stage); only the small residue that has no
-+-1 entry left reaches a Smith diagonal.  The live entries are capped at a
-coset table's entry count at the coset cap, max_cosets · 2·|X|, so a matrix
-too large for the budget exhausts it.
+elimination (zlattice's one cokernel function); only the small residue that
+has no +-1 entry left reaches the Smith normal form core.  The live entries
+are capped at a coset table's entry count at the coset cap,
+max_cosets · 2·|X|, so a matrix too large for the budget exhausts it.
 
 lemma_l0_check compares H2(G/N) with N/[G,N] for N normal in a finite
 superperfect G.  With M = ker(F -> G/N) and R the relators of G, N/[G,N] =
@@ -37,7 +37,7 @@ from .budget import Budget, BudgetExhausted
 from .cosets import CosetTable, SchreierRewriter, todd_coxeter
 from .presentations import Presentation, PresentationWarning
 from .words import Word
-from .zlattice import AbelianInvariants, abelianization, sparse_cokernel_invariants
+from .zlattice import AbelianInvariants, abelianization, cokernel_invariants
 
 
 class HomologyError(ValueError):
@@ -111,7 +111,7 @@ def _schur_from_table(p: Presentation, t: CosetTable, budget: Budget) -> SchurRe
     """H2 of the finite group whose regular table is t: the torsion of the
     coinvariant cokernel N/[F,N], whose free rank |X| certifies the split."""
     rw, rows = _coinvariant_rows(p, t, budget)
-    coinv = sparse_cokernel_invariants(rows, rw.rank, budget, _entry_cap(p, budget))
+    coinv = cokernel_invariants(rows, rw.rank, budget, _entry_cap(p, budget))
     if coinv.free_rank != len(p.alphabet):
         raise HomologyError(
             f"internal: coinvariant free rank {coinv.free_rank}, not {len(p.alphabet)}"
@@ -172,7 +172,7 @@ def _kernel_coinvariants(
     t = table if g_mod_n.relators == g.relators else _certified_table(g_mod_n, budget)
     rw, rows = _coinvariant_rows(g_mod_n, t, budget)
     relator_rows = (rw.exponent_sums(r.letters) for r in g.relators)
-    return t.n, sparse_cokernel_invariants(
+    return t.n, cokernel_invariants(
         chain(rows, relator_rows), rw.rank, budget, _entry_cap(g, budget)
     )
 

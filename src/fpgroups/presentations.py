@@ -242,7 +242,9 @@ class _Parser:
     def _letters_of_word(self) -> list[int]:
         if not self._starts_atom():
             raise self.error("expected a word")
+        i = self.pos
         letters = self._letters_of_term()
+        self._room(len(letters), i)  # a lone name is checked nowhere else
         while True:
             if self.toks[self.pos] == "*":
                 self.pos += 1

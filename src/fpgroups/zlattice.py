@@ -1,14 +1,16 @@
 """Exact integer lattice computations.
 
 Everything here runs on arbitrary-precision Python ints; no floating point.
-The workhorse is Smith normal form with recorded unimodular transforms
-U * A * V = S, from which abelianizations, solvability certificates and
-left kernels follow.  Large sparse relation matrices, such as the Schreier
-coinvariant rows behind H2, never become dense: sparse_cokernel_invariants
+One Smith normal form core reduces the leading block of a list of rows in
+place.  smith_normal_form hands it the bordered block [[A, I], [I, 0]],
+which it turns into [[S, U], [V, 0]] with U * A * V = S, from which
+solvability certificates and left kernels follow.  cokernel_invariants is
+the one cokernel function: abelianizations and the Schreier coinvariant rows
+behind H2 alike reach it as sparse rows, which never become dense.  It
 eliminates their +-1 pivots as Tietze moves and hands only the small dense
-residue to the diagonal-only SNF, charging live nonzeros against a cap.
-Every elimination reads the run budget's deadline: the sparse stage once per
-pivot, the SNF once per round of clearing its pivot's row and column.
+residue to the core, charging live nonzeros against a cap.  Every
+elimination reads the run budget's deadline: the sparse stage once per
+pivot, the core once per round of clearing its pivot's row and column.
 
 Convention: group presentations contribute a relation matrix with one row per
 relation and one column per generator; the group presented is the cokernel
@@ -47,15 +49,6 @@ class IntMatrix:
             if len(self.data) != rows or any(len(r) != cols for r in self.data):
                 raise LatticeError(f"shape mismatch building {rows}x{cols} matrix")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise LatticeError("cannot infer column count of an empty matrix")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
     def row_mul(self, v: Sequence[int]) -> list[int]:
         """v * self for a row vector v of length self.rows."""
         if len(v) != self.rows:
@@ -81,33 +74,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise LatticeError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -150,53 +116,37 @@ class SnfResult:
         return [self.S.data[i][i] for i in range(k)]
 
 
-def _snf_core(a: list[list[int]], m: int, n: int, track: bool, budget: Budget):
-    """In-place SNF; returns (U, V) as row lists or Nones.
+def _snf_core(a: list[list[int]], m: int, n: int, budget: Budget) -> None:
+    """Smith normal form of the leading m x n block of a, in place.
 
-    Row ops on A are mirrored on U, column ops on V.  The budget's deadline
-    is read once per round of clearing the pivot's column and row, since
-    nothing bounds the entries and one pivot can take many rounds.
+    Row operations act on whole rows < m and column operations on whole
+    columns < n, so rows and columns bordering the block record them.  The
+    budget's deadline is read once per round of clearing the pivot's column
+    and row, since nothing bounds the entries and one pivot can take many
+    rounds.
     """
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if track:
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        if track:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
-        rs, rd = a[src], a[dst]
-        for k in range(n):
-            if rs[k]:
-                rd[k] += q * rs[k]
-        if track:
-            us, ud = U[src], U[dst]
-            for k in range(m):
-                if us[k]:
-                    ud[k] += q * us[k]
+        rd = a[dst]
+        for k, x in enumerate(a[src]):
+            if x:
+                rd[k] += q * x
 
     def add_col(src, dst, q):
         for r in a:
             if r[src]:
                 r[dst] += q * r[src]
-        if track:
-            for r in V:
-                if r[src]:
-                    r[dst] += q * r[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        if track:
-            U[i] = [-x for x in U[i]]
 
     t = 0
     kmax = min(m, n)
@@ -270,41 +220,29 @@ def _snf_core(a: list[list[int]], m: int, n: int, track: bool, budget: Budget):
             negate_row(t)
         t += 1
 
-    return U, V
-
 
 def smith_normal_form(A: IntMatrix, budget: Budget | None = None) -> SnfResult:
-    """Smith normal form with its unimodular certificates U and V."""
-    a = [list(r) for r in A.data]
+    """Smith normal form with its unimodular certificates U and V, read off
+    [[S, U], [V, 0]], the reduction of the bordered block [[A, I_m], [I_n, 0]]."""
     m, n = A.rows, A.cols
-    U, V = _snf_core(a, m, n, track=True, budget=budget or Budget.start())
-    return SnfResult(S=IntMatrix(m, n, a), U=IntMatrix(m, m, U), V=IntMatrix(n, n, V))
-
-
-def smith_diagonal(A: IntMatrix, budget: Budget | None = None) -> list[int]:
-    """Just the diagonal of S (faster: no transform bookkeeping)."""
-    a = [list(r) for r in A.data]
-    _snf_core(a, A.rows, A.cols, track=False, budget=budget or Budget.start())
-    return [a[i][i] for i in range(min(A.rows, A.cols))]
-
-
-def cokernel_invariants(A: IntMatrix, budget: Budget | None = None) -> AbelianInvariants:
-    """Invariants of Z^cols / rowspace(A)."""
-    diag = smith_diagonal(A, budget)
-    nonzero = [d for d in diag if d]
-    torsion = tuple(d for d in nonzero if d >= 2)
-    return AbelianInvariants(free_rank=A.cols - len(nonzero), torsion=torsion)
+    a = [row + [int(i == j) for j in range(m)] for i, row in enumerate(A.data)]
+    a += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    _snf_core(a, m, n, budget or Budget.start())
+    return SnfResult(
+        S=IntMatrix(m, n, (row[:n] for row in a[:m])),
+        U=IntMatrix(m, m, (row[n:] for row in a[:m])),
+        V=IntMatrix(n, n, (row[:n] for row in a[m:])),
+    )
 
 
 def exponent_matrix(p: "Presentation") -> IntMatrix:
     """Relator exponent-sum matrix: one row per relator, one column per generator."""
-    return IntMatrix.from_rows(
-        [r.exponent_vector() for r in p.relators], cols=len(p.alphabet)
-    )
+    return IntMatrix(len(p.relators), len(p.alphabet), (r.exponent_vector() for r in p.relators))
 
 
 def abelianization(p: "Presentation", budget: Budget | None = None) -> AbelianInvariants:
-    return cokernel_invariants(exponent_matrix(p), budget)
+    rows = (dict(enumerate(r.exponent_vector())) for r in p.relators)
+    return cokernel_invariants(rows, len(p.alphabet), budget)
 
 
 def lattice_solve(
@@ -339,7 +277,7 @@ def lattice_solve(
     return [solve(t) for t in targets], kernel
 
 
-def sparse_cokernel_invariants(
+def cokernel_invariants(
     rows: Iterable[Mapping[int, int]],
     cols: int,
     budget: Budget | None = None,
@@ -354,10 +292,11 @@ def sparse_cokernel_invariants(
     * (column weight - 1): every row with a unit entry keeps a candidate in
     a heap, its unit entry in the lightest column, which is re-checked when
     popped and pushed back if its cost has grown.  The rows left, on the
-    columns they touch, are a dense residue for cokernel_invariants; the
-    columns no row touches are free.  No transform is carried.  The deadline
-    is read once per pivot, and the live nonzeros, then the residue's rows *
-    cols before it is built, are charged against max_entries."""
+    columns they touch, are a dense residue, whose Smith diagonal gives the
+    rest; the columns no row touches are free.  No transform is carried.
+    The deadline is read once per pivot, and the live nonzeros, then the
+    residue's rows * cols before it is built, are charged against
+    max_entries."""
     budget = budget or Budget.start()
 
     def charge(n: int) -> None:
@@ -437,8 +376,8 @@ def sparse_cokernel_invariants(
     rest = [row for row in live if row]
     used = sorted({j for row in rest for j in row})
     charge(len(rest) * len(used))
-    residue = cokernel_invariants(
-        IntMatrix(len(rest), len(used), [[row.get(j, 0) for j in used] for row in rest]), budget
-    )
-    untouched = cols - pivots - len(used)
-    return AbelianInvariants(residue.free_rank + untouched, residue.torsion)
+    residue = [[row.get(j, 0) for j in used] for row in rest]
+    _snf_core(residue, len(rest), len(used), budget)
+    diagonal = [residue[i][i] for i in range(min(len(rest), len(used)))]
+    rank = sum(1 for d in diagonal if d)
+    return AbelianInvariants(cols - pivots - rank, tuple(d for d in diagonal if d >= 2))

@@ -5,7 +5,7 @@ counts as used when some src/ module, outside the name's own definition,
 reads it by a bare name or imports it with `from ... import`; attribute
 access does not count, so the method Word.cyclic_reduce does not keep a free
 function cyclic_reduce alive.  Exempt are the names fpgroups exports, the
-CLI's decorated verb registrars and two test oracles kept on purpose.
+CLI's decorated verb registrars and one test oracle kept on purpose.
 
 Every class member -- method, property, dataclass field, or `self.X` set in
 __init__ -- must likewise be read in src/ as an attribute, outside its own
@@ -24,9 +24,8 @@ import fpgroups
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fpgroups"
 
-# determinant certifies SNF unimodularity in the tests; epi_count_product_check
-# is the route of acceptance criterion 10
-ALLOWED = {"determinant", "epi_count_product_check"}
+# epi_count_product_check is the route of acceptance criterion 10
+ALLOWED = {"epi_count_product_check"}
 
 
 def _uses(node: ast.AST, skip: str | None) -> set[str]:

@@ -509,6 +509,16 @@ def test_letter_cap_exits_exhausted(tmp_path):
     assert code == 2 and "letter cap" in rep["payload"]["error"]
 
 
+def test_letter_cap_counts_a_lone_generator(tmp_path):
+    f = tmp_path / "lone.json"
+    f.write_text(json.dumps({"generators": ["a"], "relators": ["(a^1000)^2000", "a"]}))
+    code, rep = run("parse", str(f))
+    assert code == 2 and rep["outcome"] == "EXHAUSTED"
+    assert rep["payload"]["error"] == (
+        "line 1, col 1: expansion to 2000001 letters exceeds the 2000000-letter cap"
+    )
+
+
 def test_exponent_past_the_digit_limit_is_bad_input(tmp_path):
     # int() refuses digit strings past 4,300 digits with a bare ValueError
     f = tmp_path / "digits.pres"

@@ -29,6 +29,7 @@ from fpgroups.permrep import GroupHom, check_generation, cyclic_group, fibre_pro
 from fpgroups.presentations import catalog, direct_product, parse_presentation
 from fpgroups.words import Alphabet, Word, commutator
 from fpgroups.zlattice import abelianization, exponent_matrix, lattice_solve
+from test_zlattice import determinant
 
 
 def quiet(text):
@@ -303,17 +304,18 @@ def test_uce_reads_the_deadline():
 
 
 def test_uce_runs_one_smith_normal_form(monkeypatch):
-    # the certificates and the kernel they are shortened against come from
-    # the same SNF of the exponent matrix (it ran |X| + 1 times)
+    # perfection, the certificates and the kernel they are shortened against
+    # all come from one SNF of the exponent matrix: the core runs once, on a
+    # block of one row per relator (it ran |X| + 1 times, then twice)
     gamma = rips_a5(7, True).gamma
     calls = []
-    snf = zlattice.smith_normal_form
+    core = zlattice._snf_core
 
-    def counted(*args):
-        calls.append(args[0].rows)
-        return snf(*args)
+    def counted(a, m, *rest, **kwargs):
+        calls.append(m)
+        return core(a, m, *rest, **kwargs)
 
-    monkeypatch.setattr(zlattice, "smith_normal_form", counted)
+    monkeypatch.setattr(zlattice, "_snf_core", counted)
     for g in (A5, BP2, gamma):
         calls.clear()
         uce(g)
@@ -321,8 +323,11 @@ def test_uce_runs_one_smith_normal_form(monkeypatch):
 
 
 def test_uce_rejects_non_perfect():
-    with pytest.raises(ConstructionError, match="perfect"):
+    with pytest.raises(ConstructionError) as ei:
         uce(quiet("< x | x^5 >"))
+    assert str(ei.value) == (
+        "universal central extension needs a perfect group; abelianization is Z/5"
+    )
 
 
 def test_uce_to_json():
@@ -507,7 +512,7 @@ def independent(rows):
     not 0 (the oracles divide by zero otherwise)."""
     b = [r for r in rows if any(r)]
     gram = [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b]
-    return zlattice.determinant(zlattice.IntMatrix(len(b), len(b), gram)) != 0
+    return determinant(zlattice.IntMatrix(len(b), len(b), gram)) != 0
 
 
 def real_kernels():

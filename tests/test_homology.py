@@ -28,7 +28,7 @@ from fpgroups.homology import (
 from fpgroups.permrep import close_under_products, compose, evaluate_word, identity_perm, invert
 from fpgroups.presentations import catalog, direct_product, parse_presentation
 from fpgroups.words import Word
-from fpgroups.zlattice import AbelianInvariants, IntMatrix, abelianization, cokernel_invariants
+from fpgroups.zlattice import AbelianInvariants, abelianization, cokernel_invariants
 
 
 def quiet(text):
@@ -129,8 +129,7 @@ ORDERS = {"trivial": 1, "klein": 4, "z5": 5, "q8": 8, "a5": 60}
 
 def finite_abelian(orders):
     """Invariant-factor form of the direct sum of the Z/d."""
-    n = len(orders)
-    return cokernel_invariants(IntMatrix(n, n, [[d * (i == j) for j in range(n)] for i, d in enumerate(orders)]))
+    return cokernel_invariants([{i: d} for i, d in enumerate(orders)], len(orders))
 
 
 def kunneth_h2(g, h):

@@ -11,20 +11,188 @@ from hypothesis import strategies as st
 from fpgroups import homology, zlattice
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.cosets import todd_coxeter
-from fpgroups.presentations import parse_presentation
+from fpgroups.presentations import Presentation, parse_presentation
+from fpgroups.words import Alphabet, Word
 from fpgroups.zlattice import (
     AbelianInvariants,
     IntMatrix,
     LatticeError,
     abelianization,
     cokernel_invariants,
-    determinant,
+    exponent_matrix,
     lattice_solve,
-    smith_diagonal,
     smith_normal_form,
-    sparse_cokernel_invariants,
 )
 from test_cosets import _ReferenceRewriter, _reference_coinvariant_rows
+
+
+# -- oracles: the determinant and the SNF with a track flag, as they were ------
+# in src/ before the bordered block and the one cokernel function
+
+
+def determinant(A: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if A.rows != A.cols:
+        raise LatticeError("determinant of a non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in A.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _reference_snf_core(a: list[list[int]], m: int, n: int, track: bool, budget: Budget):
+    """In-place SNF; returns (U, V) as row lists or Nones.
+
+    Row ops on A are mirrored on U, column ops on V.  The budget's deadline
+    is read once per round of clearing the pivot's column and row, since
+    nothing bounds the entries and one pivot can take many rounds.
+    """
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        if track:
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        if track:
+            for r in V:
+                r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, q):
+        # row dst += q * row src
+        rs, rd = a[src], a[dst]
+        for k in range(n):
+            if rs[k]:
+                rd[k] += q * rs[k]
+        if track:
+            us, ud = U[src], U[dst]
+            for k in range(m):
+                if us[k]:
+                    ud[k] += q * us[k]
+
+    def add_col(src, dst, q):
+        for r in a:
+            if r[src]:
+                r[dst] += q * r[src]
+        if track:
+            for r in V:
+                if r[src]:
+                    r[dst] += q * r[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        if track:
+            U[i] = [-x for x in U[i]]
+
+    t = 0
+    kmax = min(m, n)
+    while t < kmax:
+        budget.check()
+        # pivot: smallest nonzero absolute value in the trailing block
+        piv = None
+        best = None
+        for i in range(t, m):
+            row = a[i]
+            for j in range(t, n):
+                x = row[j]
+                if x:
+                    ax = abs(x)
+                    if best is None or ax < best:
+                        best, piv = ax, (i, j)
+                        if ax == 1:
+                            break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+
+        while True:
+            budget.check()
+            # clear column t
+            dirty = False
+            for i in range(t + 1, m):
+                x = a[i][t]
+                if x:
+                    q = x // a[t][t]
+                    if q:
+                        add_row(t, i, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            # clear row t
+            for j in range(t + 1, n):
+                x = a[t][j]
+                if x:
+                    q = x // a[t][t]
+                    if q:
+                        add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            break
+
+        # divisibility: pivot must divide every entry of the trailing block
+        d = a[t][t]
+        culprit = None
+        for i in range(t + 1, m):
+            row = a[i]
+            for j in range(t + 1, n):
+                if row[j] % d:
+                    culprit = i
+                    break
+            if culprit is not None:
+                break
+        if culprit is not None:
+            add_row(culprit, t, 1)
+            continue  # redo this pivot position
+
+        if d < 0:
+            negate_row(t)
+        t += 1
+
+    return U, V
+
+
+def reference_snf(A: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """S, U and V as rows, from the tracking oracle."""
+    a = [list(r) for r in A.data]
+    U, V = _reference_snf_core(a, A.rows, A.cols, track=True, budget=Budget.start())
+    return a, U, V
+
+
+def reference_cokernel(A: IntMatrix) -> AbelianInvariants:
+    """Invariants of Z^cols / rowspace(A) from the oracle's dense diagonal."""
+    a = [list(r) for r in A.data]
+    _reference_snf_core(a, A.rows, A.cols, track=False, budget=Budget.start())
+    nonzero = [a[i][i] for i in range(min(A.rows, A.cols)) if a[i][i]]
+    return AbelianInvariants(A.cols - len(nonzero), tuple(d for d in nonzero if d >= 2))
 
 
 def rand_matrix(rng, rows, cols, lo=-20, hi=20):
@@ -81,7 +249,6 @@ def test_snf_known_matrix():
     res = smith_normal_form(A)
     assert_valid_snf(A, res)
     assert res.diagonal() == [2, 2, 156]
-    assert smith_diagonal(A) == res.diagonal()
 
 
 def test_snf_rectangular_and_degenerate():
@@ -104,12 +271,64 @@ def test_snf_random_small():
         assert_valid_snf(A, smith_normal_form(A))
 
 
+@st.composite
+def matrices(draw):
+    """Matrices of up to 7 x 7, empty ones included, with entries up to 10^6
+    in size; a row may be a combination of earlier rows, so many are
+    rank-deficient."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    data = []
+    for _ in range(rows):
+        if data and draw(st.booleans()):
+            a, b = draw(st.sampled_from(data)), draw(st.sampled_from(data))
+            p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            data.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            data.append([draw(entry) for _ in range(cols)])
+    return IntMatrix(rows, cols, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example(IntMatrix(0, 0, []))
+@example(IntMatrix(0, 3, []))
+@example(IntMatrix(3, 0, [[], [], []]))
+@example(IntMatrix(2, 2, [[0, 0], [0, 0]]))
+def test_smith_normal_form_matches_the_reference(A):
+    given_rows = [list(r) for r in A.data]
+    res = smith_normal_form(A)
+    assert (res.S.data, res.U.data, res.V.data) == reference_snf(A)
+    assert A.data == given_rows
+
+
+@st.composite
+def presentations(draw):
+    """Up to 4 generators and 6 relators, each a product of up to 6
+    syllables x^e with |e| <= 30."""
+    alphabet = Alphabet([f"x{i}" for i in range(draw(st.integers(1, 4)))])
+    syllable = st.tuples(st.integers(1, len(alphabet.names)), st.integers(-30, 30))
+    relators = []
+    for word in draw(st.lists(st.lists(syllable, max_size=6), max_size=6)):
+        letters = [x if e > 0 else -x for x, e in word for _ in range(abs(e))]
+        relators.append(Word(alphabet, letters))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return Presentation(alphabet, relators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_abelianization_matches_the_reference_diagonal(p):
+    assert abelianization(p) == reference_cokernel(exponent_matrix(p))
+
+
 def test_snf_diagonal_matches_gcd_of_minors():
     # d_1 * ... * d_k equals the gcd of all k x k minors
     rng = random.Random(99)
     for _ in range(40):
         A = rand_matrix(rng, 4, 4, -9, 9)
-        d = smith_diagonal(A)
+        d = smith_normal_form(A).diagonal()
         prod = 1
         for k in range(1, 5):
             if d[k - 1] == 0:
@@ -144,13 +363,13 @@ def test_determinant():
 
 
 def test_cokernel_invariants():
-    assert cokernel_invariants(IntMatrix(1, 1, [[6]])) == AbelianInvariants(0, (6,))
-    assert cokernel_invariants(IntMatrix(1, 1, [[0]])) == AbelianInvariants(1)
-    assert cokernel_invariants(IntMatrix(1, 1, [[1]])).is_trivial
+    assert cokernel_invariants([{0: 6}], 1) == AbelianInvariants(0, (6,))
+    assert cokernel_invariants([{0: 0}], 1) == AbelianInvariants(1)
+    assert cokernel_invariants([{0: 1}], 1).is_trivial
     # Z/2 + Z/3 = Z/6 in invariant-factor form
-    assert cokernel_invariants(IntMatrix(2, 2, [[2, 0], [0, 3]])) == AbelianInvariants(0, (6,))
-    assert cokernel_invariants(IntMatrix(0, 3, [])) == AbelianInvariants(3)
-    assert cokernel_invariants(IntMatrix(2, 2, [[2, 0], [0, 4]])) == AbelianInvariants(0, (2, 4))
+    assert cokernel_invariants([{0: 2}, {1: 3}], 2) == AbelianInvariants(0, (6,))
+    assert cokernel_invariants([], 3) == AbelianInvariants(3)
+    assert cokernel_invariants([{0: 2}, {1: 4}], 2) == AbelianInvariants(0, (2, 4))
 
 
 def test_snf_reads_the_deadline_while_clearing_a_pivot():
@@ -250,7 +469,7 @@ def reference_kernel_invariants(relations, m):
     _, basis = lattice_solve([], m)
     coords, _ = lattice_solve(relations.data, IntMatrix(len(basis), m.rows, basis))
     assert None not in coords, "a relation escapes the kernel lattice"
-    return cokernel_invariants(IntMatrix(len(coords), len(basis), coords))
+    return reference_cokernel(IntMatrix(len(coords), len(basis), coords))
 
 
 @pytest.mark.parametrize("name", ["a5", "klein", "q8", "trivial", "z5", "psl27"])
@@ -309,25 +528,27 @@ def sparse_problems(draw):
 @example(([{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 2}], 3))
 def test_sparse_cokernel_matches_the_dense_snf(problem):
     rows, cols = problem
-    want = cokernel_invariants(dense(rows, cols))
-    assert sparse_cokernel_invariants(rows, cols) == want
-    assert sparse_cokernel_invariants(rows, cols, max_entries=cols * len(rows)) == want
+    want = reference_cokernel(dense(rows, cols))
+    assert cokernel_invariants(rows, cols) == want
+    assert cokernel_invariants(rows, cols, max_entries=cols * len(rows)) == want
 
 
 def test_sparse_problems_leave_free_and_torsion_residues(monkeypatch):
+    # the invariants of every residue the core reduces
     residues = []
+    core = zlattice._snf_core
 
-    def recording(A, budget=None):
-        got = cokernel_invariants(A, budget)
-        residues.append(got)
-        return got
+    def recording(a, m, n, budget):
+        core(a, m, n, budget)
+        nonzero = [a[i][i] for i in range(min(m, n)) if a[i][i]]
+        residues.append(AbelianInvariants(n - len(nonzero), tuple(d for d in nonzero if d >= 2)))
 
-    monkeypatch.setattr(zlattice, "cokernel_invariants", recording)
+    monkeypatch.setattr(zlattice, "_snf_core", recording)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(sparse_problems())
     def collect(problem):
-        sparse_cokernel_invariants(*problem)
+        cokernel_invariants(*problem)
 
     collect()
     assert any(r.free_rank for r in residues)
@@ -336,15 +557,15 @@ def test_sparse_problems_leave_free_and_torsion_residues(monkeypatch):
 
 def test_sparse_cokernel_leaves_its_input_alone():
     rows = [{0: 1, 1: 2}, {0: 2, 1: 1}]
-    assert sparse_cokernel_invariants(rows, 2) == AbelianInvariants(0, (3,))
+    assert cokernel_invariants(rows, 2) == AbelianInvariants(0, (3,))
     assert rows == [{0: 1, 1: 2}, {0: 2, 1: 1}]
 
 
 def test_sparse_cokernel_rejects_columns_out_of_range():
     with pytest.raises(LatticeError):
-        sparse_cokernel_invariants([{2: 1}], 2)
+        cokernel_invariants([{2: 1}], 2)
     with pytest.raises(LatticeError):
-        sparse_cokernel_invariants([{-1: 1}], 2)
+        cokernel_invariants([{-1: 1}], 2)
 
 
 def test_sparse_cokernel_charges_fill_in():
@@ -352,23 +573,23 @@ def test_sparse_cokernel_charges_fill_in():
     # so 31 entries become 100 after the first pivot
     n = 10
     rows = [{0: 1, **{j: 2 for j in range(1, n + 1)}}] + [{0: 2, i: 3} for i in range(1, n + 1)]
-    want = cokernel_invariants(dense(rows, n + 1))
-    assert sparse_cokernel_invariants(rows, n + 1, max_entries=100) == want
+    want = reference_cokernel(dense(rows, n + 1))
+    assert cokernel_invariants(rows, n + 1, max_entries=100) == want
     with pytest.raises(BudgetExhausted, match="entry cap"):
-        sparse_cokernel_invariants(rows, n + 1, max_entries=99)
+        cokernel_invariants(rows, n + 1, max_entries=99)
     with pytest.raises(BudgetExhausted, match="entry cap"):
-        sparse_cokernel_invariants(rows, n + 1, max_entries=30)
+        cokernel_invariants(rows, n + 1, max_entries=30)
 
 
 def test_sparse_cokernel_charges_the_dense_residue():
     # no unit entry: the 8 entries would become an 8 x 8 dense residue
     rows = [{i: 2} for i in range(8)]
-    assert sparse_cokernel_invariants(rows, 8, max_entries=64) == AbelianInvariants(0, (2,) * 8)
+    assert cokernel_invariants(rows, 8, max_entries=64) == AbelianInvariants(0, (2,) * 8)
     with pytest.raises(BudgetExhausted, match="entry cap"):
-        sparse_cokernel_invariants(rows, 8, max_entries=63)
+        cokernel_invariants(rows, 8, max_entries=63)
 
 
 def test_sparse_cokernel_reads_the_deadline():
     rows = [{i: 1, i + 1: 1} for i in range(5)]
     with pytest.raises(BudgetExhausted, match="time limit"):
-        sparse_cokernel_invariants(rows, 6, Budget.start(0))
+        cokernel_invariants(rows, 6, Budget.start(0))

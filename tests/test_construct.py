@@ -306,7 +306,7 @@ def test_uce_reads_the_deadline():
 def test_uce_runs_one_smith_normal_form(monkeypatch):
     # perfection, the certificates and the kernel they are shortened against
     # all come from one SNF of the exponent matrix: the core runs once, on a
-    # block of one row per relator (it ran |X| + 1 times, then twice)
+    # block of one row per relator
     gamma = rips_a5(7, True).gamma
     calls = []
     core = zlattice._snf_core

@@ -1,16 +1,21 @@
 """Coset enumeration and everything built on it.
 
 todd_coxeter is one HLT pass (scan-and-fill of every relator at every coset
-in definition order, under the run budget's coset cap and deadline) over
-symmetric tables on relators compiled to columns once.  Coincidences are
-processed eagerly: a dead coset's edges move to its survivor at once, so no
-live row ever holds a dead coset.  The coset cap counts cosets defined, dead
-ones included.  A completed table is read off the rows in one breadth-first
-walk from coset 1, which drops the dead cosets and standardizes the
-numbering (Sims 1994), so the output is independent of enumeration order.
-Like every engine, todd_coxeter raises BudgetExhausted when the budget runs
-out (the word problem behind this is undecidable in general), carrying the
-cosets it defined; low_index records the first unfinished index instead.
+in definition order, under the run budget's coset cap and deadline).  Its
+table has CosetTable's layout from the start: one array per column, None
+while undefined, doubled in place when the next coset id reaches its length.
+A relator is compiled once to the tuples of its forward and inverse column
+arrays, so a trace step is one index, and each trace is first walked
+plainly; only one left open is scanned from both ends and filled.
+Coincidences are processed eagerly: a dead coset's edges move to its
+survivor at once, so no live coset holds a dead one.  The coset cap counts
+cosets defined, dead ones included.  A completed table is read off the
+columns in one breadth-first walk from coset 1, which drops the dead cosets
+and standardizes the numbering (Sims 1994), so the output is independent of
+enumeration order.  Like every engine, todd_coxeter raises BudgetExhausted
+when the budget runs out (the word problem behind this is undecidable in
+general), carrying the cosets it defined; low_index records the first
+unfinished index instead.
 
 reidemeister_schreier rewrites relator conjugates on Schreier generators of
 a complete standardized table.  Its spanning tree is read off the scan order
@@ -111,9 +116,8 @@ class CosetTable:
                     raise CosetError(f"columns for generator {i} are not inverse at {c + 1}")
 
         def images(w: Word, cosets: list[int]) -> list[int]:
-            # w compiled to its column arrays once, walked from every coset
-            for colarr in [action[_col(l)] for l in w.letters]:
-                cosets = list(map(colarr.__getitem__, cosets))
+            for a in _compiled(action, w):
+                cosets = list(map(a.__getitem__, cosets))
             return cosets
 
         every = list(range(n))
@@ -131,116 +135,33 @@ class CosetTable:
         return f"<coset table on {self.n} cosets over {self.alphabet!r}>"
 
 
-def _renumbered(rows: list[list[int]], base: int, n: int) -> list[list[int]]:
-    """The action, column by column, of the n cosets that rows[c][col]
+def _compiled(action: list[list], w: Word) -> tuple[list, ...]:
+    """w as the tuple of its column arrays, so a trace step is one index:
+    the walk of w from coset c is `for a in _compiled(action, w): c = a[c]`."""
+    return tuple(action[_col(l)] for l in w.letters)
+
+
+def _renumbered(action: list[list[int]], base: int, n: int) -> list[list[int]]:
+    """The action, column by column, of the n cosets that action[col][c]
     reaches from base, renumbered in breadth-first discovery order from base
-    (columns scanned generator, inverse, generator, ...).  Rows the walk
-    never reaches are left out."""
-    newidx = [-1] * len(rows)
+    (columns scanned generator, inverse, generator, ...).  Cosets the walk
+    never reaches are left out, and so are entries past the last coset."""
+    newidx = [-1] * (len(action[0]) if action else 1)
     newidx[base] = 0
     order = [base]
     for c in order:  # grows while it is walked
-        for d in rows[c]:
+        for a in action:
+            d = a[c]
             if newidx[d] < 0:
                 newidx[d] = len(order)
                 order.append(d)
     if len(order) != n:
         raise CosetError("table is not transitive")
-    return [[newidx[rows[c][col]] for c in order] for col in range(len(rows[base]))]
+    return [list(map(newidx.__getitem__, map(a.__getitem__, order))) for a in action]
 
 
 # ---------------------------------------------------------------------------
 # HLT enumeration
-
-
-class _Enumerator:
-    """The HLT table: rows of column entries, None while undefined.  Every
-    edge is stored with its inverse, and after each coincidence no live row
-    holds a dead coset, so entries are read directly."""
-
-    def __init__(self, ncols: int, max_cosets: int):
-        self.tab: list[list[int | None]] = [[None] * ncols]
-        self.parent = [0]  # union-find over coset ids; a live coset is its own root
-        self.ncols = ncols
-        self.max_cosets = max_cosets
-
-    def find(self, c: int) -> int:
-        p = self.parent
-        while p[c] != c:
-            p[c] = p[p[c]]
-            c = p[c]
-        return c
-
-    def new_coset(self) -> int:
-        n = len(self.tab)
-        if n >= self.max_cosets:
-            raise BudgetExhausted("coset cap")
-        self.tab.append([None] * self.ncols)
-        self.parent.append(n)
-        return n
-
-    def coincide(self, a: int, b: int) -> None:
-        """Merge a and b and every pair that merge forces, keeping the smaller
-        id (Holt's COINCIDENCE): each dead row's edges move to its survivor,
-        and the back edges that pointed at the dead coset are cleared."""
-        tab, parent, find = self.tab, self.parent, self.find
-        dead: list[int] = []
-
-        def merge(x: int, y: int) -> None:
-            x, y = find(x), find(y)
-            if x != y:
-                if y < x:
-                    x, y = y, x
-                parent[y] = x
-                dead.append(y)
-
-        merge(a, b)
-        for y in dead:  # grows while it is walked
-            row = tab[y]
-            for col in range(self.ncols):
-                d = row[col]
-                if d is None:
-                    continue
-                inv = col ^ 1
-                tab[d][inv] = None
-                x, d = find(y), find(d)
-                e = tab[x][col]
-                if e is not None:
-                    merge(d, e)
-                elif (e := tab[d][inv]) is not None:
-                    merge(x, e)
-                else:
-                    tab[x][col] = d
-                    tab[d][inv] = x
-
-    def scan_and_fill(self, c: int, cols: tuple[int, ...]) -> None:
-        """Trace cols from live coset c at both ends, defining new cosets
-        until the trace closes; merge its ends if they differ."""
-        tab = self.tab
-        i, j = 0, len(cols) - 1
-        f = b = c
-        while True:
-            while i <= j and (d := tab[f][cols[i]]) is not None:
-                f = d
-                i += 1
-            if i > j:
-                break
-            while j >= i and (d := tab[b][cols[j] ^ 1]) is not None:
-                b = d
-                j -= 1
-            if j < i:
-                break
-            if i == j:  # one gap left: the trace closes by a deduction
-                tab[f][cols[i]] = b
-                tab[b][cols[i] ^ 1] = f
-                return
-            d = self.new_coset()
-            tab[f][cols[i]] = d
-            tab[d][cols[i] ^ 1] = f
-            f = d
-            i += 1
-        if f != b:
-            self.coincide(f, b)
 
 
 def todd_coxeter(
@@ -253,6 +174,9 @@ def todd_coxeter(
     Returns a complete, verified, standardized CosetTable whose size is the
     exact index.  Raises BudgetExhausted, with the cosets defined as its
     cosets_used, when the budget's coset cap or deadline is hit.
+
+    act[col][c] is coset c's image under col, or None; every edge is stored
+    with its inverse, and the columns grow in place (see the module doc).
     """
     budget = budget or Budget.start()
     if budget.max_cosets < 1:
@@ -260,38 +184,127 @@ def todd_coxeter(
     for w in subgroup:
         if w.alphabet != p.alphabet:
             raise WordError("subgroup generator over a different alphabet")
-    ncols = 2 * len(p.alphabet)
-    e = _Enumerator(ncols, budget.max_cosets)
-    tab, parent = e.tab, e.parent
-    rel_cols = [tuple(map(_col, r.letters)) for r in p.relators]
+    cap = budget.max_cosets
+    act: list[list[int | None]] = [[None] for _ in range(2 * len(p.alphabet))]
+    pairs = [(a, act[col ^ 1]) for col, a in enumerate(act)]  # (column, inverse)
+    parent = [0]  # union-find over coset ids; a live coset is its own root
+    n = 1  # cosets defined, dead ones included
+
+    def new_coset() -> int:
+        nonlocal n
+        if n >= cap:
+            raise BudgetExhausted("coset cap")
+        if n == len(act[0]):
+            for a in act:
+                a += [None] * n
+        parent.append(n)  # the id's one int object, shared with the table
+        n += 1
+        return parent[-1]
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def coincide(a: int, b: int) -> None:
+        """Merge a and b and every pair that merge forces, keeping the smaller
+        id (Holt's COINCIDENCE): each dead coset's edges move to its survivor,
+        and the back edges that pointed at the dead coset are cleared."""
+        dead: list[int] = []
+
+        def merge(x: int, y: int) -> None:
+            x, y = find(x), find(y)
+            if x != y:
+                if y < x:
+                    x, y = y, x
+                parent[y] = x
+                dead.append(y)
+
+        merge(a, b)
+        for y in dead:  # grows while it is walked
+            for fwd, inv in pairs:
+                d = fwd[y]
+                if d is None:
+                    continue
+                inv[d] = None
+                x, d = find(y), find(d)
+                e = fwd[x]
+                if e is not None:
+                    merge(d, e)
+                elif (e := inv[d]) is not None:
+                    merge(x, e)
+                else:
+                    fwd[x] = d
+                    inv[d] = x
+
+    def scan_and_fill(c: int, fw: tuple[list, ...], bw: tuple[list, ...]) -> None:
+        """Trace fw from live coset c at both ends, defining new cosets
+        until the trace closes; merge its ends if they differ."""
+        i, j = 0, len(fw) - 1
+        f = b = c
+        while True:
+            while i <= j and (d := fw[i][f]) is not None:
+                f = d
+                i += 1
+            if i > j:
+                break
+            while j >= i and (d := bw[j][b]) is not None:
+                b = d
+                j -= 1
+            if j < i:
+                break
+            if i == j:  # one gap left: the trace closes by a deduction
+                fw[i][f] = b
+                bw[i][b] = f
+                return
+            d = new_coset()
+            fw[i][f] = d
+            bw[i][d] = f
+            f = d
+            i += 1
+        if f != b:
+            coincide(f, b)
+
+    def compiled(w: Word) -> tuple[tuple[list, ...], tuple[list, ...]]:
+        # bw[i] is the inverse of fw[i], for a trace's backward end
+        return _compiled(act, w), _compiled(act, w.inverse())[::-1]
+
+    rels = [compiled(r) for r in p.relators]
     try:
         for w in subgroup:
-            e.scan_and_fill(0, tuple(map(_col, w.reduce().letters)))
+            scan_and_fill(0, *compiled(w.reduce()))
         # One pass: a relator closed at a processed coset stays closed, and a
         # merge keeps the smaller id, which the pointer has already passed.
         c = 0
-        while c < len(tab):
+        while c < n:
             if c % 64 == 0:
                 budget.check()
-            for cols in rel_cols:
+            for fw, bw in rels:
                 if parent[c] != c:
                     break  # this coset died; move on
-                e.scan_and_fill(c, cols)
+                # most traces close already: walk them plainly first
+                f = c
+                for a in fw:
+                    if (f := a[f]) is None:
+                        scan_and_fill(c, fw, bw)
+                        break
+                else:
+                    if f != c:
+                        coincide(f, c)
             if parent[c] == c:
-                row = tab[c]
-                for col in range(ncols):
-                    if row[col] is None:
-                        d = e.new_coset()
-                        row[col] = d
-                        tab[d][col ^ 1] = c
+                for fwd, inv in pairs:
+                    if fwd[c] is None:
+                        d = new_coset()
+                        fwd[c] = d
+                        inv[d] = c
             c += 1
     except BudgetExhausted as ex:
-        raise BudgetExhausted(ex.what, len(tab)) from None
+        raise BudgetExhausted(ex.what, n) from None
 
-    # no live row holds a dead coset: the walk from coset 1 reaches the live ones
-    live = sum(parent[c] == c for c in range(len(tab)))
-    action = _renumbered(tab, 0, live)
-    table = CosetTable(p.alphabet, action, tuple(w.reduce() for w in subgroup))
+    # no live coset holds a dead one: the walk from coset 1 reaches the live ones
+    live = sum(parent[c] == c for c in range(n))
+    table = CosetTable(p.alphabet, _renumbered(act, 0, live), tuple(w.reduce() for w in subgroup))
     table.verify(p)
     return table
 
@@ -370,7 +383,7 @@ class SchreierRewriter:
             if s:
                 out.append(s)
             c = action[col][c]
-        return Word(self.sub_alphabet, out).reduce()
+        return Word._trusted(self.sub_alphabet, tuple(out)).reduce()
 
     def exponent_sums(self, letters: Sequence[int], start: int = 0) -> dict[int, int]:
         """The nonzero exponent sums of the rewrite of the ambient word with
@@ -769,29 +782,15 @@ def fingerprint_compare(
     f1 = low_index(p1, bound, budget)
     f2 = low_index(p2, bound, budget)
     rows = []
-    first = None
-    all_known = True
     for k in range(1, bound + 1):
-        a = f1.totals.get(k)
-        b = f2.totals.get(k)
-        eq = (a == b) if (a is not None and b is not None) else None
-        if eq is None:
-            all_known = False
-        elif not eq and first is None:
-            first = k
-        rows.append((k, a, b, eq))
-    complete = f1.complete and f2.complete
-    equal: bool | None
-    if first is not None:
-        equal = False
-    elif all_known:
-        equal = True
-    else:
-        equal = None
+        a, b = f1.totals.get(k), f2.totals.get(k)
+        rows.append((k, a, b, None if a is None or b is None else a == b))
+    first = next((k for k, _, _, eq in rows if eq is False), None)
+    equal = False if first is not None else None if any(r[3] is None for r in rows) else True
     return FingerprintComparison(
         bound=bound,
         equal=equal,
         per_index=tuple(rows),
         first_discrepancy=first,
-        complete=complete,
+        complete=f1.complete and f2.complete,
     )

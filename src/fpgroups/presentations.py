@@ -260,7 +260,7 @@ class _Parser:
     def word(self) -> Word:
         letters = self._letters_of_word()
         self.spent += len(letters)
-        return Word(self.alphabet, letters)
+        return Word._trusted(self.alphabet, tuple(letters))
 
     # -- presentations -----------------------------------------------------
 

@@ -102,6 +102,17 @@ class Word:
         self._reduced = _reduced
 
     @classmethod
+    def _trusted(
+        cls, alphabet: Alphabet, letters: tuple[int, ...], reduced: bool = False
+    ) -> "Word":
+        """A word on letters the program made over this alphabet: a tuple of
+        ints, nonzero and within range, taken as it is.  Words from outside
+        go through Word(alphabet, letters), which checks every letter."""
+        w = object.__new__(cls)
+        w.alphabet, w.letters, w._reduced = alphabet, letters, reduced
+        return w
+
+    @classmethod
     def identity(cls, alphabet: Alphabet) -> "Word":
         return cls(alphabet, (), _reduced=True)
 
@@ -125,14 +136,11 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         _check_same(self.alphabet, other.alphabet)
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._trusted(self.alphabet, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(
-            self.alphabet,
-            tuple(-l for l in reversed(self.letters)),
-            _reduced=self._reduced,
-        )
+        letters = tuple(map(neg, reversed(self.letters)))
+        return Word._trusted(self.alphabet, letters, self._reduced)
 
     __invert__ = inverse
 
@@ -140,7 +148,7 @@ class Word:
         if n == 0:
             return Word.identity(self.alphabet)
         base = self if n > 0 else self.inverse()
-        return Word(self.alphabet, base.letters * abs(n))
+        return Word._trusted(self.alphabet, base.letters * abs(n))
 
     @property
     def is_reduced(self) -> bool:
@@ -160,7 +168,7 @@ class Word:
                 out.pop()
             else:
                 out.append(l)
-        return Word(self.alphabet, out, _reduced=True)
+        return Word._trusted(self.alphabet, tuple(out), True)
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1
@@ -171,8 +179,8 @@ class Word:
         while j - i >= 2 and ls[i] == -ls[j - 1]:
             i += 1
             j -= 1
-        core = Word(self.alphabet, ls[i:j], _reduced=True)
-        conj = Word(self.alphabet, ls[:i], _reduced=True)
+        core = Word._trusted(self.alphabet, ls[i:j], True)
+        conj = Word._trusted(self.alphabet, ls[:i], True)
         return core, conj
 
     def exponent_vector(self) -> list[int]:

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import factorial, gcd
@@ -57,13 +58,25 @@ F2 = parse_presentation("< a, b | >")
 _AB = Alphabet(["a", "b"])
 
 
-def _rows(t):
-    """t's action row by row: row c lists the images of coset c."""
-    return [list(row) for row in zip(*t.action)]
+def _renumbered_rows(rows: list[list[int]], base: int, n: int) -> list[list[int]]:
+    """_renumbered on a row-per-coset table, as it stood before HLT moved to
+    column arrays: the oracle of _renumbered, and the renumbering of the
+    row-based oracles below."""
+    newidx = [-1] * len(rows)
+    newidx[base] = 0
+    order = [base]
+    for c in order:  # grows while it is walked
+        for d in rows[c]:
+            if newidx[d] < 0:
+                newidx[d] = len(order)
+                order.append(d)
+    if len(order) != n:
+        raise CosetError("table is not transitive")
+    return [[newidx[rows[c][col]] for c in order] for col in range(len(rows[base]))]
 
 
 def _is_standardized(t):
-    return _renumbered(_rows(t), 0, t.n) == t.action
+    return _renumbered(t.action, 0, t.n) == t.action
 
 
 def _trace(t, c, w):
@@ -182,7 +195,7 @@ def test_verify_walks_every_relator_from_every_coset():
         swap.verify(parse_presentation("< a | a^2, a^3 >"))
     # coset 1 reaches no other coset, so the walk renumbers no table
     with pytest.raises(CosetError, match="not transitive"):
-        _renumbered(_rows(swap), 0, 3)
+        _renumbered(swap.action, 0, 3)
 
 
 def test_standardize_idempotent():
@@ -199,6 +212,41 @@ def test_tc_cap_counts_cosets_defined():
         )
     assert r.value.what == "coset cap"
     assert r.value.cosets_used == 2000
+
+
+_A5XPSL27 = parse_presentation(
+    "< a, b, c, d | a^2, b^3, (a b)^5, c^2, d^3, (c d)^7, (c d c d^-1)^4, "
+    "[a, c], [a, d], [b, c], [b, d] >"
+)
+
+
+@pytest.mark.parametrize(
+    "p, cap, index",
+    [(_A5XPSL27, 32_725, 60 * 168), (uce(A5).tilde, 15_230, 120)],
+    ids=["a5xpsl27", "uce_a5"],
+)
+def test_tc_defines_its_cosets_in_a_fixed_order(p, cap, index):
+    # the enumeration closes having defined exactly cap cosets, so one fewer
+    # runs out at the last definition
+    assert todd_coxeter(p, budget=Budget.start(max_cosets=cap)).n == index
+    with pytest.raises(BudgetExhausted) as r:
+        todd_coxeter(p, budget=Budget.start(max_cosets=cap - 1))
+    assert (r.value.what, r.value.cosets_used) == ("coset cap", cap - 1)
+
+
+def test_tc_table_memory_is_linear_in_the_cosets():
+    # 20,000 cosets on four columns: one id object per coset and one
+    # pointer per slot, columns doubled as they fill
+    p = parse_presentation("< a, b | a^2, b^3, (a b)^7 >")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted) as r:
+            todd_coxeter(p, budget=Budget.start(max_cosets=20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.value.cosets_used == 20_000
+    assert peak < 2.3e6
 
 
 # -- HLT oracle ---------------------------------------------------------------
@@ -335,7 +383,7 @@ def _reference_todd_coxeter(p, subgroup=(), max_cosets=100_000):
     live = [c for c in range(len(e.tab)) if e.find(c) == c]
     idx = {c: i for i, c in enumerate(live)}
     rows = [[idx[e.get(c, col)] for col in range(ncols)] for c in live]
-    return _renumbered(rows, 0, len(rows))
+    return _renumbered_rows(rows, 0, len(rows))
 
 
 def _assert_matches_reference_tc(p, subgroup=(), max_cosets=100_000):
@@ -712,7 +760,7 @@ def _class_key(rows: list[list[int]]) -> tuple:
     """Least serialization over all basepoints of the complete table whose
     row c lists the images of coset c."""
     k = len(rows)
-    return min(tuple(map(tuple, _renumbered(rows, b, k))) for b in range(k))
+    return min(tuple(map(tuple, _renumbered_rows(rows, b, k))) for b in range(k))
 
 
 def _unpruned_count_index(
@@ -1012,13 +1060,13 @@ def test_canonicity_reads_the_normalizer_index(text, perms, answer, s):
     p = parse_presentation(text)
     rows = _permutation_rows(perms)
     k, ncols = len(rows), 2 * len(perms)
-    CosetTable(p.alphabet, _renumbered(rows, 0, k)).verify(p)
+    CosetTable(p.alphabet, _renumbered_rows(rows, 0, k)).verify(p)
     f = low_index(p, k)
     assert (f.totals[k], f.classes[k]) == answer
     # the table rebased at every coset, flat and row-major, offsets for cosets
     rebased = []
     for b in range(k):
-        cols = _renumbered(rows, b, k)
+        cols = _renumbered_rows(rows, b, k)
         rebased.append([cols[col][c] * ncols for c in range(k) for col in range(ncols)])
     least = min(rebased)
     newidx, order = [-1] * (k * ncols), [0] * (k * ncols)
@@ -1027,6 +1075,23 @@ def test_canonicity_reads_the_normalizer_index(text, perms, answer, s):
         assert got == (s if tab == least else 0)
         assert newidx == [-1] * (k * ncols)  # each basepoint resets what it set
     assert sum(t == least for t in rebased) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 3), st.randoms(use_true_random=False), st.integers(0, 9))
+def test_renumbered_matches_the_row_form(k, g, rng, pad):
+    # random permutations, transitive or not, and columns longer than the
+    # table, padded with None as the HLT table's doubled columns are
+    rows = _permutation_rows([rng.sample(range(k), k) for _ in range(g)])
+    cols = [list(col) + [None] * pad for col in zip(*rows)]
+    for b in range(k):
+        try:
+            want = _renumbered_rows(rows, b, k)
+        except CosetError:
+            with pytest.raises(CosetError, match="not transitive"):
+                _renumbered(cols, b, k)
+        else:
+            assert _renumbered(cols, b, k) == want
 
 
 def test_canonicity_decides_nothing_past_an_undefined_slot():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpgroups.presentations import Presentation, PresentationWarning, parse_presentation
+from fpgroups.cosets import SchreierRewriter, todd_coxeter
+from fpgroups.presentations import (
+    Presentation,
+    PresentationWarning,
+    parse_presentation,
+    parse_word,
+)
 from fpgroups.words import (
     Alphabet,
     Word,
@@ -181,6 +187,48 @@ def test_reduce_matches_the_stack_pass(letters):
     r = w.reduce()
     assert r.letters == reduced and r.is_reduced
     assert (r is w) == (reduced == tuple(letters))
+
+
+def _assert_as_validated(w: Word) -> None:
+    """w, made on the trusted path, equals what the checking constructor
+    makes of its letters, and is reduced exactly when that word is."""
+    v = Word(w.alphabet, w.letters)
+    assert type(w.letters) is tuple and all(type(l) is int for l in w.letters)
+    assert w == v and w.is_reduced == v.is_reduced
+
+
+_S4 = parse_presentation("< a, b, c | a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^2 >")
+_S4_REWRITER = SchreierRewriter(_S4, todd_coxeter(_S4, (_S4.word("a"),)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30),
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30),
+    st.integers(-3, 3),
+    st.integers(0, 11),
+)
+@example([1, -1, 2], [], -2, 0)
+def test_trusted_words_equal_their_validated_construction(u_letters, v_letters, n, start):
+    ab = _S4.alphabet
+    u, v = Word(ab, u_letters), Word(ab, v_letters)
+    inverse = [-l for l in reversed(u_letters)]
+    red = u.reduce()
+    made = [
+        (u.inverse(), Word(ab, inverse)),
+        (red.inverse(), Word(ab, _reference_reduce(inverse))),
+        (u * v, Word(ab, u_letters + v_letters)),
+        (u**n, Word(ab, (u_letters if n > 0 else inverse) * abs(n))),
+        (red, Word(ab, _reference_reduce(u_letters))),
+    ]
+    if u:
+        made.append((parse_word(u.text(), ab), u))
+    core, conj = u.cyclic_reduce()
+    made += [(core, core), (conj, conj), ((conj * core * ~conj).reduce(), red)]
+    for got, want in made:
+        _assert_as_validated(got)
+        assert got == want
+    _assert_as_validated(_S4_REWRITER.rewrite(u, start))
 
 
 def test_commutator():

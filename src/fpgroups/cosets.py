@@ -1,21 +1,19 @@
 """Coset enumeration and everything built on it.
 
 todd_coxeter is one HLT pass (scan-and-fill of every relator at every coset
-in definition order, under the run budget's coset cap and deadline).  Its
-table has CosetTable's layout from the start: one array per column, None
-while undefined, doubled in place when the next coset id reaches its length.
-A relator is compiled once to the tuples of its forward and inverse column
-arrays, so a trace step is one index, and each trace is first walked
-plainly; only one left open is scanned from both ends and filled.
-Coincidences are processed eagerly: a dead coset's edges move to its
-survivor at once, so no live coset holds a dead one.  The coset cap counts
-cosets defined, dead ones included.  A completed table is read off the
-columns in one breadth-first walk from coset 1, which drops the dead cosets
-and standardizes the numbering (Sims 1994), so the output is independent of
-enumeration order.  Like every engine, todd_coxeter raises BudgetExhausted
-when the budget runs out (the word problem behind this is undecidable in
-general), carrying the cosets it defined; low_index records the first
-unfinished index instead.
+in definition order, under the run budget's coset cap and deadline) on
+CosetTable's column arrays, None while undefined and doubled in place as
+cosets are defined.  A relator is compiled once to its column arrays, so a
+trace step is one index; a trace is walked plainly first, and only one left
+open is scanned from both ends and filled.  Coincidences are processed
+eagerly: a dead coset's edges move to its survivor at once, so no live
+coset holds a dead one.  The coset cap counts cosets defined, dead ones
+included.  A completed table is read off the columns in one breadth-first
+walk from coset 1, which drops the dead cosets and standardizes the
+numbering (Sims 1994), so the output is independent of enumeration order.
+Like every engine, todd_coxeter raises BudgetExhausted when the budget runs
+out (the word problem behind this is undecidable in general), carrying the
+cosets it defined; low_index records the first unfinished index instead.
 
 reidemeister_schreier rewrites relator conjugates on Schreier generators of
 a complete standardized table.  Its spanning tree is read off the scan order
@@ -174,9 +172,6 @@ def todd_coxeter(
     Returns a complete, verified, standardized CosetTable whose size is the
     exact index.  Raises BudgetExhausted, with the cosets defined as its
     cosets_used, when the budget's coset cap or deadline is hit.
-
-    act[col][c] is coset c's image under col, or None; every edge is stored
-    with its inverse, and the columns grow in place (see the module doc).
     """
     budget = budget or Budget.start()
     if budget.max_cosets < 1:
@@ -184,22 +179,19 @@ def todd_coxeter(
     for w in subgroup:
         if w.alphabet != p.alphabet:
             raise WordError("subgroup generator over a different alphabet")
-    cap = budget.max_cosets
     act: list[list[int | None]] = [[None] for _ in range(2 * len(p.alphabet))]
     pairs = [(a, act[col ^ 1]) for col, a in enumerate(act)]  # (column, inverse)
-    parent = [0]  # union-find over coset ids; a live coset is its own root
-    n = 1  # cosets defined, dead ones included
+    parent = [0]  # union-find over the cosets defined; a live coset is its own root
 
     def new_coset() -> int:
-        nonlocal n
-        if n >= cap:
+        d = len(parent)
+        if d >= budget.max_cosets:
             raise BudgetExhausted("coset cap")
-        if n == len(act[0]):
+        if d == len(act[0]):
             for a in act:
-                a += [None] * n
-        parent.append(n)  # the id's one int object, shared with the table
-        n += 1
-        return parent[-1]
+                a += [None] * d
+        parent.append(d)
+        return d
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -208,9 +200,8 @@ def todd_coxeter(
         return c
 
     def coincide(a: int, b: int) -> None:
-        """Merge a and b and every pair that merge forces, keeping the smaller
-        id (Holt's COINCIDENCE): each dead coset's edges move to its survivor,
-        and the back edges that pointed at the dead coset are cleared."""
+        """Merge a and b and every pair that forces, keeping the smaller id
+        (Holt's COINCIDENCE): a dead coset's edges move to its survivor."""
         dead: list[int] = []
 
         def merge(x: int, y: int) -> None:
@@ -239,8 +230,8 @@ def todd_coxeter(
                     inv[d] = x
 
     def scan_and_fill(c: int, fw: tuple[list, ...], bw: tuple[list, ...]) -> None:
-        """Trace fw from live coset c at both ends, defining new cosets
-        until the trace closes; merge its ends if they differ."""
+        """Trace fw from live coset c at both ends (bw[i] inverts fw[i]),
+        defining new cosets until the trace closes; merge ends that differ."""
         i, j = 0, len(fw) - 1
         f = b = c
         while True:
@@ -266,18 +257,14 @@ def todd_coxeter(
         if f != b:
             coincide(f, b)
 
-    def compiled(w: Word) -> tuple[tuple[list, ...], tuple[list, ...]]:
-        # bw[i] is the inverse of fw[i], for a trace's backward end
-        return _compiled(act, w), _compiled(act, w.inverse())[::-1]
-
-    rels = [compiled(r) for r in p.relators]
+    rels = [(_compiled(act, r), _compiled(act, r.inverse())[::-1]) for r in p.relators]
     try:
-        for w in subgroup:
-            scan_and_fill(0, *compiled(w.reduce()))
+        for w in map(Word.reduce, subgroup):
+            scan_and_fill(0, _compiled(act, w), _compiled(act, w.inverse())[::-1])
         # One pass: a relator closed at a processed coset stays closed, and a
         # merge keeps the smaller id, which the pointer has already passed.
         c = 0
-        while c < n:
+        while c < len(parent):
             if c % 64 == 0:
                 budget.check()
             for fw, bw in rels:
@@ -300,10 +287,10 @@ def todd_coxeter(
                         inv[d] = c
             c += 1
     except BudgetExhausted as ex:
-        raise BudgetExhausted(ex.what, n) from None
+        raise BudgetExhausted(ex.what, len(parent)) from None
 
     # no live coset holds a dead one: the walk from coset 1 reaches the live ones
-    live = sum(parent[c] == c for c in range(n))
+    live = sum(c == d for c, d in enumerate(parent))
     table = CosetTable(p.alphabet, _renumbered(act, 0, live), tuple(w.reduce() for w in subgroup))
     table.verify(p)
     return table
@@ -782,15 +769,29 @@ def fingerprint_compare(
     f1 = low_index(p1, bound, budget)
     f2 = low_index(p2, bound, budget)
     rows = []
+    first = None
+    all_known = True
     for k in range(1, bound + 1):
-        a, b = f1.totals.get(k), f2.totals.get(k)
-        rows.append((k, a, b, None if a is None or b is None else a == b))
-    first = next((k for k, _, _, eq in rows if eq is False), None)
-    equal = False if first is not None else None if any(r[3] is None for r in rows) else True
+        a = f1.totals.get(k)
+        b = f2.totals.get(k)
+        eq = (a == b) if (a is not None and b is not None) else None
+        if eq is None:
+            all_known = False
+        elif not eq and first is None:
+            first = k
+        rows.append((k, a, b, eq))
+    complete = f1.complete and f2.complete
+    equal: bool | None
+    if first is not None:
+        equal = False
+    elif all_known:
+        equal = True
+    else:
+        equal = None
     return FingerprintComparison(
         bound=bound,
         equal=equal,
         per_index=tuple(rows),
         first_discrepancy=first,
-        complete=f1.complete and f2.complete,
+        complete=complete,
     )

@@ -201,7 +201,7 @@ def rips(
             return tuple(l + nx if l > 0 else l - nx for l in out)
 
         gamma = Presentation(
-            ab, [Word(ab, h + filler(k), _reduced=True) for k, h in enumerate(heads)]
+            ab, [Word._trusted(ab, h + filler(k), True) for k, h in enumerate(heads)]
         )
         report = check_metric(gamma, m, budget)
         if report.verdict:
@@ -274,7 +274,7 @@ def _commutator_relator(rank: int, ai: int, r: Word) -> Word:
     for u in chain([r.letters], conjugates):
         w = _reduced_product([(a,), u, (-a,), _inverse(u)])
         if w:
-            return Word(r.alphabet, w, _reduced=True)
+            return Word._trusted(r.alphabet, tuple(w), True)
     return r
 
 
@@ -434,7 +434,7 @@ def uce(g: Presentation, budget: Budget | None = None) -> UceResult:
         for cj, r in zip(c, g.relators):
             parts += [r.letters if cj > 0 else _inverse(r.letters)] * abs(cj)
         # ab(w) = ab(a) != 0, so w cannot freely reduce away
-        expressions.append(Word(g.alphabet, _reduced_product(parts), _reduced=True))
+        expressions.append(Word._trusted(g.alphabet, tuple(_reduced_product(parts)), True))
         witnesses.append(tuple(c))
         budget.check()
 
@@ -586,7 +586,7 @@ def pipeline(q: Presentation, m: int, *, budget: Budget | None = None) -> Pipeli
     p_gens += [(w, one) for w in rr.normal_gens]
     # X occupies the leading indices of gamma's alphabet, so the letters of a
     # q-relator are valid as-is
-    p_gens += [(Word(galph, r.letters, _reduced=True), one) for r in q.relators]
+    p_gens += [(Word._trusted(galph, r.letters, True), one) for r in q.relators]
 
     # direct_product keeps every relator of both factors and adds one
     # commutator per pair of generators

@@ -24,7 +24,10 @@ label and one action lookup per letter.
 low_index enumerates coset tables directly by Sims' search:
 first-undefined-slot branching on one flat table with an undo log, closed
 after each branch by deductions through the edges just defined, against
-relator rotations compiled once per presentation.
+relator rotations compiled once per presentation.  One search serves every
+index up to the bound, level by level: level n holds the tables on n
+cosets, each new coset's branch is kept as a root of level n + 1, and the
+counts of index n are final, even under a later deadline, once level n ends.
 
 The search branches only on the columns of a generating set.  A generator g
 is defined by a relator r when g occurs in r exactly once (as g or g^-1), r
@@ -50,12 +53,12 @@ its normalizer.
 
 Power relators prune the search by cycle type (Sims 1994, ch. 5): when
 relators whose cyclic core is x^±n exist, with n's gcd g, every x-cycle of a
-complete table on k cosets has a length dividing g and at most k, so at most
-D, the largest divisor of g that is at most k.  An edge that puts more than
-D cosets on an open x-path, or closes an x-cycle whose length does not
-divide g, has no complete table below it and is refused when it is defined.
-The search never starts an index above the budget's coset cap, since a table
-of index k has k cosets.
+complete table on at most k cosets, k the largest index searched, has a
+length dividing g and at most k, so at most D, the largest divisor of g that
+is at most k.  An edge that puts more than D cosets on an open x-path, or
+closes an x-cycle whose length does not divide g, has no complete table
+below it and is refused when it is defined.  The search stops at the
+budget's coset cap, since a table of index k has k cosets.
 
 Cosets are numbered 1..n in messages; internal arrays are 0-based.
 """
@@ -65,7 +68,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted
 from .presentations import Presentation, proper_power_root
@@ -416,8 +419,10 @@ def reidemeister_schreier(
 @dataclass(frozen=True)
 class Fingerprint:
     """Subgroup counts by index: totals and conjugacy classes, per index
-    1..bound.  Indices from exhausted_at onward (if set) were not finished
-    within budget and are absent from the maps."""
+    1..bound, from one search that finishes each index before the next.
+    exhausted_at (if set) is the index a deadline cut short or the first
+    above the coset cap; it and those after it are absent from the maps, and
+    the indices before it are exact."""
 
     bound: int
     totals: dict[int, int]
@@ -567,57 +572,61 @@ def _canonicity(
     return s
 
 
-def _count_index(
-    rots: list[tuple], orders: list[int], branched: list[bool], k: int, budget: Budget
-) -> tuple[int, int]:
-    """(total subgroups, conjugacy classes) of index exactly k, for the
-    relator rotations `_rotations` compiled, the power orders `_power_orders`
-    read and the columns `_branched_columns` marks.
+def _count_indices(
+    rots: list[tuple], orders: list[int], branched: list[bool], top: int, budget: Budget
+) -> Iterator[tuple[int, int]]:
+    """(total subgroups, conjugacy classes) of index n for n = 1..top, each
+    yielded when level n ends, for the relator rotations `_rotations`
+    compiled, the power orders `_power_orders` read and the columns
+    `_branched_columns` marks.
 
     Sims' search: branch on the first undefined branched slot in row-major
     order, trying each coset whose inverse slot is free in increasing order
     and then a new coset, so each table standardized over the branched
     columns appears at most once; the branched generators generate the group,
-    so every subgroup of index k has one such table, and its branched columns
-    fix the subgroup.  The table is one flat list of k rows with an undo log;
-    after each branch, a deduction queue scans only the relator rotations
-    through each newly defined edge, fills single gaps and prunes on a trace
-    that closes off its start or a clash.  The last edge defined on any trace
+    so every subgroup of index n has one such table, and its branched columns
+    fix the subgroup.  The table is one flat list with an undo log; after
+    each branch, a deduction queue scans only the relator rotations through
+    each newly defined edge, fills single gaps and prunes on a trace that
+    closes off its start or a clash.  The last edge defined on any trace
     triggers its scan, so a complete table has every relator closing at every
     coset.  The same holds for the trace of a defining relator, whose one gap
     is its defined generator: once every branched slot is set, so is every
     slot, and a table with a slot still undefined raises
     CosetError("internal: ...").
 
+    Level n holds the nodes on exactly n cosets; a complete table on n
+    cosets counts towards index n.  A new-coset branch that survives its
+    deduction and canonicity test is kept as a root of level n + 1 (table,
+    next slot, basepoint count), not recursed into, so the nodes are those
+    of a search to index top.
+
     Every edge popped from the queue, branch or forced, of a generator x
     whose power order g is nonzero also has its x-path walked (_cycle_fits):
-    a complete table on at most k cosets has only x-cycles of lengths that
+    a complete table on at most top cosets has only x-cycles of lengths that
     divide g, so none longer than D, the largest divisor of g that is at
-    most k.  A node with a longer open x-path, or a closed x-cycle of a
+    most top.  A node with a longer open x-path, or a closed x-cycle of a
     length not dividing g, has no complete table below it and is dropped.
 
-    The rebasings of a complete table at its k cosets are the tables of the
+    The rebasings of a complete table at its n cosets are the tables of the
     subgroup's conjugates, and the search keeps only the least of them, the
     class's representative: after each deduction, a node with a smaller
     rebasing over the slots defined so far (_canonicity) is dropped.  So each
     complete table reached is one class; its s basepoints with an equal
     rebasing are the index of the subgroup in its normalizer, and the class
-    holds k // s subgroups.  Raises BudgetExhausted("coset cap") when k
-    exceeds the budget's cap.
+    holds n // s subgroups.
     """
-    if k > budget.max_cosets:
-        raise BudgetExhausted("coset cap")
     ncols = len(rots)
     bcols = [col for col in range(ncols) if branched[col]]
     # lims[col] is D for the generator of col, 0 when it has no power relator
-    lims = [max(d for d in range(1, min(n, k) + 1) if n % d == 0) if n else 0 for n in orders]
+    lims = [max((d for d in range(1, min(n, top) + 1) if n % d == 0), default=0) for n in orders]
     # A coset is held as its row offset c·ncols, so a trace step is one
     # index: tab[c·ncols + col] is the offset of c's image under col, or -1
-    # while undefined.
-    tab = [-1] * (k * ncols)
-    newidx = [-1] * (k * ncols)  # _canonicity's scratch arrays
-    order = [0] * (k * ncols)
+    # while undefined.  tab and _canonicity's scratch arrays newidx and order
+    # grow by a row per level, so they hold the level's cosets and a new one.
+    tab, newidx, order = ([-1] * ncols for _ in range(3))
     log: list[int] = []  # slots defined along the current branch, in order
+    roots = [(tab[:], 0, 1)]  # level 1: one coset, nothing defined
     total = classes = 0
 
     def deduce(c: int, col: int) -> bool:
@@ -665,8 +674,8 @@ def _count_index(
         return True
 
     def rec(n: int, slot: int, s: int) -> None:
-        """Search below a node on n cosets whose table has s basepoints with
-        an equal rebasing (meaningful once the table is complete)."""
+        """Search level n below a node whose table has s basepoints with an
+        equal rebasing (meaningful once the table is complete)."""
         nonlocal total, classes
         budget.check()
         end = n * ncols
@@ -675,17 +684,16 @@ def _count_index(
             while not branched[slot % ncols]:
                 slot = tab.index(-1, slot + 1, end)
         except ValueError:  # no undefined branched slot: a complete table on n cosets
-            if n == k:
-                if -1 in tab:
-                    raise CosetError("internal: deduction left a defined generator's slot open")
-                classes += 1
-                total += k // s
+            if -1 in tab[:end]:
+                raise CosetError("internal: deduction left a defined generator's slot open")
+            classes += 1
+            total += n // s
             return
         col = slot % ncols
         c = slot - col
         inv = col ^ 1
         targets = [d for d in range(0, end, ncols) if tab[d + inv] < 0]
-        if n < k:
+        if n < top:
             targets.append(end)
         for d in targets:
             mark = len(log)
@@ -694,28 +702,39 @@ def _count_index(
             log.append(slot)
             log.append(d + inv)
             if deduce(c, col):
-                m = n + (d == end)
-                if eq := _canonicity(tab, m * ncols, ncols, bcols, newidx, order):
-                    rec(m, slot + 1, eq)
+                if d < end:
+                    if eq := _canonicity(tab, end, ncols, bcols, newidx, order):
+                        rec(n, slot + 1, eq)
+                elif eq := _canonicity(tab, end + ncols, ncols, bcols, newidx, order):
+                    roots.append((tab[: end + ncols], slot + 1, eq))  # a root of level n + 1
             for t in log[mark:]:
                 tab[t] = -1
             del log[mark:]
 
     try:
-        rec(1, 0, 1)
+        for n in range(1, top + 1):
+            for a in (tab, newidx, order):
+                a += [-1] * ncols  # room for a new coset
+            level, roots = roots, []
+            total = classes = 0
+            while level:  # each root is freed once searched
+                root, slot, s = level.pop()
+                tab[: len(root)] = root
+                rec(n, slot, s)
+            yield total, classes
     finally:
         # rec holds itself through its closure cell; emptying the cell frees
         # the search state now, not at the next cyclic collection
         del rec
-    return total, classes
 
 
 def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fingerprint:
     """Count all subgroups of index ≤ bound, exactly, by enumerating one
-    standardized coset table per conjugacy class: one search per index,
-    smallest first (see _count_index).  Budget exhaustion flags the first
-    index left unfinished, the deadline's or the first index above the coset
-    cap; earlier indices stay exact."""
+    standardized coset table per conjugacy class in one search, level by
+    level (see _count_indices), to the bound or the budget's coset cap,
+    whichever is smaller.  A table of index k has k cosets, so a bound above
+    the cap flags the first index above it; a deadline flags the index whose
+    level it cut short.  The indices finished before either stay exact."""
     if bound < 1:
         raise CosetError("bound must be at least 1")
     budget = budget or Budget.start()
@@ -723,13 +742,14 @@ def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fing
     branched = _branched_columns(p)
     totals: dict[int, int] = {}
     classes: dict[int, int] = {}
-    exhausted_at, k = None, 1  # compiling the rotations counts towards index 1
-    try:
+    top = min(bound, budget.max_cosets)
+    try:  # compiling the rotations counts towards index 1
         rots = _rotations(p, budget)
-        for k in range(1, bound + 1):
-            totals[k], classes[k] = _count_index(rots, orders, branched, k, budget)
+        for n, counts in enumerate(_count_indices(rots, orders, branched, top, budget), 1):
+            totals[n], classes[n] = counts
     except BudgetExhausted:
-        exhausted_at = k
+        pass
+    exhausted_at = len(totals) + 1 if len(totals) < bound else None
     return Fingerprint(
         bound=bound,
         totals=totals,

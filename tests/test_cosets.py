@@ -17,7 +17,7 @@ from fpgroups.construct import uce
 from fpgroups.cosets import (
     _branched_columns,
     _canonicity,
-    _count_index,
+    _count_indices,
     _cycle_fits,
     _power_orders,
     _renumbered,
@@ -766,8 +766,9 @@ def _class_key(rows: list[list[int]]) -> tuple:
 def _unpruned_count_index(
     rots: list[tuple], orders: list[int], branched: list[bool], k: int, budget: Budget
 ) -> tuple[int, int]:
-    """_count_index without the canonicity prune, the oracle of its counts:
-    it visits every subgroup's table and counts classes by the least
+    """(total, classes) of index exactly k by Sims' search to index k alone,
+    without the canonicity prune or levels, the oracle of _count_indices's
+    counts: it visits every subgroup's table and counts classes by the least
     serialization over all basepoints of each complete table (_class_key)."""
     if k > budget.max_cosets:
         raise BudgetExhausted("coset cap")
@@ -999,8 +1000,10 @@ def test_low_index_defined_generator_matches_reference_random(g, sign, u, at, fi
 def _assert_matches_unpruned(p, bound: int) -> None:
     budget = Budget.start()
     args = (_rotations(p, budget), _power_orders(p), _branched_columns(p))
-    for k in range(1, bound + 1):
-        assert _count_index(*args, k, budget) == _unpruned_count_index(*args, k, budget), k
+    levels = list(_count_indices(*args, bound, budget))
+    assert len(levels) == bound
+    for k, counts in enumerate(levels, 1):
+        assert counts == _unpruned_count_index(*args, k, budget), k
 
 
 @settings(max_examples=200, deadline=None)
@@ -1191,22 +1194,27 @@ def test_cycle_fits():
         assert not _cycle_fits(path, c, col, 2, 2)
 
 
-def _search_nodes(monkeypatch, name: str, k: int) -> tuple[tuple[int, int], int]:
-    """_count_index's answer for a fixture at index k, and its node count:
-    Budget.check runs once per search node."""
-    nodes = 0
+def _count_checks(monkeypatch) -> list[int]:
+    """Counts Budget.check calls from now on, in the one-item list returned."""
+    calls = [0]
     check = Budget.check
 
     def counted(self, what="time limit"):
-        nonlocal nodes
-        nodes += 1
+        calls[0] += 1
         check(self, what)
 
+    monkeypatch.setattr(Budget, "check", counted)
+    return calls
+
+
+def _search_nodes(monkeypatch, name: str, k: int) -> tuple[tuple[int, int], int]:
+    """_count_indices's answer for a fixture at index k, and the node count of
+    its search to k: Budget.check runs once per search node."""
     p = load_presentation((FIXTURES / f"{name}.pres").read_text())
     rots = _rotations(p, Budget.start())
-    monkeypatch.setattr(Budget, "check", counted)
-    answer = _count_index(rots, _power_orders(p), _branched_columns(p), k, Budget.start())
-    return answer, nodes
+    nodes = _count_checks(monkeypatch)
+    *_, answer = _count_indices(rots, _power_orders(p), _branched_columns(p), k, Budget.start())
+    return answer, nodes[0]
 
 
 def test_low_index_cycle_prune_node_count(monkeypatch):
@@ -1223,6 +1231,39 @@ def test_low_index_defined_column_node_count(monkeypatch):
     answer, nodes = _search_nodes(monkeypatch, "bp2", 5)
     assert answer == (0, 0)
     assert 0 < nodes <= 3998
+
+
+def test_low_index_searches_every_index_once(monkeypatch):
+    # one search serves indices 1-8: its 1,733 nodes and one check per
+    # relator compiled; a search per index read the deadline 3,190 times
+    p = load_presentation((FIXTURES / "baumslag25_2.pres").read_text())
+    checks = _count_checks(monkeypatch)
+    f = low_index(p, 8)
+    assert f.complete and f.totals[8] == 1
+    assert 0 < checks[0] <= 1735
+
+
+def test_low_index_sizes_its_table_by_the_cap():
+    # a bound far above the cap: the search stops at the cap's 50 cosets
+    started = time.perf_counter()
+    f = low_index(Z5, 10**9, Budget.start(max_cosets=50))
+    assert time.perf_counter() - started < 1.0
+    assert f.exhausted_at == 51 and not f.complete
+    assert f.totals == {k: int(k in (1, 5)) for k in range(1, 51)}
+
+
+def test_low_index_level_roots_memory():
+    # the roots of the next level are the search's only store that grows:
+    # about 1.3 MB at their peak here, against 0.02 MB for one search per index
+    bp2 = load_presentation((FIXTURES / "bp2.pres").read_text())
+    tracemalloc.start()
+    try:
+        f = low_index(bp2, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.complete
+    assert peak < 4e6
 
 
 def test_low_index_bp2_index_six():

@@ -29,6 +29,7 @@ from fpgroups.permrep import GroupHom, check_generation, cyclic_group, fibre_pro
 from fpgroups.presentations import catalog, direct_product, parse_presentation
 from fpgroups.words import Alphabet, Word, commutator
 from fpgroups.zlattice import abelianization, exponent_matrix, lattice_solve
+from test_words import _assert_as_validated
 from test_zlattice import determinant
 
 
@@ -282,6 +283,14 @@ def test_uce_commutator_fallback_keeps_relators_nonempty():
     u = uce(A5)
     assert all(len(w) > 0 for w in u.tilde.relators)
     assert u.tilde.relators[0] != Word(A5.alphabet, ())
+
+
+def test_constructions_make_words_as_validated():
+    # rips, uce and pipeline make their words on the trusted path, unchecked
+    words = [*rips_a5(7, True).gamma.relators, *uce(A5).tilde.relators]
+    words += [u for u, _ in pipeline_a5().p_generators]
+    for w in words:
+        _assert_as_validated(w)
 
 
 def test_uce_expressions_trivial_in_source():

@@ -67,24 +67,27 @@ class _CyclicWord:
     letters: tuple[int, ...]  # a fixed representative rotation
     source: int  # index of the first relator producing it
     inverse: bool  # representative is the inverse of that relator's core
+    period: int  # the length of its primitive root: a proper power's is less
 
 
 def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
     list[_CyclicWord], list[tuple[int, int]], tuple[int, ...], tuple[np.ndarray, ...]
 ]:
-    """Deduplicated rotation classes of relator cores and their inverses, per
-    relator the class indices of its core and of its core's inverse, the
-    relators whose cores are proper powers, and the suffix order the match
-    scan reads, all from one suffix sort.
+    """Deduplicated rotation classes of relator cores and their inverses,
+    each with its period, per relator the class indices of its core and of
+    its core's inverse, the relators whose cores are proper powers, and the
+    suffix order the match scan reads, all from one suffix sort.
 
     Each core and each inverse is a word of the sort: the word written
     twice, then a separator of its own, so the suffix at first-copy offset
     t starts with the rotation at t.  A word's least first-copy suffix
     starts its least rotation, so two words of length n are one class
     exactly when their least suffixes share n letters, and a word is a
-    proper power exactly when its two least suffixes do.  A class is
-    numbered and represented by its first word in relator order, core
-    before inverse.
+    proper power exactly when its two least suffixes do.  Those two then
+    start one period apart: the rotation at t + p equals the one at t but
+    meets the separator p letters sooner, so it sorts right after it.  A
+    class is numbered and represented by its first word in relator order,
+    core before inverse.
 
     The suffix order is (class, offset, lcp): the first-copy suffixes of
     the classes' first words in suffix order, and the lcp of each adjacent
@@ -127,9 +130,15 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
     least = np.minimum.reduceat(at, starts)
     at[at == np.repeat(least, lengths)] = kept.size
     second = np.minimum.reduceat(at, starts)
+    # a core's period is its inverse's; a power's shows as the offset gap
     core = 2 * np.flatnonzero(lengths[::2] > 1)
-    shared = _lcp(seq, levels, q, kept[least[core]], kept[second[core]])
-    proper = tuple((core[shared >= lengths[core]] // 2).tolist())
+    a, b = kept[least[core]], kept[second[core]]
+    period = lengths.copy()
+    period[core] = np.where(
+        _lcp(seq, levels, q, a, b) >= lengths[core], offset[b] - offset[a], lengths[core]
+    )
+    period[1::2] = period[::2]
+    proper = tuple(np.flatnonzero(period[::2] < lengths[::2]).tolist())
 
     # words by (length, least suffix); a class is a run of words whose
     # neighbours' least suffixes share the whole length
@@ -149,7 +158,7 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
         i, inverse = divmod(wi, 2)
         c = cores[i]
         letters = tuple((-np.asarray(c)[::-1]).tolist()) if inverse else c
-        words.append(_CyclicWord(letters, i, bool(inverse)))
+        words.append(_CyclicWord(letters, i, bool(inverse), int(period[wi])))
     classes = [tuple(pair) for pair in cls.reshape(-1, 2).tolist()]
 
     kept = kept[is_first[word_of[kept]]]

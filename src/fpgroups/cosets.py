@@ -24,20 +24,25 @@ label and one action lookup per letter.
 low_index enumerates coset tables directly by Sims' search:
 first-undefined-slot branching on one flat table with an undo log, closed
 after each branch by deductions through the edges just defined, against
-relator rotations compiled once per presentation.  One search serves every
-index up to the bound, level by level: level n holds the tables on n
-cosets, each new coset's branch is kept as a root of level n + 1, and the
-counts of index n are final, even under a later deadline, once level n ends.
+the rotations of the relators' cyclic cores.  _compiled_relators reads
+them off the piece checker's suffix sort (cancellation._cyclic_words) once
+per presentation: a rotation class is one doubled tuple of columns, listed
+once per offset below its period, so the memory is linear in relator
+length.  One search serves every index up to the bound, level by level:
+level n holds the tables on n cosets, each new coset's branch is kept as a
+root of level n + 1, and the counts of index n are final, even under a
+later deadline, once level n ends.
 
 The search branches only on the columns of a generating set.  A generator g
-is defined by a relator r when g occurs in r exactly once (as g or g^-1), r
-has another letter, and every other letter of r is of a branched generator.
-The relators are walked in order, the generators of one relator in alphabet
-order, and g is marked only if no earlier definition reads g; so
-definitions are one level deep and the branched generators generate the
-group.  Deduction alone fills the columns of defined generators (in B(2),
-beta is defined by a and b).  A table is standardized over the branched
-columns, and those columns fix its subgroup.
+is defined by a relator r when g occurs in r's cyclic core exactly once (as
+g or g^-1), the core has another letter, and every other letter of the core
+is of a branched generator.  The relators are walked in order, the
+generators of one relator in alphabet order, and g is marked only if no
+earlier definition reads g; so definitions are one level deep and the
+branched generators generate the group.  Deduction alone fills the
+columns of defined generators (in B(2), beta is defined by a and b).  A
+table is standardized over the branched columns, and those columns fix its
+subgroup.
 
 The search visits one table per conjugacy class (Sims 1994, ch. 5).  The
 rebasings of a complete table at its k cosets, each renumbered breadth-first
@@ -71,7 +76,8 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted
-from .presentations import Presentation, proper_power_root
+from .cancellation import _cyclic_words
+from .presentations import Presentation
 from .words import Alphabet, Word, WordError
 
 
@@ -440,43 +446,48 @@ class Fingerprint:
         }
 
 
-def _rotations(p: Presentation, budget: Budget) -> list[tuple]:
-    """Per column, every distinct rotation of every relator and of its
-    inverse that starts with that column, as a pair: its columns and their
-    inverse columns.  The work is quadratic in relator length, so the
-    deadline is read after each relator."""
-    by_col: list[dict[tuple[int, ...], None]] = [{} for _ in range(2 * len(p.alphabet))]
-    for r in p.relators:
-        for ls in (r.letters, tuple(-l for l in reversed(r.letters))):
-            cols = tuple(_col(l) for l in ls)
-            for i in range(len(cols)):
-                w = cols[i:] + cols[:i]
-                by_col[w[0]][w] = None
-        budget.check()
-    return [tuple((w, tuple(x ^ 1 for x in w)) for w in d) for d in by_col]
+def _compiled_relators(
+    p: Presentation, budget: Budget
+) -> tuple[list[list[tuple]], list[int], list[bool]]:
+    """What the low-index search reads of the relators, from one
+    _cyclic_words sort of their cyclic cores: the rotations, the power
+    orders and the branched columns.
 
+    Per column, every distinct rotation of a core or of its inverse that
+    starts with that column, as (w, winv, o, o + L): w is the rotation
+    class's columns written twice, winv their inverse columns, and the
+    rotation is w[o:o + L], one entry per offset o below the class's
+    period.  A class's two tuples are shared by all its rotations, so the
+    memory is linear in the relator length.
 
-def _power_orders(p: Presentation) -> list[int]:
-    """Per column, the gcd of the n over the relators whose cyclic core is
-    x^±n for that column's generator x; 0 when there is none."""
+    Per column, the gcd of the n over the cores x^±n of that column's
+    generator x, the classes of period 1; 0 when there is none."""
+    words, classes, _, _ = _cyclic_words(p, budget)
+    rots: list[list[tuple]] = [[] for _ in range(2 * len(p.alphabet))]
     orders = [0] * len(p.alphabet)
-    for r in p.relators:
-        root, n = proper_power_root(r)
-        if len(root.letters) == 1:
-            i = abs(root.letters[0]) - 1
-            orders[i] = gcd(orders[i], n)
-    return [n for n in orders for _ in (0, 1)]
+    for cw in words:
+        cols = [_col(l) for l in cw.letters]
+        L = len(cols)
+        w = tuple(cols + cols)
+        winv = tuple(x ^ 1 for x in w)
+        for o in range(cw.period):
+            rots[w[o]].append((w, winv, o, o + L))
+        if cw.period == 1:
+            i = abs(cw.letters[0]) - 1
+            orders[i] = gcd(orders[i], L)
+    cores = [words[c].letters for c, _ in classes]  # a rotation of each core
+    return rots, [n for n in orders for _ in (0, 1)], _branched_columns(cores, len(p.alphabet))
 
 
-def _branched_columns(p: Presentation) -> list[bool]:
+def _branched_columns(cores: list[tuple[int, ...]], ngens: int) -> list[bool]:
     """Per column, whether the low-index search branches on it: False for
-    both columns of each generator a relator defines (see the module
-    docstring).  A definition reads only generators that stay branched, so
-    the branched generators generate the group."""
-    defined = [False] * len(p.alphabet)
-    read = [False] * len(p.alphabet)  # generators some definition reads
-    for r in p.relators:
-        counts = Counter(abs(l) - 1 for l in r.letters)
+    both columns of each generator a relator's cyclic core defines (see the
+    module docstring).  A definition reads only generators that stay
+    branched, so the branched generators generate the group."""
+    defined = [False] * ngens
+    read = [False] * ngens  # generators some definition reads
+    for core in cores:
+        counts = Counter(abs(l) - 1 for l in core)
         if len(counts) < 2 or any(defined[h] for h in counts):
             continue  # no other letter, or one that is not branched
         g = next((g for g in sorted(counts) if counts[g] == 1 and not read[g]), None)
@@ -576,9 +587,10 @@ def _count_indices(
     rots: list[tuple], orders: list[int], branched: list[bool], top: int, budget: Budget
 ) -> Iterator[tuple[int, int]]:
     """(total subgroups, conjugacy classes) of index n for n = 1..top, each
-    yielded when level n ends, for the relator rotations `_rotations`
-    compiled, the power orders `_power_orders` read and the columns
-    `_branched_columns` marks.
+    yielded when level n ends, for the rotations of the relators' cyclic
+    cores, the power orders and the branched columns `_compiled_relators`
+    gives; a rotation is (w, winv, o, e), the slice w[o:e] of its class's
+    doubled columns, one per offset below the class's period.
 
     Sims' search: branch on the first undefined branched slot in row-major
     order, trying each coset whose inverse slot is free in increasing order
@@ -590,7 +602,7 @@ def _count_indices(
     each newly defined edge, fills single gaps and prunes on a trace that
     closes off its start or a clash.  The last edge defined on any trace
     triggers its scan, so a complete table has every relator closing at every
-    coset.  The same holds for the trace of a defining relator, whose one gap
+    coset.  The same holds for the trace of a defining core, whose one gap
     is its defined generator: once every branched slot is set, so is every
     slot, and a table with a slot still undefined raises
     CosetError("internal: ...").
@@ -639,11 +651,10 @@ def _count_indices(
             lim = lims[col]
             if lim and not _cycle_fits(tab, c, col, lim, orders[col]):
                 return False
-            for w, winv in rots[col]:
-                L = len(w)
+            for w, winv, o, e in rots[col]:  # the rotation w[o:e]
                 f = first
-                i = 1
-                while i < L:
+                i = o + 1
+                while i < e:
                     d = tab[f + w[i]]
                     if d < 0:
                         break
@@ -654,7 +665,7 @@ def _count_indices(
                         return False
                     continue
                 b = c
-                j = L - 1
+                j = e - 1
                 while j > i:
                     d = tab[b + winv[j]]
                     if d < 0:
@@ -738,14 +749,12 @@ def low_index(p: Presentation, bound: int, budget: Budget | None = None) -> Fing
     if bound < 1:
         raise CosetError("bound must be at least 1")
     budget = budget or Budget.start()
-    orders = _power_orders(p)
-    branched = _branched_columns(p)
     totals: dict[int, int] = {}
     classes: dict[int, int] = {}
     top = min(bound, budget.max_cosets)
-    try:  # compiling the rotations counts towards index 1
-        rots = _rotations(p, budget)
-        for n, counts in enumerate(_count_indices(rots, orders, branched, top, budget), 1):
+    try:  # compiling the relators counts towards index 1
+        compiled = _compiled_relators(p, budget)
+        for n, counts in enumerate(_count_indices(*compiled, top, budget), 1):
             totals[n], classes[n] = counts
     except BudgetExhausted:
         pass

@@ -414,17 +414,6 @@ def load_presentation(text: str) -> Presentation:
     return parse_presentation(text)
 
 
-def proper_power_root(w: Word) -> tuple[Word, int]:
-    """(root, k) with the cyclic core of w equal to root^k, k maximal."""
-    core, _ = w.cyclic_reduce()
-    ls = core.letters
-    n = len(ls)
-    for d in range(1, n + 1):
-        if n % d == 0 and ls == ls[:d] * (n // d):
-            return Word(w.alphabet, ls[:d], _reduced=True), n // d
-    return core, 1  # empty core only
-
-
 # ---------------------------------------------------------------------------
 # direct products
 

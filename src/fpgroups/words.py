@@ -78,7 +78,7 @@ def _check_same(a: Alphabet, b: Alphabet) -> None:
 class Word:
     """An immutable word; equality is letter-for-letter (not group equality).
 
-    Use reduce / cyclic_reduce for normal forms.
+    Use reduce for the freely reduced form.
     """
 
     __slots__ = ("alphabet", "letters", "_reduced")
@@ -169,19 +169,6 @@ class Word:
             else:
                 out.append(l)
         return Word._trusted(self.alphabet, tuple(out), True)
-
-    def cyclic_reduce(self) -> tuple["Word", "Word"]:
-        """Return (core, conjugator) with self = conjugator * core * conjugator^-1
-        up to free reduction, core cyclically reduced."""
-        w = self.reduce()
-        ls = w.letters
-        i, j = 0, len(ls)
-        while j - i >= 2 and ls[i] == -ls[j - 1]:
-            i += 1
-            j -= 1
-        core = Word._trusted(self.alphabet, ls[i:j], True)
-        conj = Word._trusted(self.alphabet, ls[:i], True)
-        return core, conj
 
     def exponent_vector(self) -> list[int]:
         """Exponent sums for every generator, in alphabet order."""

@@ -3,8 +3,8 @@
 Every module-level function and class must have a caller in src/.  A name
 counts as used when some src/ module, outside the name's own definition,
 reads it by a bare name or imports it with `from ... import`; attribute
-access does not count, so the method Word.cyclic_reduce does not keep a free
-function cyclic_reduce alive.  Exempt are the names fpgroups exports, the
+access does not count, so the method Word.reduce does not keep a free
+function reduce alive.  Exempt are the names fpgroups exports, the
 CLI's decorated verb registrars and one test oracle kept on purpose.
 
 Every class member -- method, property, dataclass field, or `self.X` set in

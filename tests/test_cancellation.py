@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpgroups import cancellation
@@ -18,10 +18,43 @@ from fpgroups.cancellation import (
     check_metric,
 )
 from fpgroups.construct import rips
-from fpgroups.presentations import Presentation, parse_presentation, proper_power_root
+from fpgroups.presentations import Presentation, parse_presentation
 from fpgroups.words import Alphabet, Word
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.pres"))
+
+
+def cyclic_core(w: Word) -> Word:
+    """The cyclically reduced core of w: its free reduction with the inverse
+    pairs at both ends peeled off."""
+    ls = w.reduce().letters
+    i, j = 0, len(ls)
+    while j - i >= 2 and ls[i] == -ls[j - 1]:
+        i += 1
+        j -= 1
+    return Word(w.alphabet, ls[i:j])
+
+
+def proper_power_root(w: Word) -> tuple[Word, int]:
+    """(root, k) with the cyclic core of w equal to root^k, k maximal."""
+    ls = cyclic_core(w).letters
+    n = len(ls)
+    for d in range(1, n + 1):
+        if n % d == 0 and ls == ls[:d] * (n // d):
+            return Word(w.alphabet, ls[:d]), n // d
+    return Word(w.alphabet), 1  # empty core only
+
+
+def test_proper_power_root():
+    ab = Alphabet(["a", "b"])
+    a, b = ab.gen("a"), ab.gen("b")
+    assert proper_power_root(a**6) == (a, 6)
+    assert proper_power_root((a * b) ** 3) == (a * b, 3)
+    root, k = proper_power_root(a * b)
+    assert k == 1 and root == a * b
+    # conjugates are unwrapped before the period check
+    root, k = proper_power_root(b * a**4 * ~b)
+    assert (root, k) == (a, 4)
 
 
 # --- exhaustive piece oracle (positional convention, wrap-capped) ----------
@@ -35,7 +68,7 @@ def brute_max_pieces(p: Presentation) -> dict[int, int]:
         return min(ls[k:] + ls[:k] for k in range(len(ls)))
 
     for r in p.relators:
-        core, _ = r.cyclic_reduce()
+        core = cyclic_core(r)
         for ls in (core.letters, tuple(-x for x in reversed(core.letters))):
             c = canon(ls)
             if c not in seen:
@@ -58,7 +91,7 @@ def brute_max_pieces(p: Presentation) -> dict[int, int]:
                     wmax[wi] = L
     out = {}
     for idx, r in enumerate(p.relators):
-        core, _ = r.cyclic_reduce()
+        core = cyclic_core(r)
         mx = 0
         for ls in (core.letters, tuple(-x for x in reversed(core.letters))):
             mx = max(mx, wmax[seen[canon(ls)]])
@@ -107,18 +140,19 @@ def least_rotation_start(s: tuple[int, ...]) -> int:
 def booth_cyclic_words(p: Presentation):
     """(words, classes, proper powers): every core and inverse canonicalised
     by Booth's least rotation and deduplicated in relator order, core before
-    inverse; proper powers by presentations.proper_power_root."""
+    inverse; periods and proper powers by proper_power_root."""
     words: list[cancellation._CyclicWord] = []
     index: dict[tuple[int, ...], int] = {}
     classes = []
     for idx, r in enumerate(p.relators):
-        core, _ = r.cyclic_reduce()
+        core = cyclic_core(r)
+        root, _ = proper_power_root(r)
         pair = []
         for inv, ls in ((False, core.letters), (True, tuple(-x for x in reversed(core.letters)))):
             k = least_rotation_start(ls)
             wi = index.setdefault(ls[k:] + ls[:k], len(words))
             if wi == len(words):
-                words.append(cancellation._CyclicWord(ls, idx, inv))
+                words.append(cancellation._CyclicWord(ls, idx, inv, len(root)))
             pair.append(wi)
         classes.append(tuple(pair))
     proper = tuple(i for i, r in enumerate(p.relators) if proper_power_root(r)[1] > 1)
@@ -308,7 +342,7 @@ def test_witness_occurrences_check_out():
             assert row.max_piece == 0
             continue
         for occ in (row.witness.first, row.witness.second):
-            core, _ = p.relators[occ.relator].cyclic_reduce()
+            core = cyclic_core(p.relators[occ.relator])
             ls = core.letters
             if occ.inverse:
                 ls = tuple(-x for x in reversed(ls))
@@ -410,7 +444,7 @@ def test_brute_cross_check_random():
         brute = brute_max_pieces(p)
         for row, rel in zip(rep.rows, p.relators):
             assert row.max_piece == brute[row.relator], (trial, p.to_text())
-            assert row.length == len(rel.cyclic_reduce()[0]), (trial, p.to_text())
+            assert row.length == len(cyclic_core(rel)), (trial, p.to_text())
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda f: f.stem)
@@ -466,6 +500,8 @@ def test_piece_reports_match_the_oracle_on_small_presentations(p, m):
 
 @settings(max_examples=400, deadline=None)
 @given(small_presentations())
+# periods 1, 2, 1 and 4 (the power a^4 under a conjugate)
+@example(parse_presentation("< a, b | a^6, (a b)^3, b a^4 b^-1, [a, b] >"))
 def test_classes_and_suffix_order_match_the_oracles_on_small_presentations(p):
     assert_sort_matches_oracles(p)
 
@@ -552,10 +588,10 @@ def verify_trace(solver: DehnSolver, w: Word, trace, result: bool):
     # a rotation of a relator core or its inverse is a subword of it doubled
     doubled = []
     for r in p.relators:
-        core, _ = r.cyclic_reduce()
+        core = cyclic_core(r)
         for ls in (core.letters, tuple(-x for x in reversed(core.letters))):
             doubled.append((len(ls), ReferenceDehn.chars(ls + ls)))
-    cur, _ = w.cyclic_reduce()
+    cur = cyclic_core(w)
     cur = cur.letters
     for step in trace.steps:
         assert 0 <= step.rotation < len(cur)
@@ -569,7 +605,7 @@ def verify_trace(solver: DehnSolver, w: Word, trace, result: bool):
         tail = relator[step.matched :]
         repl = tuple(-x for x in reversed(tail))
         nxt = Word(p.alphabet, repl + rotated[step.matched :])
-        core, _ = nxt.reduce().cyclic_reduce()
+        core = cyclic_core(nxt)
         assert len(core) < len(cur)
         cur = core.letters
     assert trace.final == cur
@@ -623,7 +659,7 @@ class ReferenceDehn:
     def is_trivial(self, w: Word):
         """(trivial, [(rotation, relator letters, matched)], residue)."""
         steps = []
-        cur, _ = w.cyclic_reduce()
+        cur = cyclic_core(w)
         ls = cur.letters
         while ls:
             n = len(ls)
@@ -639,7 +675,7 @@ class ReferenceDehn:
             rotated = ls[i:] + ls[:i]
             relator = self.doubled_letters[wi][t : t + len(self.words[wi])]
             repl = tuple(-x for x in reversed(relator[l:]))
-            core, _ = Word(self.alphabet, repl + rotated[l:]).reduce().cyclic_reduce()
+            core = cyclic_core(Word(self.alphabet, repl + rotated[l:]))
             steps.append((i, relator, l))
             ls = core.letters
         return not ls, steps, ls

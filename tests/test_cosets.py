@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.construct import uce
 from fpgroups.cosets import (
-    _branched_columns,
     _canonicity,
+    _col,
+    _compiled_relators,
     _count_indices,
     _cycle_fits,
-    _power_orders,
     _renumbered,
-    _rotations,
     CosetError,
     CosetTable,
     SchreierRewriter,
@@ -763,6 +762,43 @@ def _class_key(rows: list[list[int]]) -> tuple:
     return min(tuple(map(tuple, _renumbered_rows(rows, b, k))) for b in range(k))
 
 
+def _rotations(p: Presentation, budget: Budget) -> list[tuple]:
+    """Per column, every distinct rotation of every relator and of its
+    inverse that starts with that column, as a pair: its columns and their
+    inverse columns.  Each rotation is its own tuple, so the memory is
+    quadratic in relator length; the oracle of _compiled_relators's
+    rotations and the form _unpruned_count_index reads."""
+    by_col: list[dict[tuple[int, ...], None]] = [{} for _ in range(2 * len(p.alphabet))]
+    for r in p.relators:
+        for ls in (r.letters, tuple(-l for l in reversed(r.letters))):
+            cols = tuple(_col(l) for l in ls)
+            for i in range(len(cols)):
+                w = cols[i:] + cols[:i]
+                by_col[w[0]][w] = None
+        budget.check()
+    return [tuple((w, tuple(x ^ 1 for x in w)) for w in d) for d in by_col]
+
+
+def _cyclic_cores(p: Presentation) -> Presentation:
+    """The presentation of p's relators' cyclic cores."""
+    cores = []
+    for r in p.relators:
+        ls = r.letters
+        i, j = 0, len(ls)
+        while j - i >= 2 and ls[i] == -ls[j - 1]:
+            i += 1
+            j -= 1
+        cores.append(Word(p.alphabet, ls[i:j]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cores that coincide
+        return Presentation(p.alphabet, cores)
+
+
+def _branched(p: Presentation) -> list[bool]:
+    """The columns the low-index search branches on."""
+    return _compiled_relators(p, Budget.start())[2]
+
+
 def _unpruned_count_index(
     rots: list[tuple], orders: list[int], branched: list[bool], k: int, budget: Budget
 ) -> tuple[int, int]:
@@ -954,6 +990,8 @@ def _presentation(alphabet: Alphabet, relators) -> Presentation:
 
 @settings(max_examples=200, deadline=None)
 @given(_TWO_GENERATOR_RELATORS)
+# b is alone in the core b of a b a^-1, so nothing defines it
+@example([[1, 2, -1]])
 def test_low_index_matches_reference_search_random(relators):
     _assert_matches_reference(_presentation(_AB, relators), 4)
 
@@ -993,17 +1031,58 @@ def _defined_generator_relators(g, sign, u, at, first, relators) -> list[list[in
 def test_low_index_defined_generator_matches_reference_random(g, sign, u, at, first, relators):
     # the reference search branches on every column and rescans every relator
     p = _presentation(_ABC, _defined_generator_relators(g, sign, u, at, first, relators))
-    assume(not all(_branched_columns(p)))  # u may reduce away
+    assume(not all(_branched(p)))  # u may reduce away
     _assert_matches_reference(p, 4)
 
 
 def _assert_matches_unpruned(p, bound: int) -> None:
     budget = Budget.start()
-    args = (_rotations(p, budget), _power_orders(p), _branched_columns(p))
-    levels = list(_count_indices(*args, bound, budget))
+    rots, orders, branched = _compiled_relators(p, budget)
+    levels = list(_count_indices(rots, orders, branched, bound, budget))
     assert len(levels) == bound
+    oracle = _rotations(_cyclic_cores(p), budget)
     for k, counts in enumerate(levels, 1):
-        assert counts == _unpruned_count_index(*args, k, budget), k
+        assert counts == _unpruned_count_index(oracle, orders, branched, k, budget), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TWO_GENERATOR_RELATORS)
+@example([[1, 2, -1]])  # the core b
+@example([[1, 2, 1, 2], [-2, -1, -2, -1]])  # a proper power and its inverse
+@example([[1, 2, -1, -2]])  # a commutator, whose inverse is another class
+def test_compiled_rotations_match_the_oracle_random(relators):
+    # per column, the rotations w[o:e] listed are distinct, start with that
+    # column, and are the oracle's rotations of the cyclic cores
+    p = _presentation(_AB, relators)
+    rots = _compiled_relators(p, Budget.start())[0]
+    oracle = _rotations(_cyclic_cores(p), Budget.start())
+    assert len(rots) == len(oracle)
+    for col, (listed, want) in enumerate(zip(rots, oracle)):
+        got = [w[o:e] for w, _, o, e in listed]
+        assert len(set(got)) == len(got) and all(r[0] == col for r in got)
+        assert all(winv[o:e] == tuple(x ^ 1 for x in w[o:e]) for w, winv, o, e in listed)
+        assert set(got) == {w for w, _ in want}, col
+
+
+def test_compiled_relators_memory_is_linear():
+    # one random 3,000-letter relator: the compiled rotations share their
+    # class's doubled tuples, about 1.1 MB traced; a tuple per rotation held
+    # 289 MB
+    rng = random.Random(0)
+    letters = [1]
+    while len(letters) < 3000:
+        l = rng.choice([1, -1, 2, -2])
+        if l != -letters[-1] and (len(letters) < 2999 or l != -letters[0]):
+            letters.append(l)
+    p = Presentation(_AB, [Word(_AB, letters)])
+    tracemalloc.start()
+    try:
+        rots = _compiled_relators(p, Budget.start())[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, rots)) == 2 * 3000
+    assert peak < 4e6
 
 
 @settings(max_examples=200, deadline=None)
@@ -1026,7 +1105,7 @@ def test_count_index_matches_the_unpruned_search_defined_random(
     # from n = 2 on, a^n also prunes by cycle type, a defined generator's too
     rels = _defined_generator_relators(g, sign, u, at, first, relators)
     p = _presentation(_ABC, rels + ([[1] * n] if n > 1 else []))
-    assume(not all(_branched_columns(p)))
+    assume(not all(_branched(p)))
     _assert_matches_unpruned(p, 5)
 
 
@@ -1117,25 +1196,27 @@ def test_low_index_defined_commutator():
     # c is defined as [a, b], so the group is free on a and b: F_2 has 71
     # subgroups of index 4
     p = parse_presentation("< a, b, c | a b a^-1 b^-1 c^-1 >")
-    assert _branched_columns(p) == [True] * 4 + [False] * 2
+    assert _branched(p) == [True] * 4 + [False] * 2
     totals = low_index(p, 4).totals
     assert totals == low_index(F2, 4).totals
     assert totals[4] == 71
 
 
 def test_branched_columns():
-    assert _branched_columns(parse_presentation("< a | a >")) == [True, True]  # no other letter
+    assert _branched(parse_presentation("< a | a >")) == [True, True]  # no other letter
     # a is defined by b, so b stays branched and c is defined by b
-    assert _branched_columns(parse_presentation("< a, b, c | a b, b c >")) == [
+    assert _branched(parse_presentation("< a, b, c | a b, b c >")) == [
         False, False, True, True, False, False
     ]
+    # the cyclic cores are read: b a b^-1 is a conjugate of a alone
+    assert _branched(parse_presentation("< a, b | b a b^-1 >")) == [True] * 4
     bp2 = load_presentation((FIXTURES / "bp2.pres").read_text())
     assert bp2.generators[3] == "beta"
-    assert _branched_columns(bp2) == [True] * 6 + [False] * 2
+    assert _branched(bp2) == [True] * 6 + [False] * 2
     for name in ("baumslag25_1", "baumslag25_2", "a5"):
         p = load_presentation((FIXTURES / f"{name}.pres").read_text())
-        assert all(_branched_columns(p)), name
-    assert all(_branched_columns(quiet("< a, b | a^2, b^3, (a b)^7 >")))
+        assert all(_branched(p)), name
+    assert all(_branched(quiet("< a, b | a^2, b^3, (a b)^7 >")))
 
 
 def _cycle_limit(n: int, k: int) -> int:
@@ -1169,7 +1250,8 @@ def test_low_index_power_prune_matches_reference_random(x, n, form, m, relators)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = Presentation(_AB, [Word(_AB, r) for r in powers + relators])
-    order = _power_orders(p)[2 * (x - 1)]  # the extra relators may be powers too
+    # the extra relators may be powers too
+    order = _compiled_relators(p, Budget.start())[1][2 * (x - 1)]
     assert order and (gcd(n, m) if form == "two powers" else n) % order == 0
     bound = 5
     assert any(_cycle_limit(order, k) < k for k in range(1, bound + 1))
@@ -1178,8 +1260,8 @@ def test_low_index_power_prune_matches_reference_random(x, n, form, m, relators)
 
 def test_power_orders():
     p = parse_presentation("< a, b, c | b a^6 b^-1, a^-4, (a b)^3, c >")
-    assert _power_orders(p) == [2, 2, 0, 0, 1, 1]
-    assert _power_orders(F2) == [0, 0, 0, 0]
+    assert _compiled_relators(p, Budget.start())[1] == [2, 2, 0, 0, 1, 1]
+    assert _compiled_relators(F2, Budget.start())[1] == [0, 0, 0, 0]
 
 
 def test_cycle_fits():
@@ -1211,9 +1293,9 @@ def _search_nodes(monkeypatch, name: str, k: int) -> tuple[tuple[int, int], int]
     """_count_indices's answer for a fixture at index k, and the node count of
     its search to k: Budget.check runs once per search node."""
     p = load_presentation((FIXTURES / f"{name}.pres").read_text())
-    rots = _rotations(p, Budget.start())
+    compiled = _compiled_relators(p, Budget.start())
     nodes = _count_checks(monkeypatch)
-    *_, answer = _count_indices(rots, _power_orders(p), _branched_columns(p), k, Budget.start())
+    *_, answer = _count_indices(*compiled, k, Budget.start())
     return answer, nodes[0]
 
 
@@ -1234,13 +1316,17 @@ def test_low_index_defined_column_node_count(monkeypatch):
 
 
 def test_low_index_searches_every_index_once(monkeypatch):
-    # one search serves indices 1-8: its 1,733 nodes and one check per
-    # relator compiled; a search per index read the deadline 3,190 times
+    # one search serves indices 1-8: its 1,733 nodes, after compiling the
+    # relators, which reads the deadline once per suffix-sort round and once
+    # after the sort (4 reads here); a search per index read it 3,190 times
     p = load_presentation((FIXTURES / "baumslag25_2.pres").read_text())
     checks = _count_checks(monkeypatch)
+    _compiled_relators(p, Budget.start())
+    compiling = checks[0]
+    assert 0 < compiling <= 4
     f = low_index(p, 8)
     assert f.complete and f.totals[8] == 1
-    assert 0 < checks[0] <= 1735
+    assert 0 < checks[0] - 2 * compiling <= 1733
 
 
 def test_low_index_sizes_its_table_by_the_cap():
@@ -1313,8 +1399,10 @@ def test_low_index_budget_flags_partial():
 
 
 def test_low_index_deadline_covers_compiling_the_rotations():
-    # ten syllable relators of about 600 letters: compiling every rotation of
-    # every relator took 0.8 s before the deadline was first read
+    # ten syllable relators of about 6,400 letters: compiling them takes
+    # about 0.19 s, and the suffix sort reads the deadline after each round
+    # (a tuple per rotation took 0.8 s at a tenth of this length before the
+    # deadline was first read)
     rng = random.Random(0)
     gens = [f"x{i}" for i in range(10)]
     relators = []
@@ -1322,10 +1410,10 @@ def test_low_index_deadline_covers_compiling_the_rotations():
         syllables, prev = [], None
         for _ in range(6):
             prev = rng.choice([g for g in gens if g != prev])
-            syllables.append(f"{prev}^{rng.choice([e for e in range(-200, 201) if e])}")
+            syllables.append(f"{prev}^{rng.choice([e for e in range(-2000, 2001) if e])}")
         relators.append(" ".join(syllables))
     p = parse_presentation(f"< {', '.join(gens)} | {', '.join(relators)} >")
-    assert p.total_relator_length() > 5000
+    assert p.total_relator_length() > 50000
     t0 = time.monotonic()
     f = low_index(p, 1, Budget.start(time_limit_s=0.1))
     assert time.monotonic() - t0 < 0.3

@@ -89,10 +89,12 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
     class is numbered and represented by its first word in relator order,
     core before inverse.
 
-    The suffix order is (class, offset, lcp): the first-copy suffixes of
-    the classes' first words in suffix order, and the lcp of each adjacent
-    pair.  Separators rise with the word order, so leaving the other words
-    out keeps the order the classes' words alone would sort to."""
+    The suffix order is (class, offset, position, sort): the first-copy
+    suffixes of the classes' first words in suffix order, as class, offset
+    and position in the sorted content, and the sort (content, levels, q)
+    that _lcp reads them with.  Separators rise with the word order, so
+    leaving the other words out keeps the order the classes' words alone
+    would sort to."""
     cores = []
     for r in p.relators:  # freely reduced: peel inverse pairs off both ends
         ls = r.letters
@@ -103,7 +105,7 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
         cores.append(ls[i:j])
     if not cores:
         empty = np.zeros(0, dtype=np.int64)
-        return [], [], (), (empty, empty, empty)
+        return [], [], (), (empty, empty, empty, None)
     lengths = np.repeat([len(c) for c in cores], 2)  # core, inverse, core, ...
     g = len(p.alphabet)
     parts = []
@@ -162,10 +164,8 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
     classes = [tuple(pair) for pair in cls.reshape(-1, 2).tolist()]
 
     kept = kept[is_first[word_of[kept]]]
-    lcp = _lcp(seq, levels, q, kept[:-1], kept[1:])
-    del levels
     budget.check()
-    return words, classes, proper, (cls[word_of[kept]], offset[kept], lcp)
+    return words, classes, proper, (cls[word_of[kept]], offset[kept], kept, (seq, levels, q))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,9 @@ def _max_matches(
     """For every rotation class w, the longest subword starting at a position
     (w, t), t < |w|, that also occurs at some other position, each match
     capped at the shorter participating word's length.  order is the
-    suffix order of _cyclic_words.
+    suffix order of _cyclic_words, whose adjacent lcps are read here, so a
+    caller that needs only the classes never computes them; the sort's
+    rank arrays are cleared once read.
 
     Returns per class (length, t, partner class, partner offset), length 0
     when w has no piece.  Among the positions of w attaining the length, t
@@ -326,7 +328,9 @@ def _max_matches(
     if not words:
         return []
     lengths = np.array([len(w.letters) for w in words], dtype=np.int64)
-    word, offset, lcp = order
+    word, offset, kept, (seq, levels, q) = order
+    lcp = _lcp(seq, levels, q, kept[:-1], kept[1:])
+    levels.clear()  # the scan is the sort's last reader: free its ranks first
 
     # where no cap binds, matches only shrink away from a position, so the
     # nearer neighbour on each side attains its best match
@@ -403,11 +407,10 @@ def check_metric(p: Presentation, m: int, budget: Budget | None = None) -> Piece
     if m < 2:
         raise ValueError("m must be at least 2")
     budget = budget or Budget.start()
-    return _piece_report(p, m, *_cyclic_words(p, budget), budget)
+    return _piece_report(m, *_cyclic_words(p, budget), budget)
 
 
 def _piece_report(
-    p: Presentation,
     m: int,
     words: list[_CyclicWord],
     classes: list[tuple[int, int]],
@@ -516,7 +519,7 @@ class DehnSolver:
         self.presentation = p
         budget = budget or Budget.start()
         self.words, classes, proper, order = _cyclic_words(p, budget)
-        report = _piece_report(p, 6, self.words, classes, proper, order, budget)
+        report = _piece_report(6, self.words, classes, proper, order, budget)
         if not report.verdict:
             raise SmallCancellationError(
                 f"presentation is not C'(1/6): relators {list(report.failing)} "

@@ -8,6 +8,10 @@ inputs and budgets are byte-identical apart from the wall_time_s field.  Exit
 codes: 0 the operation succeeded (and any check it performed came back true),
 1 a check came back false, 2 a budget (time, cosets, elements or letters) ran
 out before an answer, 3 bad input.
+
+Each verb is declared once, in _VERBS, as its handler, its one-line help and
+its arguments, from which dispatch builds the verb's parser and _usage the
+verb listing.
 """
 
 from __future__ import annotations
@@ -73,13 +77,15 @@ def _cap(text: str) -> int:
     return value
 
 
-def _global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit one RunReport as JSON")
-    parser.add_argument("--time-limit", type=_seconds, default=60.0, metavar="SECONDS")
-    parser.add_argument("--max-cosets", type=_cap, default=100_000, metavar="N")
-    parser.add_argument("--max-elements", type=_cap, default=100_000, metavar="N")
+# every verb's parser ends with these, as (name, add_argument keywords)
+_GLOBAL_FLAGS = [
+    ("--json", {"action": "store_true", "help": "emit one RunReport as JSON"}),
+    ("--time-limit", {"type": _seconds, "default": 60.0, "metavar": "SECONDS"}),
+    ("--max-cosets", {"type": _cap, "default": 100_000, "metavar": "N"}),
+    ("--max-elements", {"type": _cap, "default": 100_000, "metavar": "N"}),
     # randomized property drivers only; every verb below is seed-independent
-    parser.add_argument("--seed", type=int, default=0, metavar="N")
+    ("--seed", {"type": int, "default": 0, "metavar": "N"}),
+]
 
 
 def _load(path: str, inputs: dict) -> "Presentation":
@@ -210,10 +216,9 @@ def _cmd_low_index(args, inputs, budget):
 
 
 def _cmd_fingerprint(args, inputs, budget):
-    p = _load(args.file, inputs)
     if args.file2 is None:
-        fp = low_index(p, args.bound, budget)
-        return ("OK" if fp.complete else "EXHAUSTED"), fp.to_json()
+        return _cmd_low_index(args, inputs, budget)
+    p = _load(args.file, inputs)
     q = _load(args.file2, inputs)
     cmp = fingerprint_compare(p, q, args.bound, budget)
     outcome = {True: "OK", False: "NEGATIVE", None: "EXHAUSTED"}[cmp.equal]
@@ -250,9 +255,6 @@ def _cmd_hom_search(args, inputs, budget):
         "nontrivial_total": nontrivial,
     }
     return ("OK" if all_complete else "EXHAUSTED"), payload
-
-
-_FIBRE_INSTANCES = ("z6-z3", "sl25-a5")
 
 
 def _cmd_fibre_check(args, inputs, budget):
@@ -317,166 +319,101 @@ def _cmd_catalog(args, inputs, budget):
 # ---------------------------------------------------------------------------
 # verb table and dispatch
 
-# name -> (handler, parser configurator, one-line help)
-_VERBS = {}
+# the arguments several verbs share, as (name, add_argument keywords)
+_FILE = ("file", {})
+_OUT = ("--out", {"metavar": "FILE"})
+_REQUIRED_INT = {"type": int, "required": True}
+_M = ("--m", _REQUIRED_INT)
+_BOUND = ("--bound", _REQUIRED_INT)
+_SUBGROUP = ("--subgroup", {"action": "append", "metavar": "WORD"})
 
-
-def _verb(name, help_text):
-    def register(configure):
-        _VERBS[name] = (configure, help_text)
-        return configure
-
-    return register
-
-
-@_verb("parse", "read a presentation file and summarize it")
-def _p_parse(sp):
-    sp.add_argument("file")
-    return _cmd_parse
-
-
-@_verb("abelianize", "H_1 invariant factors of a presented group")
-def _p_abelianize(sp):
-    sp.add_argument("file")
-    return _cmd_abelianize
-
-
-@_verb("sc-check", "verify the C'(1/m) small-cancellation condition")
-def _p_sc_check(sp):
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("file")
-    return _cmd_sc_check
-
-
-@_verb("dehn", "decide triviality of a word over a C'(1/6) presentation")
-def _p_dehn(sp):
-    sp.add_argument("--word", required=True)
-    sp.add_argument("file")
-    return _cmd_dehn
-
-
-@_verb("rips", "embed a presentation into a C'(1/m) group")
-def _p_rips(sp):
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--zero-exponent", action="store_true")
-    sp.add_argument("--out", metavar="FILE")
-    sp.add_argument("file")
-    return _cmd_rips
-
-
-@_verb("uce", "universal central extension of a perfect presentation")
-def _p_uce(sp):
-    sp.add_argument("--out", metavar="FILE")
-    sp.add_argument("file")
-    return _cmd_uce
-
-
-@_verb("fibre", "generating pairs of a fibre product over a quotient")
-def _p_fibre(sp):
-    sp.add_argument("--kernel", action="append", metavar="WORD")
-    sp.add_argument("file")
-    return _cmd_fibre
-
-
-@_verb("pipeline", "rips, central extension, and doubled fibre product")
-def _p_pipeline(sp):
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--out", metavar="FILE")
-    sp.add_argument("file")
-    return _cmd_pipeline
-
-
-@_verb("evidence", "finite-quotient criteria at a bounded scale")
-def _p_evidence(sp):
-    sp.add_argument("--index-bound", type=int, required=True)
-    sp.add_argument("file")
-    return _cmd_evidence
-
-
-@_verb("tc", "coset enumeration over a finitely generated subgroup")
-def _p_tc(sp):
-    sp.add_argument("--subgroup", action="append", metavar="WORD")
-    sp.add_argument("file")
-    return _cmd_tc
-
-
-@_verb("rs", "subgroup presentation via Schreier rewriting")
-def _p_rs(sp):
-    sp.add_argument("--subgroup", action="append", metavar="WORD")
-    sp.add_argument("--out", metavar="FILE")
-    sp.add_argument("file")
-    return _cmd_rs
-
-
-@_verb("low-index", "count subgroups up to an index bound")
-def _p_low_index(sp):
-    sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("file")
-    return _cmd_low_index
-
-
-@_verb("fingerprint", "subgroup-count fingerprint; compare two files")
-def _p_fingerprint(sp):
-    sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("file")
-    sp.add_argument("file2", nargs="?", default=None)
-    return _cmd_fingerprint
-
-
-@_verb("hom-search", "maps onto transitive permutation groups")
-def _p_hom_search(sp):
-    sp.add_argument("--transitive-degree", type=int, required=True)
-    sp.add_argument("file")
-    return _cmd_hom_search
-
-
-@_verb("fibre-check", "brute-force generation check on a named instance")
-def _p_fibre_check(sp):
-    sp.add_argument("instance", choices=_FIBRE_INSTANCES)
-    return _cmd_fibre_check
-
-
-@_verb("schur", "Schur multiplier of a finite presented group")
-def _p_schur(sp):
-    sp.add_argument("file")
-    return _cmd_schur
-
-
-@_verb("l0-check", "compare kernel coinvariants with H_2 of the quotient")
-def _p_l0_check(sp):
-    sp.add_argument("--ambient", required=True, metavar="FILE")
-    sp.add_argument("--normal", action="append", metavar="WORD")
-    sp.add_argument("--quotient", required=True, metavar="FILE")
-    return _cmd_l0_check
-
-
-@_verb("h2-rank", "H_2 rank of an aspherical presentation by deficiency")
-def _p_h2_rank(sp):
-    sp.add_argument("--aspherical", action="store_true")
-    sp.add_argument("file")
-    return _cmd_h2_rank
-
-
-@_verb("baumslag-iso", "power criterion for metabelian Baumslag pairs")
-def _p_baumslag_iso(sp):
-    sp.add_argument("--modulus", type=int, required=True)
-    sp.add_argument("--unit", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    return _cmd_baumslag_iso
-
-
-@_verb("catalog", "write a named presentation from the catalog")
-def _p_catalog(sp):
-    sp.add_argument("name")
-    sp.add_argument("params", nargs="*", type=int)
-    sp.add_argument("--out", metavar="FILE")
-    return _cmd_catalog
+# name -> (handler, one-line help, its arguments in parser order)
+_VERBS = {
+    "parse": (_cmd_parse, "read a presentation file and summarize it", [_FILE]),
+    "abelianize": (_cmd_abelianize, "H_1 invariant factors of a presented group", [_FILE]),
+    "sc-check": (
+        _cmd_sc_check, "verify the C'(1/m) small-cancellation condition", [_M, _FILE]
+    ),
+    "dehn": (
+        _cmd_dehn,
+        "decide triviality of a word over a C'(1/6) presentation",
+        [("--word", {"required": True}), _FILE],
+    ),
+    "rips": (
+        _cmd_rips,
+        "embed a presentation into a C'(1/m) group",
+        [_M, ("--zero-exponent", {"action": "store_true"}), _OUT, _FILE],
+    ),
+    "uce": (
+        _cmd_uce, "universal central extension of a perfect presentation", [_OUT, _FILE]
+    ),
+    "fibre": (
+        _cmd_fibre,
+        "generating pairs of a fibre product over a quotient",
+        [("--kernel", {"action": "append", "metavar": "WORD"}), _FILE],
+    ),
+    "pipeline": (
+        _cmd_pipeline, "rips, central extension, and doubled fibre product", [_M, _OUT, _FILE]
+    ),
+    "evidence": (
+        _cmd_evidence,
+        "finite-quotient criteria at a bounded scale",
+        [("--index-bound", _REQUIRED_INT), _FILE],
+    ),
+    "tc": (
+        _cmd_tc, "coset enumeration over a finitely generated subgroup", [_SUBGROUP, _FILE]
+    ),
+    "rs": (
+        _cmd_rs, "subgroup presentation via Schreier rewriting", [_SUBGROUP, _OUT, _FILE]
+    ),
+    "low-index": (_cmd_low_index, "count subgroups up to an index bound", [_BOUND, _FILE]),
+    "fingerprint": (
+        _cmd_fingerprint,
+        "subgroup-count fingerprint; compare two files",
+        [_BOUND, _FILE, ("file2", {"nargs": "?"})],
+    ),
+    "hom-search": (
+        _cmd_hom_search,
+        "maps onto transitive permutation groups",
+        [("--transitive-degree", _REQUIRED_INT), _FILE],
+    ),
+    "fibre-check": (
+        _cmd_fibre_check,
+        "brute-force generation check on a named instance",
+        [("instance", {"choices": ("z6-z3", "sl25-a5")})],
+    ),
+    "schur": (_cmd_schur, "Schur multiplier of a finite presented group", [_FILE]),
+    "l0-check": (
+        _cmd_l0_check,
+        "compare kernel coinvariants with H_2 of the quotient",
+        [
+            ("--ambient", {"required": True, "metavar": "FILE"}),
+            ("--normal", {"action": "append", "metavar": "WORD"}),
+            ("--quotient", {"required": True, "metavar": "FILE"}),
+        ],
+    ),
+    "h2-rank": (
+        _cmd_h2_rank,
+        "H_2 rank of an aspherical presentation by deficiency",
+        [("--aspherical", {"action": "store_true"}), _FILE],
+    ),
+    "baumslag-iso": (
+        _cmd_baumslag_iso,
+        "power criterion for metabelian Baumslag pairs",
+        [("--modulus", _REQUIRED_INT), ("--unit", _REQUIRED_INT), ("--k", _REQUIRED_INT)],
+    ),
+    "catalog": (
+        _cmd_catalog,
+        "write a named presentation from the catalog",
+        [("name", {}), ("params", {"nargs": "*", "type": int}), _OUT],
+    ),
+}
 
 
 def _usage(stream) -> None:
     print("usage: fpgroups VERB [flags] [inputs]", file=stream)
     print("verbs:", file=stream)
-    for name, (_, help_text) in _VERBS.items():
+    for name, (_, help_text, _) in _VERBS.items():
         print(f"  {name:<14} {help_text}", file=stream)
     print(
         "global flags: --json --time-limit S --max-cosets N --max-elements N --seed N",
@@ -503,10 +440,10 @@ def dispatch(argv) -> int:
         _usage(sys.stderr)
         return EXIT_ERROR
 
-    configure, help_text = _VERBS[verb]
+    handler, help_text, arguments = _VERBS[verb]
     parser = argparse.ArgumentParser(prog=f"fpgroups {verb}", description=help_text)
-    handler = configure(parser)
-    _global_flags(parser)
+    for name, keywords in [*arguments, *_GLOBAL_FLAGS]:
+        parser.add_argument(name, **keywords)
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit as e:

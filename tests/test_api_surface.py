@@ -4,8 +4,8 @@ Every module-level function and class must have a caller in src/.  A name
 counts as used when some src/ module, outside the name's own definition,
 reads it by a bare name or imports it with `from ... import`; attribute
 access does not count, so the method Word.reduce does not keep a free
-function reduce alive.  Exempt are the names fpgroups exports, the
-CLI's decorated verb registrars and one test oracle kept on purpose.
+function reduce alive.  Exempt are the names fpgroups exports and one test
+oracle kept on purpose.
 
 Every class member -- method, property, dataclass field, or `self.X` set in
 __init__ -- must likewise be read in src/ as an attribute, outside its own
@@ -46,8 +46,7 @@ def test_every_definition_has_a_caller_in_src():
             own = None
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 own = node.name
-                if not (own.startswith("_p_") and node.decorator_list):
-                    defined[own] = path.name
+                defined[own] = path.name
             used |= _uses(node, own)
     unused = sorted(
         f"{module}:{name}"

@@ -310,9 +310,14 @@ def assert_matches_oracle(p: Presentation, m: int) -> None:
 def assert_sort_matches_oracles(p: Presentation) -> None:
     """The rotation classes are Booth's, and the suffix order is the one
     unpacked doubling gives over the classes' words alone."""
-    words, classes, proper, (word, offset, lcp) = cancellation._cyclic_words(p, Budget.start())
+    words, classes, proper, (word, offset, kept, sort) = cancellation._cyclic_words(
+        p, Budget.start()
+    )
     assert (words, classes, proper) == booth_cyclic_words(p), p.to_text()[:200]
-    want = doubling_suffix_order(words) if words else (word, offset, lcp)
+    if not words:
+        return
+    lcp = cancellation._lcp(*sort, kept[:-1], kept[1:])
+    want = doubling_suffix_order(words)
     for got, exp in zip((word, offset, lcp), want):
         assert got.tolist() == exp.tolist(), p.to_text()[:200]
 

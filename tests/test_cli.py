@@ -71,6 +71,26 @@ def test_help_exits_zero():
     assert code == 0 and "verbs:" in out
 
 
+def _readme_verb_listing() -> str:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    return section.split("```text\n", 1)[1].split("```", 1)[0]
+
+
+def test_help_is_the_readme_verb_listing():
+    code, out, err = run_plain("--help")
+    assert code == 0 and out == _readme_verb_listing()
+
+
+_README_VERBS = re.findall(r"^  (\S+)", _readme_verb_listing(), re.MULTILINE)
+
+
+@pytest.mark.parametrize("verb", _README_VERBS)
+def test_every_verb_has_help(verb):
+    code, out, err = run_plain(verb, "--help")
+    assert code == 0 and out.startswith(f"usage: fpgroups {verb} ")
+
+
 def test_missing_file_is_error():
     code, rep = run("abelianize", str(FIXTURES / "no_such.pres"))
     assert code == 3 and rep["outcome"] == "ERROR"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fpgroups import cancellation
 from fpgroups.budget import Budget, BudgetExhausted
 from fpgroups.construct import uce
 from fpgroups.cosets import (
@@ -1327,6 +1328,23 @@ def test_low_index_searches_every_index_once(monkeypatch):
     f = low_index(p, 8)
     assert f.complete and f.totals[8] == 1
     assert 0 < checks[0] - 2 * compiling <= 1733
+
+
+def test_low_index_skips_the_match_scan_lcp(monkeypatch):
+    # the rotation classes need two lcp passes over the suffix sort, one for
+    # the periods and one for the classes; the match scan's third is the
+    # piece checker's alone
+    calls = []
+    real = cancellation._lcp
+
+    def lcp(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cancellation, "_lcp", lcp)
+    p = load_presentation((FIXTURES / "baumslag25_2.pres").read_text())
+    assert low_index(p, 1).totals == {1: 1}
+    assert len(calls) == 2
 
 
 def test_low_index_sizes_its_table_by_the_cap():

@@ -193,7 +193,7 @@ class PieceWitness:
 
     def to_json(self, alphabet) -> dict:
         return {
-            "piece": Word(alphabet, self.piece, _reduced=True).text(),
+            "piece": Word._trusted(alphabet, self.piece, True).text(),
             "first": self.first.to_json(),
             "second": self.second.to_json(),
         }

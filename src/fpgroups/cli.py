@@ -237,9 +237,7 @@ def _cmd_hom_search(args, inputs, budget):
     nontrivial = 0
     for t in targets:
         res = hom_search(p, t, budget)
-        non = sum(
-            1 for h in res.homs if any(g != tuple(range(t.degree)) for g in h.images)
-        )
+        non = sum(1 for h in res.homs if any(g != tuple(range(t.degree)) for g in h))
         nontrivial += non
         all_complete = all_complete and res.complete
         per_target[t.name] = {

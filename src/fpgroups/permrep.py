@@ -13,7 +13,9 @@ machinery here on purpose.
 The homomorphism search does not compose tuples: it sorts the target's
 elements, builds their multiplication table with numpy (n^2 entries, which
 also count against the element cap), and extends blocks of partial
-assignments by gathers from that table.
+assignments by gathers from that table; a block's index columns are read
+through cosets._compiled, like HLT's.  A found homomorphism is its tuple of
+images; GroupHom, which checks relators on tuples, is for maps callers give.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import Budget, BudgetExhausted
+from .cosets import _compiled
 from .presentations import Presentation, direct_product
 from .words import Word, WordError
 
@@ -168,7 +171,7 @@ class GroupHom:
 
 @dataclass(frozen=True)
 class HomSearchResult:
-    homs: tuple[GroupHom, ...]
+    homs: tuple[tuple[Perm, ...], ...]  # per hom its images, in alphabet order
     epi_flags: tuple[bool, ...]
     complete: bool
     nodes: int  # partial assignments that passed every check, the empty one included
@@ -214,21 +217,20 @@ def _multiplication_table(elems: list[Perm], degree: int, budget: Budget):
     return mul, inv
 
 
-def _generates_all(rows: np.ndarray, mul: np.ndarray, inv: np.ndarray) -> list[bool]:
-    """Does each row of image indices generate the whole group?  A
+def _generates_all(cols: list[np.ndarray], size: int, mul: np.ndarray) -> list[bool]:
+    """Does each row of a complete block generate the whole group?  A
     breadth-first closure of the identity under right multiplication by the
-    row's images, for all rows at once: y joins when y * g^-1 is in.  A row
-    drops out once a round adds nothing to it."""
-    seen = np.zeros((len(rows), len(mul)), dtype=bool)
+    row's images, for all rows at once: y joins when y * g^-1 is in, g^-1
+    read off the inverse columns.  A row drops out once a round adds nothing."""
+    seen = np.zeros((size, len(mul)), dtype=bool)
     seen[:, 0] = True
-    back = inv[rows]
-    active = np.arange(len(rows))
+    active = np.arange(size)
     while len(active):
         part = seen[active]
         before = part.sum(axis=1)
         at = np.arange(len(active))[:, None]
-        for col in back[active].T:
-            part |= part[at, mul[:, col].T]
+        for col in cols[1::2]:
+            part |= part[at, mul[:, col[active]].T]
         seen[active] = part
         active = active[part.sum(axis=1) > before]
     return seen.all(axis=1).tolist()
@@ -243,12 +245,15 @@ def hom_search(
 
     The search runs on element indices of the target's multiplication table.
     It assigns generator images in order: a row is a partial assignment, and
-    a block of rows is extended by one generator at a time, depth first.
+    a block of rows is extended by one generator at a time, depth first.  A
+    block is a list of index columns, 2i generator i's images and 2i+1 their
+    inverses as in CosetTable, so a word's value on every row is `for a in
+    cosets._compiled(cols, w): acc = mul[acc, a]`, the walk HLT makes.
     Each relator is checked at its highest generator.  Where that generator
-    occurs in it exactly once, the relator also forces its image, so the
-    block gains one column instead of one row per element.  The deadline is
-    read once per block.  `nodes` counts the partial assignments that passed
-    every check, from the empty one to the homomorphisms.
+    occurs in it exactly once, the first such relator instead forces its
+    image to the value of a word, so the block gains one column, not one row
+    per element.  The deadline is read once per block.  `nodes` counts the
+    partial assignments that passed every check, from the empty one on.
     """
     budget = budget or Budget.start()
     degree = target.degree
@@ -257,65 +262,62 @@ def hom_search(
     mul, inv = _multiplication_table(elems, degree, budget)
     ngens = len(p.generators)
 
-    # each relator as (0-based generator, positive?) letters, filed under its
-    # highest generator; the first one with that generator once forces it
-    checks: list[list] = [[] for _ in range(ngens)]
-    forcing: list = [None] * ngens
+    # each relator filed under its highest generator x, except the first one
+    # with x once, pre x^s post: it holds where x^-s is the value of post pre
+    checks: list[list[Word]] = [[] for _ in range(ngens)]
+    forcing: list[Word | None] = [None] * ngens
     for r in p.relators:
-        word = [(abs(l) - 1, l > 0) for l in r.letters]
-        top = max(g for g, _ in word)
-        checks[top].append(word)
-        hits = [i for i, (g, _) in enumerate(word) if g == top]
-        if len(hits) == 1 and forcing[top] is None:
-            i = hits[0]
-            forcing[top] = (word[:i], word[i][1], word[i + 1 :])
+        ls = r.letters
+        top = max(map(abs, ls))
+        hits = [i for i, l in enumerate(ls) if abs(l) == top]
+        if len(hits) == 1 and forcing[top - 1] is None:
+            (i,) = hits
+            w = Word._trusted(p.alphabet, ls[i + 1 :] + ls[:i])
+            forcing[top - 1] = w.inverse() if ls[i] > 0 else w
+        else:
+            checks[top - 1].append(r)
 
-    def value(word, rows, inverse_rows):
-        acc = np.zeros(len(rows), dtype=np.intp)
-        for g, positive in word:
-            acc = mul[acc, (rows if positive else inverse_rows)[:, g]]
+    def value(word: Word, cols: list[np.ndarray], size: int) -> np.ndarray:
+        acc = np.zeros(size, dtype=np.intp)
+        for a in _compiled(cols, word):
+            acc = mul[acc, a]
         return acc
 
-    found: list[GroupHom] = []
+    found: list[tuple[Perm, ...]] = []
     flags: list[bool] = []
     nodes = 1
     complete = True
-    stack = [np.zeros((1, 0), dtype=np.intp)]  # a block's level is its width
+    stack: list[list[np.ndarray]] = [[]]  # a block's level is half its width
     try:
         while stack:
             budget.check("homomorphism search")
-            rows = stack.pop()
-            level = rows.shape[1]
+            cols = stack.pop()
+            level = len(cols) // 2
+            size = len(cols[0]) if cols else 1  # the empty block has one row
             if level == ngens:
-                flags.extend(_generates_all(rows, mul, inv))
-                found.extend(
-                    GroupHom(p, [elems[i] for i in row], degree) for row in rows.tolist()
-                )
+                flags.extend(_generates_all(cols, size, mul))
+                images = [list(map(elems.__getitem__, c.tolist())) for c in cols[::2]]
+                found.extend(zip(*images) if images else [()])
                 continue
-            rule = forcing[level]
-            if rule is None:
-                parents = max(1, _BLOCK_ROWS // n)
-                if len(rows) > parents:
-                    stack.append(rows[parents:])
-                    rows = rows[:parents]
-                column = np.tile(np.arange(n), len(rows))
-                rows = np.repeat(rows, n, axis=0)
+            if forcing[level] is not None:
+                column = value(forcing[level], cols, size)
             else:
-                # pre x^s post = 1, so x^-s = post pre
-                pre, positive, post = rule
-                inverse_rows = inv[rows]
-                column = mul[value(post, rows, inverse_rows), value(pre, rows, inverse_rows)]
-                if positive:
-                    column = inv[column]
-            rows = np.column_stack([rows, column])
-            inverse_rows = inv[rows]
-            keep = np.ones(len(rows), dtype=bool)
-            for word in checks[level]:
-                keep &= value(word, rows, inverse_rows) == 0
-            rows = rows[keep]
-            nodes += len(rows)
-            if len(rows):
-                stack.append(rows)
+                parents = max(1, _BLOCK_ROWS // n)
+                if size > parents:
+                    stack.append([c[parents:] for c in cols])
+                    cols = [c[:parents] for c in cols]
+                    size = parents
+                column = np.tile(np.arange(n), size)
+                cols = [np.repeat(c, n) for c in cols]
+            cols = cols + [column, inv[column]]
+            if checks[level]:
+                keep = np.ones(len(column), dtype=bool)
+                for r in checks[level]:
+                    keep &= value(r, cols, len(column)) == 0
+                cols = [c[keep] for c in cols]
+            nodes += len(cols[-1])
+            if len(cols[-1]):
+                stack.append(cols)
     except BudgetExhausted:
         complete = False
     return HomSearchResult(tuple(found), tuple(flags), complete, nodes)

@@ -424,7 +424,7 @@ def _reletter(w: Word, target: Alphabet, index_map: Sequence[int]) -> Word:
     ls = tuple(
         (index_map[abs(l) - 1] + 1) * (1 if l > 0 else -1) for l in w.letters
     )
-    return Word(target, ls, _reduced=w.is_reduced)
+    return Word._trusted(target, ls, w.is_reduced)
 
 
 def direct_product(p: Presentation, q: Presentation) -> Presentation:
@@ -438,9 +438,9 @@ def direct_product(p: Presentation, q: Presentation) -> Presentation:
     relators = [_reletter(r, ab, pmap) for r in p.relators]
     relators += [_reletter(r, ab, qmap) for r in q.relators]
     for i in range(np_):
-        x = Word(ab, (i + 1,), _reduced=True)
+        x = Word._trusted(ab, (i + 1,), True)
         for j in range(len(q.alphabet)):
-            y = Word(ab, (np_ + j + 1,), _reduced=True)
+            y = Word._trusted(ab, (np_ + j + 1,), True)
             relators.append(commutator(x, y))
     return Presentation(ab, relators)
 

@@ -114,7 +114,7 @@ class Word:
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Word":
-        return cls(alphabet, (), _reduced=True)
+        return cls._trusted(alphabet, (), True)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -261,7 +261,7 @@ def test_criterion_08_dehn_random_words():
         res = hom_search(a5, alternating_group(5))
         ev = next(h for h, epi in zip(res.homs, res.epi_flags) if epi)
         # Gamma -> A5 -> S5: the x-letters lead gamma's alphabet, a_1, a_2 die
-        images = list(ev.images) + [identity_perm(5)] * 2
+        images = list(ev) + [identity_perm(5)] * 2
         seen = 0
         for attempt in range(4000):
             if seen == 200:

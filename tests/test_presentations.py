@@ -167,7 +167,7 @@ def symmetrize(p: Presentation) -> dict[Word, int]:
     every rotation class, mapped to the class's source relator."""
     words = _cyclic_words(p, Budget.start())[0]
     return {
-        Word(p.alphabet, w.letters[k:] + w.letters[:k], _reduced=True): w.source
+        Word._trusted(p.alphabet, w.letters[k:] + w.letters[:k], True): w.source
         for w in words
         for k in range(len(w.letters))
     }

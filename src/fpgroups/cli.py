@@ -237,12 +237,11 @@ def _cmd_hom_search(args, inputs, budget):
     nontrivial = 0
     for t in targets:
         res = hom_search(p, t, budget)
-        non = sum(1 for h in res.homs if any(g != tuple(range(t.degree)) for g in h))
-        nontrivial += non
+        nontrivial += res.nontrivial_count
         all_complete = all_complete and res.complete
         per_target[t.name] = {
-            "homs": len(res.homs),
-            "nontrivial": non,
+            "homs": res.hom_count,
+            "nontrivial": res.nontrivial_count,
             "epimorphisms": res.epi_count,
             "complete": res.complete,
             "nodes": res.nodes,

@@ -5,22 +5,30 @@ Permutations are tuples of 0-based images and compose LEFT TO RIGHT:
 a group on its cosets, so coset tables hand their generator permutations to
 this module unchanged.  The convention is locked by a regression test.
 
-Element enumeration is naive closure under the run budget's element cap,
-raising BudgetExhausted when it runs out; every target this library
-cares about is at most SL(2,5) x SL(2,5) sized, so there is no Schreier-Sims
-machinery here on purpose.
+A PermGroup numbers its elements in closure order: the identity is 0, and
+each other element is first reached, breadth first, as a parent times a
+generator g.  The closure also yields right_g, right multiplication by g on
+those indices, and raises BudgetExhausted past the run budget's element cap;
+every target this library cares about is at most SL(2,5) x SL(2,5) sized,
+so there is no Schreier-Sims machinery here on purpose.  The multiplication
+table is one gather per element, mul[:, j] = right_g[mul[:, parent[j]]],
+with no sort and no search; only hom_search builds it, and its n^2 entries
+also count against the element cap.  The graph of a quotient map, a fibre product and the
+subgroup that pairs generate are closures on pairs of such indices.
 
-The homomorphism search does not compose tuples: it sorts the target's
-elements, builds their multiplication table with numpy (n^2 entries, which
-also count against the element cap), and extends blocks of partial
-assignments by gathers from that table; a block's index columns are read
-through cosets._compiled, like HLT's.  A found homomorphism is its tuple of
+The homomorphism search does not compose tuples: it extends blocks of
+partial assignments by gathers from the table, a block's index columns
+read through cosets._compiled like HLT's, and it keeps one row per class
+of assignments under conjugation by the target.  Each row carries its
+stabilizer as an n-wide bool mask and its class size as its weight, and
+every count is a sum of weights.  A found homomorphism is its tuple of
 images; GroupHom, which checks relators on tuples, is for maps callers give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,10 +102,72 @@ def evaluate_word(w: Word, images: list[Perm], degree: int) -> Perm:
     return acc
 
 
-class PermGroup:
-    """A permutation group given by generators, with cached naive closure."""
+class _Closure(NamedTuple):
+    """The elements of a group acting on points, numbered in closure order.
 
-    __slots__ = ("degree", "generators", "name", "_elements")
+    Element 0 is the identity; element j > 0 was first reached, breadth
+    first, as parent[j] * generator via[j].  Element i is stored as perms[i],
+    its images of the start points (all points for a PermGroup), and
+    right[g, i] is the index of element i * generator g."""
+
+    perms: np.ndarray
+    parent: np.ndarray
+    via: np.ndarray
+    right: np.ndarray
+    layers: list[int]  # breadth-first layer i is elements layers[i]:layers[i+1]
+
+
+def _close(start: np.ndarray, tables: np.ndarray, budget: Budget) -> _Closure:
+    """The closure of the start points under the point maps tables[g], one
+    row per generator; (x * g)[i] = g[x[i]], as for permutations.
+
+    The identity, the generators and their inverses are given; a closure
+    that must go past them raises BudgetExhausted beyond the element cap."""
+    ngens, npoints = tables.shape
+    dtype = np.min_scalar_type(max(npoints - 1, 0))
+    tables = tables.astype(dtype)
+    start = np.asarray(start, dtype=dtype)
+    inverses = np.argsort(tables, axis=1).astype(dtype)
+    given = {row.tobytes() for row in (start, *tables[:, start], *inverses[:, start])}
+    limit = max(budget.max_elements, len(given))
+    width = start.nbytes
+    index = {start.tobytes(): 0}
+    rows, parent, via, right, layers = [start[None]], [0], [0], [], [0, 1]
+    frontier = start[None]
+    while len(frontier):
+        first = layers[-2]
+        # products[a * ngens + g] = frontier[a] * tables[g]
+        products = tables[:, frontier].transpose(1, 0, 2)
+        products = products.reshape(len(frontier) * ngens, len(start))
+        raw = products.tobytes()
+        new = []
+        for r in range(len(products)):
+            key = raw[r * width : (r + 1) * width]
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(index)
+                if j >= limit:
+                    raise BudgetExhausted(f"element cap {budget.max_elements} exceeded")
+                new.append(r)
+                parent.append(first + r // ngens)
+                via.append(r % ngens)
+            right.append(j)
+        frontier = products[new]
+        rows.append(frontier)
+        layers.append(len(index))
+    return _Closure(
+        np.concatenate(rows),
+        np.array(parent, dtype=np.intp),
+        np.array(via, dtype=np.intp),
+        np.array(right, dtype=np.intp).reshape(len(index), ngens).T,
+        layers,
+    )
+
+
+class PermGroup:
+    """A permutation group given by generators, with its cached closure."""
+
+    __slots__ = ("degree", "generators", "name", "_closure")
 
     def __init__(self, degree: int, generators: list[Perm], name: str = ""):
         for g in generators:
@@ -106,42 +176,25 @@ class PermGroup:
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         self.name = name
-        self._elements: frozenset[Perm] | None = None
+        self._closure: _Closure | None = None
 
-    def elements(self, budget: Budget | None = None) -> frozenset[Perm]:
-        if self._elements is None:
-            self._elements = close_under_products(
-                [identity_perm(self.degree)] + self.generators, compose, invert, budget
-            )
-        return self._elements
+    def closure(self, budget: Budget | None = None) -> _Closure:
+        if self._closure is None:
+            tables = np.array(self.generators, dtype=np.intp)
+            tables = tables.reshape(len(self.generators), self.degree)
+            self._closure = _close(np.arange(self.degree), tables, budget or Budget.start())
+        return self._closure
+
+    def elements(self, budget: Budget | None = None) -> tuple[Perm, ...]:
+        """The elements in closure order; the identity is first."""
+        return tuple(map(tuple, self.closure(budget).perms.tolist()))
 
     def order(self, budget: Budget | None = None) -> int:
-        return len(self.elements(budget))
+        return len(self.closure(budget).perms)
 
     def __repr__(self) -> str:
         label = self.name or f"degree-{self.degree} group"
         return f"<{label} with {len(self.generators)} generators>"
-
-
-def close_under_products(seed, mul, inv, budget: Budget | None = None):
-    """Closure of the seed under the binary operation and inverses."""
-    cap = (budget or Budget.start()).max_elements
-    elems = set(seed)
-    for x in list(elems):
-        elems.add(inv(x))
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in seed:
-                for y in (mul(x, g), mul(g, x)):
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-                        if len(elems) > cap:
-                            raise BudgetExhausted(f"element cap {cap} exceeded")
-        frontier = nxt
-    return frozenset(elems)
 
 
 class GroupHom:
@@ -171,14 +224,28 @@ class GroupHom:
 
 @dataclass(frozen=True)
 class HomSearchResult:
-    homs: tuple[tuple[Perm, ...], ...]  # per hom its images, in alphabet order
+    """The homomorphisms found, one per class under conjugation by the
+    target; every count is a sum of class sizes."""
+
+    homs: tuple[tuple[Perm, ...], ...]  # per class its least images, in alphabet order
+    weights: tuple[int, ...]  # per class its size |G| / |C_G(images)|
     epi_flags: tuple[bool, ...]
     complete: bool
     nodes: int  # partial assignments that passed every check, the empty one included
 
     @property
+    def hom_count(self) -> int:
+        return sum(self.weights)
+
+    @property
+    def nontrivial_count(self) -> int:
+        return sum(
+            w for h, w in zip(self.homs, self.weights) if any(g != tuple(range(len(g))) for g in h)
+        )
+
+    @property
     def epi_count(self) -> int:
-        return sum(self.epi_flags)
+        return sum(w for w, epi in zip(self.weights, self.epi_flags) if epi)
 
 
 # Rows of an expanded block, so that the search's peak memory does not grow
@@ -187,34 +254,26 @@ class HomSearchResult:
 _BLOCK_ROWS = 1 << 12
 
 
-def _multiplication_table(elems: list[Perm], degree: int, budget: Budget):
-    """mul[i, j] is the index of elems[i] * elems[j] and inv[i] that of
-    elems[i]^-1, for elements sorted lexicographically (the identity is 0).
+def _multiplication_table(closure: _Closure, budget: Budget):
+    """mul[i, j] is the index of element i * element j and inv[i] that of
+    element i^-1, in closure order (the identity is 0).  Column j is one
+    gather of its parent's column through right multiplication by its
+    generator, a breadth-first layer at a time.
 
     The table's n^2 entries count against the element cap."""
-    n = len(elems)
+    n = len(closure.perms)
     if n * n > budget.max_elements:
         raise BudgetExhausted(
             f"element cap {budget.max_elements} exceeded by the {n} x {n} "
             "multiplication table"
         )
-    if n == 1:  # the trivial group, possibly on no points at all
-        return np.zeros((1, 1), dtype=np.intp), np.zeros(1, dtype=np.intp)
-    # a permutation's key is the bytes of its image row, so degrees whose
-    # base-degree codes would overflow int64 (SL(2,5) on 24 points) need no
-    # special case; the keys sort in byte order, mapped back through `order`
-    perms = np.array(elems, dtype=np.intp)
-    key = np.dtype((np.void, perms.itemsize * degree))
-    keys = perms.view(key).ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    mul = np.empty((n, n), dtype=np.intp)
-    for i, p in enumerate(elems):
-        # (p * q)[k] = q[p[k]], for every q at once
-        products = np.ascontiguousarray(perms[:, p]).view(key).ravel()
-        mul[i] = order[np.searchsorted(sorted_keys, products)]
-    inv = np.argmin(mul, axis=1)  # the one j with elems[i] * elems[j] = 1
-    return mul, inv
+    columns = np.empty((n, n), dtype=np.intp)  # columns[j] = mul[:, j]
+    columns[0] = np.arange(n)
+    layers = closure.layers
+    for lo, hi in zip(layers[1:], layers[2:]):
+        columns[lo:hi] = closure.right[closure.via[lo:hi, None], columns[closure.parent[lo:hi]]]
+    mul = np.ascontiguousarray(columns.T)
+    return mul, np.argmin(mul, axis=1)  # the one j with i * j = 1
 
 
 def _generates_all(cols: list[np.ndarray], size: int, mul: np.ndarray) -> list[bool]:
@@ -239,11 +298,11 @@ def _generates_all(cols: list[np.ndarray], size: int, mul: np.ndarray) -> list[b
 def hom_search(
     p: Presentation, target: PermGroup, budget: Budget | None = None
 ) -> HomSearchResult:
-    """All homomorphisms from the presented group to the target, in
-    deterministic (lexicographic image tuple) order, each flagged as an
-    epimorphism or not.
+    """All homomorphisms from the presented group to the target, one per
+    class under simultaneous conjugation by the target, with each class's
+    size and whether it is a class of epimorphisms.
 
-    The search runs on element indices of the target's multiplication table.
+    The search runs on the element indices of the target's closure order.
     It assigns generator images in order: a row is a partial assignment, and
     a block of rows is extended by one generator at a time, depth first.  A
     block is a list of index columns, 2i generator i's images and 2i+1 their
@@ -251,15 +310,26 @@ def hom_search(
     cosets._compiled(cols, w): acc = mul[acc, a]`, the walk HLT makes.
     Each relator is checked at its highest generator.  Where that generator
     occurs in it exactly once, the first such relator instead forces its
-    image to the value of a word, so the block gains one column, not one row
-    per element.  The deadline is read once per block.  `nodes` counts the
-    partial assignments that passed every check, from the empty one on.
+    image to the value of a word, so the block gains one column, not rows.
+
+    Conjugating an assignment conjugates every relator's value and every
+    forced image, so the rows that pass are unions of classes, and a row
+    stands for its class.  Each row carries its stabilizer C = C_G(g_1, ...,
+    g_k) as an n-wide bool mask and its weight, the class size |G| / |C|.
+    An unforced level extends a row only by the x that are least in their
+    orbit under conjugation by C, worked out once per distinct stabilizer in
+    the search, and the child's stabilizer is C & C_G(x); a forced image is
+    a word in the row's images, so C centralizes it already.  So the classes
+    come in lexicographic order of their least index tuples, and `nodes`,
+    the sum of the weights of the rows that passed every check from the
+    empty one on, counts the partial assignments that did.  The deadline is
+    read once per block; a run it cuts short has counted whole classes.
     """
     budget = budget or Budget.start()
-    degree = target.degree
-    elems = sorted(target.elements(budget))
-    n = len(elems)
-    mul, inv = _multiplication_table(elems, degree, budget)
+    closure = target.closure(budget)
+    mul, inv = _multiplication_table(closure, budget)
+    n = len(mul)
+    commute = mul == mul.T  # row x is the mask of C_G(x)
     ngens = len(p.generators)
 
     # each relator filed under its highest generator x, except the first one
@@ -283,44 +353,72 @@ def hom_search(
             acc = mul[acc, a]
         return acc
 
+    def orbits(stabilizer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least element of each orbit of the stabilizer on the target
+        under conjugation, and the orbit's size."""
+        c = np.flatnonzero(stabilizer)
+        least = mul[mul[inv[c]], c[:, None]].min(axis=0)  # over c of c^-1 x c
+        reps = np.flatnonzero(least == np.arange(n))
+        return reps, np.bincount(least, minlength=n)[reps]
+
+    orbits_of: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # by packed stabilizer mask
     found: list[tuple[Perm, ...]] = []
+    weights: list[int] = []
     flags: list[bool] = []
     nodes = 1
     complete = True
-    stack: list[list[np.ndarray]] = [[]]  # a block's level is half its width
+    # a block: its index columns (its level is half their number), each
+    # row's stabilizer mask and each row's weight; the empty block has one row
+    stack = [([], np.ones((1, n), dtype=bool), np.ones(1, dtype=np.int64))]
     try:
         while stack:
             budget.check("homomorphism search")
-            cols = stack.pop()
+            cols, masks, weight = stack.pop()
             level = len(cols) // 2
-            size = len(cols[0]) if cols else 1  # the empty block has one row
             if level == ngens:
-                flags.extend(_generates_all(cols, size, mul))
-                images = [list(map(elems.__getitem__, c.tolist())) for c in cols[::2]]
+                flags.extend(_generates_all(cols, len(weight), mul))
+                weights.extend(weight.tolist())
+                images = [list(map(tuple, closure.perms[c].tolist())) for c in cols[::2]]
                 found.extend(zip(*images) if images else [()])
                 continue
             if forcing[level] is not None:
-                column = value(forcing[level], cols, size)
+                column = value(forcing[level], cols, len(weight))
+                row, gain = np.arange(len(weight)), np.ones(len(weight), dtype=np.int64)
             else:
-                parents = max(1, _BLOCK_ROWS // n)
-                if size > parents:
-                    stack.append([c[parents:] for c in cols])
-                    cols = [c[:parents] for c in cols]
-                    size = parents
-                column = np.tile(np.arange(n), size)
-                cols = [np.repeat(c, n) for c in cols]
+                packed = np.packbits(masks, axis=1)
+                raw, width = packed.tobytes(), packed.shape[1]
+                per: list[tuple[np.ndarray, np.ndarray]] = []
+                children = 0
+                for i in range(len(weight)):
+                    key = raw[i * width : (i + 1) * width]
+                    if key not in orbits_of:
+                        orbits_of[key] = orbits(masks[i])
+                    reps, _ = orbits_of[key]
+                    if per and children + len(reps) > _BLOCK_ROWS:
+                        stack.append(([c[i:] for c in cols], masks[i:], weight[i:]))
+                        break
+                    per.append(orbits_of[key])
+                    children += len(reps)
+                row = np.repeat(np.arange(len(per)), [len(reps) for reps, _ in per])
+                column = np.concatenate([reps for reps, _ in per])
+                gain = np.concatenate([counts for _, counts in per])
+                cols = [c[row] for c in cols]
             cols = cols + [column, inv[column]]
             if checks[level]:
                 keep = np.ones(len(column), dtype=bool)
                 for r in checks[level]:
                     keep &= value(r, cols, len(column)) == 0
                 cols = [c[keep] for c in cols]
-            nodes += len(cols[-1])
-            if len(cols[-1]):
-                stack.append(cols)
+                row, gain = row[keep], gain[keep]
+            # on a forced level this leaves each mask as it was
+            masks = masks[row] & commute[cols[-2]]
+            weight = weight[row] * gain
+            nodes += int(weight.sum())
+            if len(weight):
+                stack.append((cols, masks, weight))
     except BudgetExhausted:
         complete = False
-    return HomSearchResult(tuple(found), tuple(flags), complete, nodes)
+    return HomSearchResult(tuple(found), tuple(weights), tuple(flags), complete, nodes)
 
 
 @dataclass(frozen=True)
@@ -357,20 +455,22 @@ def epi_count_product_check(
 class FiniteFibreProduct:
     """P = {(g, h) in G x G : eta(g) = eta(h)} for a finite permutation group
     G (the factor, realizing the source generators) and a quotient map eta
-    given on generators.  Elements are stored as pairs of G-permutations."""
+    given on generators.  Elements are pairs of the factor's element indices
+    in its closure order."""
 
     source: Presentation
     factor: PermGroup
-    elements: frozenset[tuple[Perm, Perm]]
+    elements: frozenset[tuple[int, int]]
     kernel_size: int
 
 
-def _pair_mul(a, b):
-    return (compose(a[0], b[0]), compose(a[1], b[1]))
-
-
-def _pair_inv(a):
-    return (invert(a[0]), invert(a[1]))
+def _pairs(right_u: np.ndarray, right_v: np.ndarray, budget: Budget) -> np.ndarray:
+    """The group generated by the pairs (u_i, v_i) as index pairs, one row
+    per element in closure order, where right_u[i] and right_v[i] are right
+    multiplication by u_i and by v_i on the element indices of two closures."""
+    n = right_u.shape[1]
+    closure = _close(np.array([0, n]), np.hstack([right_u, n + right_v]), budget)
+    return closure.perms.astype(np.intp) - [0, n]
 
 
 def fibre_product_finite(
@@ -381,34 +481,30 @@ def fibre_product_finite(
     `ambient` realizes the source group as a permutation group G (one
     generator per source generator, in order); `h` sends the same generators
     onto Q.  The induced map G -> Q must be well defined, which is checked by
-    closing the generator graph {(g_i, eta(g_i))} and counting.
+    closing the generator graph {(g_i, eta(g_i))} on index pairs over the
+    closures of G and of Q, and counting.
     """
     if len(ambient.generators) != len(h.source.generators):
         raise PermError("ambient generators must match the source generators")
     budget = budget or Budget.start()
-    dG, dQ = ambient.degree, h.degree
-    seed = [(identity_perm(dG), identity_perm(dQ))] + [
-        (g, q) for g, q in zip(ambient.generators, h.images)
-    ]
-    graph_pairs = close_under_products(seed, _pair_mul, _pair_inv, budget)
-    order_G = ambient.order(budget)
+    factor = ambient.closure(budget)
+    order_G = len(factor.perms)
+    image = PermGroup(h.degree, h.images).closure(budget)
+    graph = _pairs(factor.right, image.right, budget)
     if order_G * order_G > budget.max_elements:
         raise BudgetExhausted(
             f"|G|^2 = {order_G ** 2} exceeds the element cap {budget.max_elements}"
         )
-    if len(graph_pairs) != order_G:
+    if len(graph) != order_G:
         raise PermError(
             "generator images do not induce a map on the ambient group "
-            f"(graph has {len(graph_pairs)} elements, |G| = {order_G})"
+            f"(graph has {len(graph)} elements, |G| = {order_G})"
         )
-    graph = dict(graph_pairs)
-    fibres: dict[Perm, list[Perm]] = {}
-    for g, q in graph.items():
+    fibres: dict[int, list[int]] = {}  # G's indices by their image's index
+    for g, q in graph.tolist():
         fibres.setdefault(q, []).append(g)
-    elements = frozenset(
-        (x, y) for fibre in fibres.values() for x in fibre for y in fibre
-    )
-    kernel_size = len(fibres[identity_perm(dQ)])
+    elements = frozenset((x, y) for fibre in fibres.values() for x in fibre for y in fibre)
+    kernel_size = len(fibres[0])
     assert len(elements) == kernel_size * order_G  # |P| = |ker|·|G|
     return FiniteFibreProduct(h.source, ambient, elements, kernel_size)
 
@@ -420,25 +516,30 @@ def check_generation(
 ) -> bool:
     """Do the given pairs of words generate the whole fibre product?
 
-    Each side is evaluated through the G-realization of the source
-    generators; the closure of the evaluated pairs is compared with the
-    stored element set."""
-    d = ffp.factor.degree
-    imgs = ffp.factor.generators
+    Each word is evaluated as right multiplication on the factor's element
+    indices, a gather per letter through the closure's generator columns;
+    the closure of the evaluated pairs on index pairs is compared in size
+    with the stored element set, which contains it."""
+    budget = budget or Budget.start()
+    factor = ffp.factor.closure(budget)
+    n = len(factor.perms)
+    back = np.argsort(factor.right, axis=1)  # right multiplication by g^-1
 
-    def ev(w: Word) -> Perm:
+    def right_by(w: Word) -> np.ndarray:
         if w.alphabet != ffp.source.alphabet:
             raise WordError("pair word over a foreign alphabet")
-        return evaluate_word(w, imgs, d)
+        acc = np.arange(n)
+        for l in w.letters:
+            acc = (factor.right[l - 1] if l > 0 else back[-l - 1])[acc]
+        return acc
 
-    seed = [(identity_perm(d), identity_perm(d))]
-    for u, v in pair_words:
-        pair = (ev(u), ev(v))
-        if pair not in ffp.elements:
+    right_u = np.empty((len(pair_words), n), dtype=np.intp)
+    right_v = np.empty((len(pair_words), n), dtype=np.intp)
+    for i, (u, v) in enumerate(pair_words):
+        right_u[i], right_v[i] = right_by(u), right_by(v)
+        if (int(right_u[i, 0]), int(right_v[i, 0])) not in ffp.elements:
             raise PermError("a proposed generator lies outside the fibre product")
-        seed.append(pair)
-    gen = close_under_products(seed, _pair_mul, _pair_inv, budget)
-    return gen == ffp.elements
+    return len(_pairs(right_u, right_v, budget)) == len(ffp.elements)
 
 
 # ---------------------------------------------------------------------------

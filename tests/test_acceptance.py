@@ -259,7 +259,7 @@ def test_criterion_08_dehn_random_words():
         # words whose image in A5 is a non-identity permutation stay nontrivial
         rr, solver = stages[0]
         res = hom_search(a5, alternating_group(5))
-        ev = next(h for h, epi in zip(res.homs, res.epi_flags) if epi)
+        ev = next(h for h, epi in zip(res.homs, res.epi_flags) if epi)  # a class representative
         # Gamma -> A5 -> S5: the x-letters lead gamma's alphabet, a_1, a_2 die
         images = list(ev) + [identity_perm(5)] * 2
         seen = 0

@@ -392,9 +392,11 @@ def test_element_cap_exits_exhausted():
 
 
 def test_time_limit_bounds_hom_search(tmp_path):
-    # S5 leaves 120^4 rows to check at the last generator: 11 s on a 2-core Xeon
+    # S5 still leaves about 120^4 rows to check at the last generator, one
+    # per class of 5-tuples: the search was still running at a 3 s deadline
+    # on a 2-core Xeon
     f = tmp_path / "long.pres"
-    f.write_text("< a, b, c, d | d^2 a b c, d^3 c b a >")
+    f.write_text("< a, b, c, d, e | e^2 a b c d, e^3 d c b a >")
     started = time.perf_counter()
     code, rep = run("hom-search", "--transitive-degree", "5", "--time-limit", "1", str(f))
     assert code == 2 and rep["outcome"] == "EXHAUSTED"

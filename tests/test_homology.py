@@ -25,10 +25,11 @@ from fpgroups.homology import (
     lemma_l0_check,
     schur_multiplier,
 )
-from fpgroups.permrep import close_under_products, compose, evaluate_word, identity_perm, invert
+from fpgroups.permrep import compose, evaluate_word, identity_perm, invert
 from fpgroups.presentations import catalog, direct_product, parse_presentation
 from fpgroups.words import Word
 from fpgroups.zlattice import AbelianInvariants, abelianization, cokernel_invariants
+from test_permrep import close_under_products
 
 
 def quiet(text):

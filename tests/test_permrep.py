@@ -5,19 +5,20 @@ import warnings
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpgroups import permrep
 from fpgroups.budget import Budget, BudgetExhausted
+from fpgroups.cosets import _compiled
 from fpgroups.permrep import (
     GroupHom,
     PermError,
     PermGroup,
     alternating_group,
     check_generation,
-    close_under_products,
     compose,
     cycle_notation,
     cyclic_group,
@@ -43,6 +44,49 @@ def quiet(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return parse_presentation(text)
+
+
+def close_under_products(seed, mul, inv, budget: Budget | None = None):
+    """Closure of the seed under the binary operation and inverses, on
+    tuples: the closure PermGroup replaced, kept as the oracle for its
+    elements, its element cap and fibre products."""
+    cap = (budget or Budget.start()).max_elements
+    elems = set(seed)
+    for x in list(elems):
+        elems.add(inv(x))
+    frontier = list(elems)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in seed:
+                for y in (mul(x, g), mul(g, x)):
+                    if y not in elems:
+                        elems.add(y)
+                        nxt.append(y)
+                        if len(elems) > cap:
+                            raise BudgetExhausted(f"element cap {cap} exceeded")
+        frontier = nxt
+    return frozenset(elems)
+
+
+def conjugacy_class(images, target):
+    """The tuples conjugate to the image tuple under the target."""
+    return {tuple(compose(compose(invert(c), g), c) for g in images) for c in target.elements()}
+
+
+def expanded(res, target):
+    """Each hom of a search result, from its class representatives, with its
+    epi flag."""
+    out = {}
+    for h, epi in zip(res.homs, res.epi_flags):
+        for x in conjugacy_class(h, target):
+            out[x] = epi
+    return out
+
+
+_ATLAS = [symmetric_group(1), PermGroup(0, [])] + [
+    t for d in range(2, 6) for t in transitive_groups(d)
+] + [sl25()]
 
 
 # -- composition convention (locked) ----------------------------------------
@@ -73,6 +117,7 @@ def test_atlas_orders():
     assert symmetric_group(4).order() == 24
     assert symmetric_group(1).order() == 1
     assert alternating_group(5).order() == 60
+    assert sl25().order() == 120
     expected = {
         2: [2],
         3: [3, 6],
@@ -100,6 +145,59 @@ def test_element_cap():
         symmetric_group(5).elements(Budget.start(max_elements=50))
 
 
+@pytest.mark.parametrize("target", _ATLAS, ids=lambda t: t.name or repr(t))
+def test_closure_matches_the_tuple_closure(target):
+    elems = target.elements()
+    idp = identity_perm(target.degree)
+    assert elems[0] == idp
+    assert set(elems) == close_under_products([idp] + target.generators, compose, invert)
+    assert len(set(elems)) == len(elems) == target.order()
+    closure = target.closure()
+    for j in range(1, len(elems)):  # each element a parent times a generator
+        assert closure.parent[j] < j
+        assert elems[j] == compose(elems[closure.parent[j]], target.generators[closure.via[j]])
+    for g, right in zip(target.generators, closure.right):
+        assert [elems[k] for k in right] == [compose(x, g) for x in elems]
+    layers = closure.layers
+    assert layers[0] == 0 and layers[-1] == len(elems) and layers == sorted(layers)
+    for prev, lo, hi in zip(layers, layers[1:], layers[2:]):  # parents lie in the layer before
+        assert all(prev <= closure.parent[j] < lo for j in range(lo, hi))
+
+
+@pytest.mark.parametrize("target", _ATLAS, ids=lambda t: t.name or repr(t))
+def test_multiplication_table_matches_compose(target):
+    elems = target.elements()
+    mul, inv = permrep._multiplication_table(target.closure(), Budget.start())
+    index = {x: i for i, x in enumerate(elems)}
+    for i, x in enumerate(elems):
+        assert mul[i].tolist() == [index[compose(x, y)] for y in elems]
+        assert inv[i] == index[invert(x)]
+
+
+def test_element_cap_matches_the_tuple_closure():
+    # the identity, the generators and their inverses are given, so the cap
+    # holds only a closure that must go past them, at the same caps as the
+    # tuple closure: C2 closes under a cap of 1, S3 (four given) does not
+    groups = [cyclic_group(2), cyclic_group(3), symmetric_group(3), transitive_groups(4)[1],
+              alternating_group(4), transitive_groups(5)[2]]
+    for target in groups:
+        idp = identity_perm(target.degree)
+        for cap in range(1, target.order() + 2):
+            budget = Budget.start(max_elements=cap)
+            try:
+                close_under_products([idp] + target.generators, compose, invert, budget)
+                expected = None
+            except BudgetExhausted as e:
+                expected = str(e)
+            fresh = PermGroup(target.degree, target.generators)
+            try:
+                fresh.order(budget)
+                got = None
+            except BudgetExhausted as e:
+                got = str(e)
+            assert got == expected, (target.name, cap)
+
+
 # -- hom verification --------------------------------------------------------
 
 
@@ -124,14 +222,15 @@ def test_hom_search_involution_to_s3():
     p = parse_presentation("< a | a^2 >")
     res = hom_search(p, symmetric_group(3))
     assert res.complete
-    assert len(res.homs) == 4
+    assert res.hom_count == 4 and res.nontrivial_count == 3
+    assert res.weights == (1, 3)  # the identity, and the class of transpositions
     assert res.epi_count == 0  # one involution never generates S3
 
 
 def test_hom_search_free2_to_s3_epi_count():
     res = hom_search(parse_presentation("< a, b | >"), symmetric_group(3))
     assert res.complete
-    assert len(res.homs) == 36
+    assert res.hom_count == 36
     assert res.epi_count == 18
 
 
@@ -147,16 +246,19 @@ def test_hom_search_exhaustive_against_brute_force():
         and compose(compose(x, y), compose(x, y)) == idp
     ]
     res = hom_search(p, target)
-    assert [(h[0], h[1]) for h in res.homs] == brute
+    assert set(expanded(res, target)) == set(brute)
+    assert res.hom_count == len(brute)
 
 
 def test_hom_search_deterministic_order():
     p = parse_presentation("< a | a^2 >")
     r1 = hom_search(p, symmetric_group(3))
     r2 = hom_search(p, symmetric_group(3))
-    assert r1.homs == r2.homs
-    imgs = [h[0] for h in r1.homs]
-    assert imgs == sorted(imgs)
+    assert r1 == r2
+    # representatives in lexicographic order of their closure indices
+    index = {x: i for i, x in enumerate(symmetric_group(3).elements())}
+    keys = [index[h[0]] for h in r1.homs]
+    assert keys == sorted(keys)
 
 
 def test_hom_search_budget_partial():
@@ -186,7 +288,8 @@ def test_epis_permuted_by_conjugation():
     p = parse_presentation("< a, b | >")
     target = symmetric_group(3)
     res = hom_search(p, target)
-    epi_images = {h for h, e in zip(res.homs, res.epi_flags) if e}
+    epi_images = {h for h, e in expanded(res, target).items() if e}
+    assert len(epi_images) == res.epi_count == 18
     t = perm_from_cycles(3, [(1, 2, 3)])
     tinv = invert(t)
     for images in epi_images:
@@ -201,7 +304,8 @@ def test_cyclic_hom_counts():
     for n, m in [(2, 2), (4, 6), (5, 3), (6, 4)]:
         p = parse_presentation(f"< a | a^{n} >")
         res = hom_search(p, cyclic_group(m))
-        assert len(res.homs) == gcd(n, m)
+        assert res.hom_count == gcd(n, m)
+        assert res.weights == (1,) * gcd(n, m)  # an abelian target: every class is one hom
 
 
 def test_single_occurrence_deduction_agrees_with_plain_search():
@@ -211,8 +315,9 @@ def test_single_occurrence_deduction_agrees_with_plain_search():
     target = alternating_group(4)
     rp = hom_search(p, target)
     rq = hom_search(q, target)
-    assert len(rp.homs) == len(rq.homs)
+    assert rp.hom_count == rq.hom_count
     assert [h[:2] for h in rp.homs] == list(rq.homs)
+    assert rp.weights == rq.weights  # the forced image keeps each stabilizer
     for h in rp.homs:  # and the deduced image really is a*b
         assert h[2] == compose(h[0], h[1])
 
@@ -239,7 +344,7 @@ def test_transitive_hom_count_matches_low_index():
     p = catalog("A5").presentation
     res = hom_search(p, symmetric_group(5))
     transitive = 0
-    for h in res.homs:
+    for h, weight in zip(res.homs, res.weights):
         orbit = {0}
         frontier = [0]
         while frontier:
@@ -249,7 +354,7 @@ def test_transitive_hom_count_matches_low_index():
                     orbit.add(g[x])
                     frontier.append(g[x])
         if orbit == set(range(5)):
-            transitive += 1
+            transitive += weight
     assert transitive % 24 == 0
     assert transitive // 24 == low_index(p, 5).totals[5]
 
@@ -266,8 +371,9 @@ def _single_occurrence(letters, gen):
 
 
 def reference_hom_search(p, target):
-    """The depth-first search on permutation tuples that hom_search replaced:
-    (image tuples in order, epi flags, number of assign calls)."""
+    """The depth-first search on permutation tuples, every assignment a
+    node: (image tuples, epi flags, and at index k the assign calls with k
+    generators assigned)."""
     budget = Budget.start()
     degree = target.degree
     elems = sorted(target.elements(budget))
@@ -276,7 +382,7 @@ def reference_hom_search(p, target):
     ngens = len(p.generators)
     rel_support = [frozenset(abs(l) for l in r.letters) for r in p.relators]
     found, flags = [], []
-    calls = 0
+    calls = [0] * (ngens + 1)
 
     def evaluate(letters, images):
         acc = idp
@@ -286,8 +392,7 @@ def reference_hom_search(p, target):
         return acc
 
     def assign(images, level):
-        nonlocal calls
-        calls += 1
+        calls[level - 1] += 1
         if level > ngens:
             imgs = [images[i] for i in range(1, ngens + 1)]
             GroupHom(p, imgs, degree)
@@ -326,13 +431,37 @@ def reference_hom_search(p, target):
     return found, tuple(flags), calls
 
 
+def _truncated(p, k):
+    """The first k generators of p and the relators on them alone."""
+    alphabet = Alphabet(p.alphabet.names[:k])
+    kept = [Word(alphabet, r.letters) for r in p.relators if max(map(abs, r.letters)) <= k]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicates
+        return Presentation(alphabet, kept)
+
+
 def _assert_matches_reference(p, target):
     res = hom_search(p, target)
-    homs, flags, calls = reference_hom_search(p, target)
+    homs, flags, levels = reference_hom_search(p, target)
     assert res.complete
-    assert list(res.homs) == homs
-    assert res.epi_flags == flags
-    assert res.nodes == calls
+    # each representative is the least of its class, in closure order, and
+    # the representatives come in that order
+    index = {x: i for i, x in enumerate(target.elements())}
+    keys = [tuple(index[g] for g in h) for h in res.homs]
+    assert keys == sorted(keys)
+    for key, h, weight in zip(keys, res.homs, res.weights):
+        cls = conjugacy_class(h, target)
+        assert len(cls) == weight
+        assert min(tuple(index[g] for g in x) for x in cls) == key
+    # the classes are disjoint and make up every hom, with its epi flag
+    assert sum(res.weights) == len(homs)
+    assert expanded(res, target) == dict(zip(homs, flags))
+    idp = identity_perm(target.degree)
+    assert (res.hom_count, res.epi_count) == (len(homs), sum(flags))
+    assert res.nontrivial_count == sum(any(g != idp for g in h) for h in homs)
+    assert res.nodes == sum(levels)
+    for k in range(1, len(p.generators)):  # level k holds the homs of the first k generators
+        assert hom_search(_truncated(p, k), target).hom_count == levels[k]
 
 
 _TARGETS_UP_TO_4 = [symmetric_group(1)] + [t for d in (2, 3, 4) for t in transitive_groups(d)]
@@ -364,6 +493,104 @@ def test_hom_search_matches_reference_on_fixtures(name):
         _assert_matches_reference(p, target)
 
 
+def expanded_hom_search(p, target):
+    """The search over every partial assignment that hom_search replaced,
+    on the same table: (homs as index tuples, epi flags, nodes)."""
+    budget = Budget.start()
+    mul, inv = permrep._multiplication_table(target.closure(budget), budget)
+    n = len(mul)
+    ngens = len(p.generators)
+    checks = [[] for _ in range(ngens)]
+    forcing = [None] * ngens
+    for r in p.relators:
+        ls = r.letters
+        top = max(map(abs, ls))
+        hits = [i for i, l in enumerate(ls) if abs(l) == top]
+        if len(hits) == 1 and forcing[top - 1] is None:
+            (i,) = hits
+            w = Word(p.alphabet, ls[i + 1 :] + ls[:i])
+            forcing[top - 1] = w.inverse() if ls[i] > 0 else w
+        else:
+            checks[top - 1].append(r)
+
+    def value(word, cols, size):
+        acc = np.zeros(size, dtype=np.intp)
+        for a in _compiled(cols, word):
+            acc = mul[acc, a]
+        return acc
+
+    found, flags = [], []
+    nodes = 1
+    stack = [[]]
+    while stack:
+        cols = stack.pop()
+        level = len(cols) // 2
+        size = len(cols[0]) if cols else 1
+        if level == ngens:
+            flags.extend(permrep._generates_all(cols, size, mul))
+            found.extend(zip(*[c.tolist() for c in cols[::2]]) if cols else [()])
+            continue
+        if forcing[level] is not None:
+            column = value(forcing[level], cols, size)
+        else:
+            parents = max(1, permrep._BLOCK_ROWS // n)
+            if size > parents:
+                stack.append([c[parents:] for c in cols])
+                cols = [c[:parents] for c in cols]
+                size = parents
+            column = np.tile(np.arange(n), size)
+            cols = [np.repeat(c, n) for c in cols]
+        cols = cols + [column, inv[column]]
+        if checks[level]:
+            keep = np.ones(len(column), dtype=bool)
+            for r in checks[level]:
+                keep &= value(r, cols, len(column)) == 0
+            cols = [c[keep] for c in cols]
+        nodes += len(cols[-1])
+        if len(cols[-1]):
+            stack.append(cols)
+    return found, flags, nodes
+
+
+_SOURCES = [
+    "< a, b | >",
+    "< a, b | a^2, b^3 >",
+    "< a, b, c | a^3, b^3, c b^-1 a^-1 >",
+    "< a, b | a^2, b^3, (a b)^5 >",
+    "< a, b | a b a^-1 b^-1 >",
+]
+
+
+@pytest.mark.parametrize("source", _SOURCES + ["bp2", "a5", "q8", "baumslag25_1", "klein"])
+def test_hom_search_nodes_match_the_expanded_search(source):
+    if source.startswith("<"):
+        p = quiet(source)
+    else:
+        p = load_presentation((FIXTURES / f"{source}.pres").read_text())
+    for target in (alternating_group(5), symmetric_group(5), sl25(), transitive_groups(4)[2]):
+        res = hom_search(p, target)
+        homs, flags, nodes = expanded_hom_search(p, target)
+        assert res.complete
+        assert res.nodes == nodes, (source, target.name)
+        index = {x: i for i, x in enumerate(target.elements())}
+        got = {tuple(index[g] for g in x): epi for x, epi in expanded(res, target).items()}
+        assert got == dict(zip(homs, flags))
+        assert (res.hom_count, res.epi_count) == (len(homs), sum(flags))
+        assert res.nontrivial_count == sum(map(any, homs))  # the identity is index 0
+
+
+def test_four_generator_case_into_s5_within_two_seconds():
+    # the search over every assignment checks 120^4 rows at d and took
+    # 11-13 s on a 2-core Xeon; by classes it takes well under a second there
+    p = parse_presentation("< a, b, c, d | d^2 a b c, d^3 c b a >")
+    res = hom_search(p, symmetric_group(5), Budget.start(time_limit_s=2.0))
+    assert res.complete
+    assert res.hom_count == 14_400
+    assert res.nontrivial_count == 14_399
+    assert res.epi_count == 6_840
+    assert res.nodes == 1_756_921
+
+
 def _element_order(g):
     order, power = 1, g
     while power != identity_perm(len(g)):
@@ -378,14 +605,14 @@ def test_cyclic_source_counts_solutions_of_g_n(n):
     p = parse_presentation(f"< a | a^{n} >")
     for target in [t for d in range(2, 6) for t in transitive_groups(d)] + [sl25()]:
         expected = sum(n % _element_order(g) == 0 for g in target.elements())
-        assert len(hom_search(p, target).homs) == expected, (n, target.name)
+        assert hom_search(p, target).hom_count == expected, (n, target.name)
 
 
 def test_free_source_counts_pairs():
     p = parse_presentation("< a, b | >")
     for target in [t for d in range(2, 6) for t in transitive_groups(d)]:
         res = hom_search(p, target)
-        assert len(res.homs) == target.order() ** 2, target.name
+        assert res.hom_count == target.order() ** 2, target.name
 
 
 def test_trivial_targets_give_one_hom():
@@ -465,6 +692,47 @@ def test_fibre_product_sl25_over_a5():
     ffp = fibre_product_finite(eta, G)
     assert ffp.kernel_size == 2
     assert len(ffp.elements) == 240  # |ker|·|G| = 2·120
+
+
+def _tuple_fibre_product(eta, G):
+    """The fibre product by the tuple closure of the graph of eta, as pairs
+    of permutations."""
+    def pair_mul(a, b):
+        return (compose(a[0], b[0]), compose(a[1], b[1]))
+
+    def pair_inv(a):
+        return (invert(a[0]), invert(a[1]))
+
+    seed = [(identity_perm(G.degree), identity_perm(eta.degree))] + list(
+        zip(G.generators, eta.images)
+    )
+    fibres = {}
+    for g, q in close_under_products(seed, pair_mul, pair_inv):
+        fibres.setdefault(q, []).append(g)
+    return {(x, y) for fibre in fibres.values() for x in fibre for y in fibre}, pair_mul, pair_inv
+
+
+def test_fibre_products_match_the_tuple_closure():
+    z6 = parse_presentation("< a | a^6 >")
+    cases = [
+        (GroupHom(z6, [perm_from_cycles(3, [(1, 2, 3)])], 3), cyclic_group(6),
+         [(z6.word("a"), z6.word("a")), (z6.word("a^3"), Word.identity(z6.alphabet))]),
+    ]
+    G, eta = sl25_to_a5()
+    s, t, centre = (eta.source.word(w) for w in ("s", "t", "s^2"))
+    cases.append((eta, G, [(s, s), (t, t), (centre, Word.identity(eta.source.alphabet))]))
+    for eta, G, pairs in cases:
+        ffp = fibre_product_finite(eta, G)
+        elems = G.elements()
+        expected, pair_mul, pair_inv = _tuple_fibre_product(eta, G)
+        assert {(elems[x], elems[y]) for x, y in ffp.elements} == expected
+        for k in range(len(pairs) + 1):
+            seed = [(identity_perm(G.degree),) * 2] + [
+                (evaluate_word(u, G.generators, G.degree), evaluate_word(v, G.generators, G.degree))
+                for u, v in pairs[:k]
+            ]
+            generated = close_under_products(seed, pair_mul, pair_inv)
+            assert check_generation(ffp, pairs[:k]) == (generated == expected)
 
 
 def test_check_generation_z6_over_z3():

@@ -21,11 +21,18 @@ of any single rotation of it.
 The sort, the LCP and the match scan run in numpy.  The first round sorts
 q letters packed into one int64 (qsufsort's transform); prefix doubling
 then keeps the rank array of each round, so level j ranks q·2^j letters.
-The LCP of two first-copy suffixes comes from binary lifting over those
-ranks and a direct comparison of the last fewer than q letters, exactly.
-Where neither neighbour's LCP exceeds its cap, the longer of the two is the
-position's best match; the few positions where a cap binds walk outward
-through the suffix order in Python.
+A round sorts only the cells whose rank can differ from their twin's: the
+second-copy suffix at offset L + t of a word of length L shares its first
+L - t letters with the first-copy suffix at t, so while a round ranks at
+most L - t letters it takes that rank with one gather, and every level is
+the one a sort of every cell gives.  The LCP of two first-copy suffixes
+comes from binary lifting over those ranks; the last fewer than q letters
+are read off the first round's packed keys, from the highest set bit of
+their XOR.  Where neither neighbour's LCP exceeds its cap, the longer of
+the two is the position's best match; the few positions where a cap binds
+walk outward through the suffix order in Python.  A maximum and then a
+minimum by class over the order pick each class's best match and the first
+position attaining it.
 
 Words of the presented group can be tested for triviality by Dehn's
 algorithm once the presentation is verified C'(1/6): Greendlinger's lemma
@@ -91,10 +98,10 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
 
     The suffix order is (class, offset, position, sort): the first-copy
     suffixes of the classes' first words in suffix order, as class, offset
-    and position in the sorted content, and the sort (content, levels, q)
-    that _lcp reads them with.  Separators rise with the word order, so
-    leaving the other words out keeps the order the classes' words alone
-    would sort to."""
+    and position in the sorted content, and the sort (packed keys, levels,
+    bits per letter) that _lcp reads them with.  Separators rise with the
+    word order, so leaving the other words out keeps the order the classes'
+    words alone would sort to."""
     cores = []
     for r in p.relators:  # freely reduced: peel inverse pairs off both ends
         ls = r.letters
@@ -117,11 +124,13 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
     present = np.zeros(seq.max() + 1, dtype=bool)
     present[seq] = True
     seq = (np.cumsum(present) - 1)[seq]
+    kept, key, levels, bits = _suffix_array(seq, lengths, budget)
+    sort = (key, levels, bits)
+    # built after the sort, so that they are not held through it
     block = 2 * lengths + 1
     word_of = np.repeat(np.arange(lengths.size), block)
     offset = np.arange(seq.size) - (np.cumsum(block) - block)[word_of]
     first_copy = offset < lengths[word_of]
-    kept, levels, q = _suffix_array(seq, first_copy, budget)
 
     # the kept rank of every first-copy suffix, word by word, and each
     # word's least and second least
@@ -137,7 +146,7 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
     a, b = kept[least[core]], kept[second[core]]
     period = lengths.copy()
     period[core] = np.where(
-        _lcp(seq, levels, q, a, b) >= lengths[core], offset[b] - offset[a], lengths[core]
+        _lcp(*sort, a, b) >= lengths[core], offset[b] - offset[a], lengths[core]
     )
     period[1::2] = period[::2]
     proper = tuple(np.flatnonzero(period[::2] < lengths[::2]).tolist())
@@ -146,7 +155,7 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
     # neighbours' least suffixes share the whole length
     by = np.lexsort((least, lengths))
     pos, n = kept[least[by]], lengths[by]
-    joined = (n[1:] == n[:-1]) & (_lcp(seq, levels, q, pos[:-1], pos[1:]) >= n[1:])
+    joined = (n[1:] == n[:-1]) & (_lcp(*sort, pos[:-1], pos[1:]) >= n[1:])
     run = np.concatenate(([0], np.cumsum(~joined)))
     first = np.full(run[-1] + 1, lengths.size)
     np.minimum.at(first, run, by)
@@ -165,7 +174,7 @@ def _cyclic_words(p: Presentation, budget: Budget) -> tuple[
 
     kept = kept[is_first[word_of[kept]]]
     budget.check()
-    return words, classes, proper, (cls[word_of[kept]], offset[kept], kept, (seq, levels, q))
+    return words, classes, proper, (cls[word_of[kept]], offset[kept], kept, sort)
 
 
 # ---------------------------------------------------------------------------
@@ -241,73 +250,112 @@ class PieceReport:
 
 
 def _suffix_array(
-    a: np.ndarray, keep: np.ndarray, budget: Budget
-) -> tuple[np.ndarray, list[np.ndarray], int]:
-    """The positions where keep is set, in the order of their suffixes, the
-    int32 rank array of every round before the last, and q, the letters of
-    the first round: levels[j][p] ranks the q·2^j-letter prefix of suffix p.
+    a: np.ndarray, lengths: np.ndarray, budget: Budget
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], int]:
+    """Suffix sort of the content a, which lays out words of the given
+    lengths one after another, each as w w sep: a word of length L fills a
+    block of 2L + 1 cells, its separator last.  Returns the first-copy
+    positions in the order of their suffixes, the packed keys of the first
+    round, the int32 rank array of every round before the last, and b, the
+    bits per letter.  With q = 62 // b, levels[j][p] ranks the q·2^j-letter
+    prefix of suffix p.
 
     The content a holds letter ranks, 0 up to a.max(), which takes b bits;
     dense ranks take the fewest.  The first round sorts packed keys,
     qsufsort's transform (Larsson & Sadakane, Faster suffix sorting, 2007):
-    the q = 62 // b letters from each position in one int64, 0 past the
-    end.  Each later round doubles the prefix (Manber & Myers).  The
-    content must end in a letter that occurs nowhere else, so equal ranks
-    at two positions mean q·2^j equal letters, and a key reaching past the
-    end equals no other.  Rounds stop once the kept suffixes have distinct
-    ranks, so no two kept suffixes share q·2^len(levels) letters; the
-    deadline is checked after every round, the packed first round
-    included."""
+    the q letters from each position in one int64, the first letter in the
+    highest field, 0 past the end.  Each later round doubles the prefix
+    (Manber & Myers).  The content must end in a letter that occurs nowhere
+    else, so equal ranks at two positions mean q·2^j equal letters, and a
+    key reaching past the end equals no other.  Rounds stop once the
+    first-copy suffixes have distinct ranks, so no two of them share
+    q·2^len(levels) letters; the deadline is checked after every round, the
+    packed first round included.
+
+    Twin ranks.  The second-copy cell at offset L + t reads w[t:] and then
+    its separator; its twin, the first-copy cell at t, reads w[t:] and then
+    w.  They share L - t letters, so in a round that ranks k <= L - t
+    letters their keys are equal.  Each round therefore sorts only the first
+    copies, the separators and the second-copy cells within k letters of
+    their separator, and the other cells copy their twins' ranks with one
+    gather.  Every key left out equals a sorted one, so the dense ranks of
+    the sorted cells, and the copies, are those a sort of every cell gives:
+    the kept order and every level are unchanged.  Once k exceeds every L,
+    every cell is sorted."""
     n = a.size
     bits = max(1, int(a.max()).bit_length())
     q = 62 // bits
     padded = np.concatenate((a, np.zeros(q - 1, dtype=np.int64)))
-    key = np.zeros(n, dtype=np.int64)
+    packed = np.zeros(n, dtype=np.int64)
     for i in range(q):
-        key <<= bits
-        key |= padded[i : i + n]
+        packed <<= bits
+        packed |= padded[i : i + n]
     del padded
+    block = 2 * lengths + 1
+    span = np.repeat(lengths, block)
+    offset = np.arange(n) - np.repeat(np.cumsum(block) - block, block)
+    keep = offset < span
+    # the letters each cell shares with its twin, span cells to its left,
+    # 0 where it has none; int32 like the ranks, as the sort's peak memory
+    # is its per-cell arrays
+    reach = np.where(keep, 0, 2 * span - offset).astype(np.int32)
+    span = span.astype(np.int32)
+    del offset
     levels = []
     k = q
+    cells = np.flatnonzero(reach < k)
+    key = packed[cells]
     while True:
         order = np.argsort(key)
         key = key[order]
-        new = np.empty(n, dtype=np.int32)
+        order = cells[order]
+        new = np.empty(order.size, dtype=np.int32)
         new[0] = 0
         np.cumsum(key[1:] != key[:-1], out=new[1:])
         budget.check()
         sorted_keep = keep[order]
         r = new[sorted_keep]
         if (r[1:] != r[:-1]).all():
-            return order[sorted_keep], levels, q
+            return order[sorted_keep], packed, levels, bits
         rank = np.empty(n, dtype=np.int32)
         rank[order] = new
+        twins = np.flatnonzero(reach >= k)
+        rank[twins] = rank[twins - span[twins]]
         levels.append(rank)
         # sort on (rank of the first half, 1 + rank of the second half or 0
         # past the end) as one int64 key; rank < n, so the key cannot overflow
-        key = rank.astype(np.int64) * (n + 1)
-        key[: n - k] += rank[k:] + 1
+        cells = np.flatnonzero(reach < 2 * k)
+        key = rank[cells].astype(np.int64) * (n + 1)
+        inside = np.searchsorted(cells, n - k)
+        key[:inside] += rank[cells[:inside] + k] + 1
         k *= 2
 
 
 def _lcp(
-    a: np.ndarray, levels: list[np.ndarray], q: int, p: np.ndarray, r: np.ndarray
+    key: np.ndarray, levels: list[np.ndarray], bits: int, p: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
-    """Longest common prefix of the suffixes of a at p and at r, pairwise:
-    binary lifting over the doubling ranks in steps of q·2^j letters, then
-    a direct comparison of the fewer than q letters left.  Each pair must
-    share fewer than q·2^len(levels) letters, as two kept suffixes do.  The
-    content's last letter occurs once, so no equal run reaches it and no
-    index passes the end."""
+    """Longest common prefix of the suffixes at p and at r, pairwise, from
+    the sort's packed keys, levels and bits per letter: binary lifting over
+    the doubling ranks in steps of q·2^j letters, q = 62 // bits, then the
+    fewer than q letters left from the packed keys.  Each pair must share
+    fewer than q·2^len(levels) letters, as two kept suffixes do, so after
+    the lifting the pair shares h letters and differs within the next q.
+    The content's last letter occurs once, so no equal run reaches it: the
+    first letter that differs lies inside the content at both positions, and
+    no index passes the end.  The keys at p + h and r + h hold those q
+    letters, so their XOR is never 0, and its highest set bit lies in the
+    field of the first letter that differs: the fields above it are the
+    letters left to count."""
+    q = 62 // bits
     h = np.zeros(p.size, dtype=np.int64)
     for j in range(len(levels) - 1, -1, -1):
         lv = levels[j]
         h[lv[p + h] == lv[r + h]] += q << j
-    run = np.ones(p.size, dtype=bool)
-    for _ in range(q - 1):
-        run &= a[p + h] == a[r + h]
-        h += run
-    return h
+    x = key[p + h] ^ key[r + h]
+    # the bit length of x < 2^62, exact: frexp is exact on halves below 2^31
+    high = np.frexp(x >> 31)[1]
+    width = np.where(high > 0, high + 31, np.frexp(x & 0x7FFFFFFF)[1])
+    return h + q - 1 - (width - 1) // bits
 
 
 def _max_matches(
@@ -324,12 +372,14 @@ def _max_matches(
     when w has no piece.  Among the positions of w attaining the length, t
     comes first in suffix order; its partner is the first position attaining
     it on a walk outward from t through the suffix order, left side first.
+    A maximum by class over the suffix order gives the lengths, and a
+    minimum by class over the positions attaining them gives each t.
     """
     if not words:
         return []
     lengths = np.array([len(w.letters) for w in words], dtype=np.int64)
-    word, offset, kept, (seq, levels, q) = order
-    lcp = _lcp(seq, levels, q, kept[:-1], kept[1:])
+    word, offset, kept, (key, levels, bits) = order
+    lcp = _lcp(key, levels, bits, kept[:-1], kept[1:])
     levels.clear()  # the scan is the sort's last reader: free its ranks first
 
     # where no cap binds, matches only shrink away from a position, so the
@@ -349,18 +399,17 @@ def _max_matches(
         best[walk], partner[walk] = _walk(walk.tolist(), lcp.tolist(), cap.tolist())
     budget.check()
 
-    # group by class (stable, so suffix order holds within a class); the
-    # first maximum of each group is the class's representative
-    by_word = np.argsort(word, kind="stable")
-    out = []
-    for group in np.split(by_word, np.cumsum(lengths)[:-1]):
-        i = group[np.argmax(best[group])]
-        if not best[i]:
-            out.append((0, 0, 0, 0))
-            continue
-        j = partner[i]
-        out.append((int(best[i]), int(offset[i]), int(word[j]), int(offset[j])))
-    return out
+    # each class's longest match, and the first position in suffix order
+    # that attains it: the class's representative
+    top = np.zeros(lengths.size, dtype=np.int64)
+    np.maximum.at(top, word, best)
+    at = np.flatnonzero(best == top[word])
+    first = np.full(lengths.size, word.size)
+    np.minimum.at(first, word[at], at)
+    j = partner[first]
+    out = np.stack((top, offset[first], word[j], offset[j]), axis=1)
+    out[top == 0] = 0
+    return [tuple(row) for row in out.tolist()]
 
 
 def _walk(positions: list[int], lcp: list[int], cap: list[int]) -> tuple[list[int], list[int]]:

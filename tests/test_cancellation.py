@@ -511,47 +511,156 @@ def test_classes_and_suffix_order_match_the_oracles_on_small_presentations(p):
     assert_sort_matches_oracles(p)
 
 
+def layout(words, separators):
+    """The words as the piece checker lays them out, each written twice and
+    then followed by its separator: the content and the words' lengths, as
+    _suffix_array reads them."""
+    a = [x for w, sep in zip(words, separators) for x in (*w, *w, sep)]
+    return np.array(a, dtype=np.int64), np.array([len(w) for w in words], dtype=np.int64)
+
+
+def first_copies(lengths) -> np.ndarray:
+    """The first-copy cells of that layout."""
+    return np.concatenate([np.arange(2 * n + 1) < n for n in lengths.tolist()])
+
+
+def assert_levels_match_doubling(a: np.ndarray, levels, bits: int) -> None:
+    """Level j of the packed sort ranks the q·2^j-letter prefixes of every
+    cell, q = 62 // bits: along the suffix order of unpacked doubling over
+    every cell it starts at 0 and rises by one exactly where the adjacent
+    lcp is below q·2^j."""
+    q = 62 // bits
+    sa, full = doubling_suffix_array(a, np.ones(a.size, dtype=bool))
+    lcp = doubling_lcp(full, sa[:-1], sa[1:])
+    for j, rank in enumerate(levels):
+        want = np.empty(a.size, dtype=np.int64)
+        want[sa] = np.concatenate(([0], np.cumsum(lcp < q << j)))
+        assert rank.tolist() == want.tolist(), j
+
+
+def assert_sort_matches_doubling(a, lengths, pairs):
+    """The packed sort with twin ranks keeps the first copies in the order
+    unpacked doubling gives, every level is the doubling's, and _lcp agrees
+    with the doubling's lcp on the given pairs of indices into the kept
+    order.  Returns the sort."""
+    kept, key, levels, bits = cancellation._suffix_array(a, lengths, Budget.start())
+    assert bits == int(a.max()).bit_length()
+    want, old_levels = doubling_suffix_array(a, first_copies(lengths))
+    assert kept.tolist() == want.tolist()
+    assert_levels_match_doubling(a, levels, bits)
+    p, r = kept[pairs[0]], kept[pairs[1]]
+    assert (cancellation._lcp(key, levels, bits, p, r) == doubling_lcp(old_levels, p, r)).all()
+    return kept, key, levels, bits
+
+
 @st.composite
 def sort_inputs(draw):
-    """Content for the sort: letters below `top` with long repeats, then
-    `top` once at the end; `top` runs from 1 to past 2^61, so q, the letters
-    per packed key, runs from 62 down to 1.  Any cell may be kept."""
+    """Words over letters below min(top, 4) laid out as w w sep: short words,
+    powers of one unit up to 120 letters long (long repeats and proper
+    powers), and duplicates of drawn words.  Every separator but the last is
+    drawn below top, and the last is top, so it occurs once; top runs from 1
+    to past 2^61, so q, the letters per packed key, runs from 62 down to 1."""
     top = draw(st.one_of(st.integers(1, 4), st.integers(0, 61).map(lambda e: 4 + 2**e)))
-    unit = draw(st.lists(st.integers(0, min(top, 4) - 1), min_size=1, max_size=4))
-    body = draw(st.lists(
-        st.one_of(st.lists(st.integers(0, min(top, 4) - 1), max_size=5), st.just(unit * 7)),
-        max_size=8,
+    letter = st.integers(0, min(top, 4) - 1)
+    unit = draw(st.lists(letter, min_size=1, max_size=4))
+    words = draw(st.lists(
+        st.one_of(st.lists(letter, min_size=1, max_size=6), st.integers(2, 30).map(lambda k: unit * k)),
+        min_size=1,
+        max_size=5,
     ))
-    a = np.array([x for part in body for x in part] + [top], dtype=np.int64)
-    keep = np.array(draw(st.lists(st.booleans(), min_size=a.size, max_size=a.size)))
-    return a, keep
+    words += draw(st.lists(st.sampled_from(words), max_size=2))
+    words = draw(st.permutations(words))
+    seps = draw(st.lists(st.integers(0, top - 1), min_size=len(words) - 1, max_size=len(words) - 1))
+    return layout(words, seps + [top])
 
 
 @settings(max_examples=400, deadline=None)
 @given(sort_inputs())
 def test_packed_sort_and_lcp_match_the_unpacked_doubling(data):
-    a, keep = data
-    kept, levels, q = cancellation._suffix_array(a, keep, Budget.start())
-    assert q == 62 // int(a.max()).bit_length()
-    want, old_levels = doubling_suffix_array(a, keep)
-    assert kept.tolist() == want.tolist()
+    a, lengths = data
     # every pair of kept suffixes, adjacent or not
-    p, r = np.triu_indices(kept.size, 1)
-    p, r = kept[p], kept[r]
-    assert (cancellation._lcp(a, levels, q, p, r) == doubling_lcp(old_levels, p, r)).all()
+    assert_sort_matches_doubling(a, lengths, np.triu_indices(int(lengths.sum()), 1))
 
 
 def test_packed_sort_at_two_letters_per_key():
     # over a million distinct letters take 21 bits, so two fit in a key;
-    # a stretch over three letters gives the suffixes common prefixes
+    # words over three letters, a proper power and a duplicate give the
+    # suffixes long common prefixes
     rng = np.random.default_rng(21)
-    a = np.concatenate((rng.permutation(1 << 20), rng.integers(0, 3, 20_000), [1 << 20]))
-    keep = rng.random(a.size) < 0.5
-    kept, levels, q = cancellation._suffix_array(a, keep, Budget.start())
-    want, old_levels = doubling_suffix_array(a, keep)
-    assert q == 2 and kept.tolist() == want.tolist()
-    p, r = kept[:-1], kept[1:]
-    assert (cancellation._lcp(a, levels, q, p, r) == doubling_lcp(old_levels, p, r)).all()
+    big = rng.permutation(1 << 20)[:40_000]
+    words = [big[i : i + 400].tolist() for i in range(0, big.size, 400)]
+    words += [rng.integers(0, 3, 300).tolist() for _ in range(20)]
+    words += [[0, 1, 2, 2] * 60, words[-1]]
+    a, lengths = layout(words, [(1 << 20) + i for i in range(len(words))])
+    k = int(lengths.sum())
+    _, _, levels, bits = assert_sort_matches_doubling(
+        a, lengths, (np.arange(k - 1), np.arange(1, k))
+    )
+    assert 62 // bits == 2 and len(levels) > 2
+
+
+def test_twin_ranks_with_ties_into_separators():
+    # a 200-letter word, a duplicate and its square: first-copy suffixes tie
+    # through the second copy into the separators, and twin ranks stand in
+    # for second copies until the rounds rank more letters than a word has
+    u = rand_word_over(random.Random(202), Alphabet(["a", "b"]), 200).letters
+    assert u[0] != -u[-1]  # cyclically reduced, so u u is the square
+    w = [x + 2 for x in u]  # letters -2..2 as ranks 0..4
+    a, lengths = layout([w, w, w + w], [5, 6, 7])
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        _, _, levels, _ = assert_sort_matches_doubling(a, lengths, np.triu_indices(int(lengths.sum()), 1))
+    sizes = [c.args[0].size for c in argsort.call_args_list[: len(levels) + 1]]
+    assert sizes[0] < sizes[-1] == a.size
+    p = quiet_presentation(["a", "b"], [u, u, u + u])
+    assert_sort_matches_oracles(p)
+    assert_matches_oracle(p, 6)
+
+
+@pytest.fixture(scope="module")
+def zero_exponent_rips():
+    out = {}
+    for key, m in (("bp2", 7), ("a5", 7), ("free2", 6)):
+        q = quiet_presentation_text((Path(__file__).parent / "fixtures" / f"{key}.pres").read_text())
+        out[key] = rips(q, m, zero_exponent=True).gamma, m
+    return out
+
+
+def capture_sort(p: Presentation, m: int):
+    """check_metric(p, m), with the layout its sort reads, the sort's
+    results and the size of every argsort the check runs."""
+    real, seen = cancellation._suffix_array, []
+
+    def sort(*args):
+        kept, key, levels, bits = real(*args)
+        seen.append((args[:2], (kept, key, list(levels), bits)))  # the scan clears levels
+        return kept, key, levels, bits
+
+    with mock.patch.object(cancellation, "_suffix_array", sort), \
+            mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        check_metric(p, m)
+    [(layout_args, out)] = seen
+    return layout_args, out, [c.args[0].size for c in argsort.call_args_list]
+
+
+@pytest.mark.parametrize("key", ["bp2", "a5", "free2"])
+def test_twin_ranks_keep_every_level_on_rips_outputs(zero_exponent_rips, key):
+    # long relators, where twin ranks stand in for most second copies; the
+    # reports and the classes' suffix order are checked against the oracles
+    # on these presentations by test_piece_reports_match_the_oracle_on_fixtures
+    (a, lengths), (kept, _, levels, bits), sizes = capture_sort(*zero_exponent_rips[key])
+    assert sizes[0] < a.size and levels
+    assert kept.tolist() == doubling_suffix_array(a, first_copies(lengths))[0].tolist()
+    assert_levels_match_doubling(a, levels, bits)
+
+
+def test_each_round_sorts_only_cells_that_can_differ_from_their_twin(zero_exponent_rips):
+    # the round ranking k letters sorts the first copies and, per word, at
+    # most k + 1 more cells: its separator and the second-copy cells within
+    # k letters of it; about 0.53 of the cells on rips(bp2, 7), not all
+    (a, lengths), (kept, _, levels, bits), sizes = capture_sort(*zero_exponent_rips["bp2"])
+    assert len(sizes) == len(levels) + 1 > 1  # check_metric sorts nothing else
+    for j, size in enumerate(sizes):
+        assert size <= kept.size + lengths.size * ((62 // bits << j) + 1) < 0.6 * a.size, j
 
 
 def test_large_alphabet_packs_three_letters_per_key():
@@ -564,9 +673,9 @@ def test_large_alphabet_packs_three_letters_per_key():
     real, widths = cancellation._suffix_array, []
 
     def sort(*args):
-        kept, levels, q = real(*args)
-        widths.append(q)
-        return kept, levels, q
+        out = real(*args)
+        widths.append(62 // out[3])
+        return out
 
     with mock.patch.object(cancellation, "_suffix_array", sort):
         assert_sort_matches_oracles(p)
@@ -803,7 +912,7 @@ def test_packed_first_round_reads_the_deadline():
 
     def sort(*args):
         out = real(*args)
-        levels.append(out[1])
+        levels.append(out[2])
         return out
 
     with mock.patch.object(cancellation, "_suffix_array", sort):
